@@ -8,9 +8,6 @@ from .qtilde import (
     QMatrix,
     cylinder,
     expand,
-    q_min,
-    validate_matrix,
-    validate_pmatrix,
 )
 from .measure import f_xi_cylinder, f_xi_point, local_dim_ratio, mu_cylinder
 from .criteria import (

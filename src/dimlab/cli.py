@@ -26,7 +26,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="dimlab-out")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--rank-budget", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--plot-data", action="store_true",
                        help="also emit two-column series files")
     return parser
@@ -64,7 +63,7 @@ def main(argv=None) -> int:
         return 1
 
     budget = resolve_budget(args.rank_budget)
-    report = run_scenario(scenario, budget=budget, seed=args.seed)
+    report = run_scenario(scenario, budget=budget)
     written = emit_report(report, args.out, fmt=args.format)
     if args.plot_data:
         written.extend(emit_plot_data(report, args.out))

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .dimension import DEFAULT_WINDOW_FRACTION, MoranSpec, tail_window_max
 from .errors import DegenerateDenominator
-from .qtilde import ColumnMatrix, ln, q_min
+from .qtilde import ColumnMatrix, ln
 
 # Verdict labels (fixed report vocabulary)
 PDP = "PDP"
@@ -86,7 +86,7 @@ def sparse_column_stats(q: ColumnMatrix, p: ColumnMatrix, k_max: int,
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    threshold = q_min(q) / 2
+    threshold = q.min_entry() / 2
     members = []
     partials = []
     log_sum = 0.0
@@ -187,7 +187,7 @@ def pdp_verdict(q: ColumnMatrix, p: ColumnMatrix, k_max: int,
         verdict = PDP
     return CriterionReport(
         k_max=k_max,
-        q_min=q_min(q),
+        q_min=q.min_entry(),
         sparse_members=tuple(members),
         sparse_partials=tuple(sparse_partials),
         sparse_estimate=sparse_est,

@@ -10,6 +10,7 @@ via dynamic programming over disjoint balls.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -19,9 +20,11 @@ from .errors import (
     DigitOutOfRange,
     GridTooCoarse,
     NonUniformColumns,
+    PremeasureOrderingViolated,
     TooFewScales,
 )
-from .qtilde import ColumnMatrix, Cylinder, ONE, ZERO, ln, to_fraction
+from .qtilde import (ColumnMatrix, Cylinder, ONE, ZERO, ln, _periodic_item,
+                     to_fraction)
 
 DEFAULT_ENUM_BUDGET = 2 ** 22
 DEFAULT_WINDOW_FRACTION = 0.5
@@ -51,12 +54,7 @@ class MoranSpec:
                 raise ValueError("every allowed-digit set must be nonempty")
 
     def allowed(self, j: int) -> tuple:
-        if j < 1:
-            raise DigitOutOfRange(f"column index {j} must be >= 1")
-        m = len(self.allowed_prefix)
-        if j <= m:
-            return self.allowed_prefix[j - 1]
-        return self.allowed_period[(j - m - 1) % len(self.allowed_period)]
+        return _periodic_item(self.allowed_prefix, self.allowed_period, j)
 
     def validate_against(self, matrix: ColumnMatrix, upto: int) -> None:
         for j in range(1, upto + 1):
@@ -219,6 +217,7 @@ def family_dim(spec: MoranSpec, matrix: ColumnMatrix, ranks: Sequence[int],
     ranks = sorted(ranks)
     spec.validate_against(matrix, ranks[-1])
     samples = []
+    count = 1
     log_count = 0.0
     max_len = ONE
     j = 1
@@ -226,6 +225,7 @@ def family_dim(spec: MoranSpec, matrix: ColumnMatrix, ranks: Sequence[int],
         while j <= k:
             choices = spec.allowed(j)
             col = matrix.column(j)
+            count *= len(choices)
             log_count += math.log(len(choices))
             best = max(col.entries[a] for a in choices)
             if best == 0:
@@ -235,7 +235,7 @@ def family_dim(spec: MoranSpec, matrix: ColumnMatrix, ranks: Sequence[int],
             max_len *= best
             j += 1
         ratio = 0.0 if max_len == ONE else log_count / -ln(max_len)
-        samples.append(ScaleSample(max_len, spec.count(k), ratio))
+        samples.append(ScaleSample(max_len, count, ratio))
     est = tail_window_max([s.log_ratio for s in samples], window_fraction)
     return DimensionEstimate(tuple(samples), est, "cylinder_family")
 
@@ -252,16 +252,19 @@ def moran_dim_oracle(spec: MoranSpec, matrix: ColumnMatrix, k_max: int,
     den = 0.0
     partials = []
     samples = []
+    count = 1
     length = ONE
     for j in range(1, k_max + 1):
         col = matrix.column(j)
         if len(set(col.entries)) != 1:
             raise NonUniformColumns(f"column {j} entries are not all equal")
-        num += math.log(len(spec.allowed(j)))
+        choices = len(spec.allowed(j))
+        count *= choices
+        num += math.log(choices)
         den += -ln(col.entries[0])
         length *= col.entries[0]
         partials.append(num / den)
-        samples.append(ScaleSample(length, spec.count(j), num / den))
+        samples.append(ScaleSample(length, count, num / den))
     est = tail_window_max(partials, window_fraction)
     return DimensionEstimate(tuple(samples), est, "moran_oracle")
 
@@ -305,8 +308,7 @@ def packing_premeasure(points: Iterable, alpha: float, eps,
         if mode == "centered":
             return True  # center is a set point, so the ball meets the set
         half = d / 2
-        import bisect as _b
-        i = _b.bisect_left(pts, c)
+        i = bisect_left(pts, c)
         for p in (pts[i - 1] if i > 0 else None, pts[i] if i < len(pts) else None):
             if p is not None and abs(p - c) < half:
                 return True
@@ -340,5 +342,8 @@ def premeasure_ordering_check(points: Iterable, alpha: float, eps,
     pts = list(points)
     centered = packing_premeasure(pts, alpha, eps, "centered", t_max)
     uncentered = packing_premeasure(pts, alpha, eps, "uncentered", t_max)
-    assert uncentered >= centered, (uncentered, centered)
+    if not uncentered >= centered:
+        raise PremeasureOrderingViolated(
+            f"uncentered premeasure {uncentered} is below centered {centered}"
+        )
     return centered, uncentered

@@ -67,6 +67,10 @@ class GridTooCoarse(DimlabError):
     pass
 
 
+class PremeasureOrderingViolated(DimlabError):
+    """The uncentered packing premeasure came out below the centered one."""
+
+
 # --- harness ---
 
 class ParseError(DimlabError):

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, is_dataclass, asdict
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -15,7 +17,7 @@ from . import criteria as crit
 from . import dimension as dim
 from . import measure
 from . import qtilde
-from .errors import ParseError, SchemaError
+from .errors import ParseError, SchemaError, ShapeMismatch
 from .qtilde import PMatrix, QMatrix, to_fraction
 
 KINDS = ("expand", "transform", "dimension", "criteria",
@@ -63,12 +65,10 @@ def parse_scenario(doc: dict) -> Scenario:
     for key in _REQUIRED[kind]:
         if key not in doc:
             raise SchemaError(f"{kind} scenario requires field {key!r}")
-    q = qtilde.validate_matrix(doc["Q"].get("prefix", []),
-                               doc["Q"].get("period", []))
-    p = None
-    if "P" in doc:
-        p = qtilde.validate_pmatrix(doc["P"].get("prefix", []),
-                                    doc["P"].get("period", []), paired=q)
+    q = QMatrix.from_dict(doc["Q"])
+    p = PMatrix.from_dict(doc["P"]) if "P" in doc else None
+    if p is not None and not p.shape_matches(q):
+        raise ShapeMismatch("digit counts differ from the paired matrix")
     moran = dim.MoranSpec.from_dict(doc["moran"]) if "moran" in doc else None
     tolerances = dict(DEFAULT_TOLERANCES)
     tolerances.update(doc.get("tolerances", {}))
@@ -228,8 +228,7 @@ _RUNNERS = {
 }
 
 
-def run_scenario(s: Scenario, budget: int = dim.DEFAULT_ENUM_BUDGET,
-                 seed: Optional[int] = None) -> Report:
+def run_scenario(s: Scenario, budget: int = dim.DEFAULT_ENUM_BUDGET) -> Report:
     start = time.perf_counter()
     failed = False
     verdicts = {}
@@ -251,7 +250,6 @@ def run_scenario(s: Scenario, budget: int = dim.DEFAULT_ENUM_BUDGET,
     run_meta = {
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "timings": {"run_seconds": elapsed},
-        "seed": seed,
     }
     return Report(scenario=s.raw, kind=s.kind, results=results,
                   verdicts=verdicts, run_meta=run_meta, failed=failed)
@@ -283,24 +281,39 @@ def jsonify(obj):
     return obj
 
 
+@contextmanager
+def _unlimited_int_digits():
+    """Lift CPython's int -> str digit limit (3.10.7+) while exact results
+    are written; deep-rank rationals can exceed its 4300 digits."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def emit_report(report: Report, out_dir, fmt: str = "json") -> list:
     """Write the master JSON document, plus per-table CSVs when fmt=csv."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    doc = {
-        "kind": report.kind,
-        "scenario": jsonify(report.scenario),
-        "results": jsonify(report.results),
-        "verdicts": jsonify(report.verdicts),
-        "failed": report.failed,
-        "run_meta": report.run_meta,
-    }
-    master = out_dir / "report.json"
-    master.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    written.append(master)
-    if fmt == "csv":
-        written.extend(_emit_csv_tables(report, out_dir))
+    with _unlimited_int_digits():
+        doc = {
+            "kind": report.kind,
+            "scenario": jsonify(report.scenario),
+            "results": jsonify(report.results),
+            "verdicts": jsonify(report.verdicts),
+            "failed": report.failed,
+            "run_meta": report.run_meta,
+        }
+        master = out_dir / "report.json"
+        master.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        written = [master]
+        if fmt == "csv":
+            written.extend(_emit_csv_tables(report, out_dir))
     return written
 
 

@@ -8,17 +8,19 @@ with the same digit word under the measure matrix.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from typing import Sequence
 
 from .errors import DigitOutOfRange, ToleranceNotReached, ZeroMeasureCylinder
 from .qtilde import (
     ONE,
-    ZERO,
     ColumnMatrix,
     Cylinder,
     RationalLike,
     cylinder,
+    digits,
     ln,
+    nested,
     to_fraction,
 )
 
@@ -27,15 +29,7 @@ DEFAULT_POINT_MAX_RANK = 200
 
 def mu_cylinder(p: ColumnMatrix, word: Sequence[int]) -> Fraction:
     """Measure of a cylinder: the exact product of chosen column entries."""
-    value = ONE
-    for j, a in enumerate(word, start=1):
-        col = p.column(j)
-        if not 0 <= a < col.n:
-            raise DigitOutOfRange(
-                f"digit {a} out of range for column {j} (n={col.n})"
-            )
-        value *= col.entries[a]
-    return value
+    return cylinder(p, word).length
 
 
 def f_xi_cylinder(q: ColumnMatrix, p: ColumnMatrix, word: Sequence[int]) -> Cylinder:
@@ -44,13 +38,11 @@ def f_xi_cylinder(q: ColumnMatrix, p: ColumnMatrix, word: Sequence[int]) -> Cyli
     Digit structure is preserved; only the interval is re-measured under p,
     so the image length equals mu_cylinder(p, word) exactly.
     """
-    for j, a in enumerate(word, start=1):
+    for j in range(1, len(word) + 1):
         if q.n(j) != p.n(j):
             raise DigitOutOfRange(
                 f"column {j}: digit counts differ ({q.n(j)} vs {p.n(j)})"
             )
-        if not 0 <= a < q.n(j):
-            raise DigitOutOfRange(f"digit {a} out of range for column {j}")
     return cylinder(p, word)
 
 
@@ -66,35 +58,12 @@ def f_xi_point(q: ColumnMatrix, p: ColumnMatrix, x: RationalLike,
     tol = to_fraction(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    x = to_fraction(x)
-
-    # walk the expansion of x under q while tracking the p-image interval
-    from .qtilde import OutOfUnitInterval
-    from bisect import bisect_right
-
-    if not ZERO <= x < ONE:
-        raise OutOfUnitInterval(f"{x} is not in [0, 1)")
-    q_left, q_len = ZERO, ONE
-    img_left, img_len = ZERO, ONE
-    for j in range(1, max_rank + 1):
-        qcol = q.column(j)
-        pcol = p.column(j)
-        if qcol.n != pcol.n:
-            raise DigitOutOfRange(f"column {j}: digit counts differ")
-        t = (x - q_left) / q_len
-        a = bisect_right(qcol.cumulative, t) - 1
-        if a >= qcol.n:
-            a = qcol.n - 1
-        q_left += qcol.cumulative[a] * q_len
-        q_len *= qcol.entries[a]
-        img_left += pcol.cumulative[a] * img_len
-        img_len *= pcol.entries[a]
-        if img_len == 0:
-            return (img_left, img_left)
-        if img_len <= tol:
-            return (img_left, img_left + img_len)
+    length = ONE
+    for left, length in nested(p, islice(digits(q, x), max_rank)):
+        if length <= tol:
+            return (left, left + length)
     raise ToleranceNotReached(
-        f"image interval still {img_len} wide after rank {max_rank}"
+        f"image interval still {length} wide after rank {max_rank}"
     )
 
 

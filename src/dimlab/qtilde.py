@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from functools import cached_property
+from itertools import accumulate, count, islice
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import (
     ColumnNotStochastic,
@@ -21,11 +23,9 @@ from .errors import (
     EmptyPeriod,
     NonPositiveEntry,
     OutOfUnitInterval,
-    ShapeMismatch,
 )
 
 RationalLike = Union[Fraction, int, str]
-DigitWord = tuple  # tuple[int, ...]; the empty word addresses [0, 1)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -48,6 +48,16 @@ def ln(value: Fraction) -> float:
     if value <= 0:
         raise ValueError(f"ln of non-positive rational {value}")
     return math.log(value.numerator) - math.log(value.denominator)
+
+
+def _periodic_item(prefix: Sequence, period: Sequence, j: int):
+    """Item j (1-indexed) of prefix followed by period repeated forever."""
+    if j < 1:
+        raise DigitOutOfRange(f"column index {j} must be >= 1")
+    m = len(prefix)
+    if j <= m:
+        return prefix[j - 1]
+    return period[(j - m - 1) % len(period)]
 
 
 @dataclass(frozen=True)
@@ -77,19 +87,10 @@ class ProbColumn:
     def n(self) -> int:
         return len(self.entries)
 
-    @property
+    @cached_property
     def cumulative(self) -> tuple:
         """Prefix sums (c_0=0, c_1, ..., c_n=1); c_a is the left offset of digit a."""
-        cached = self.__dict__.get("_cumulative")
-        if cached is None:
-            acc = ZERO
-            sums = [ZERO]
-            for e in self.entries:
-                acc += e
-                sums.append(acc)
-            cached = tuple(sums)
-            self.__dict__["_cumulative"] = cached
-        return cached
+        return (ZERO, *accumulate(self.entries))
 
     def min_entry(self) -> Fraction:
         return min(self.entries)
@@ -97,24 +98,22 @@ class ProbColumn:
 
 @dataclass(frozen=True)
 class ColumnMatrix:
-    """Finite prefix + periodic tail of probability columns, 1-indexed."""
+    """Finite prefix + periodic tail of probability columns, 1-indexed;
+    raw entry sequences are validated into ProbColumns."""
 
     prefix: tuple  # tuple[ProbColumn, ...]
     period: tuple  # tuple[ProbColumn, ...], nonempty
 
     def __post_init__(self):
-        object.__setattr__(self, "prefix", tuple(self.prefix))
-        object.__setattr__(self, "period", tuple(self.period))
+        for name in ("prefix", "period"):
+            columns = tuple(c if isinstance(c, ProbColumn) else ProbColumn(c)
+                            for c in getattr(self, name))
+            object.__setattr__(self, name, columns)
         if not self.period:
             raise EmptyPeriod("periodic tail must contain at least one column")
 
     def column(self, j: int) -> ProbColumn:
-        if j < 1:
-            raise DigitOutOfRange(f"column index {j} must be >= 1")
-        m = len(self.prefix)
-        if j <= m:
-            return self.prefix[j - 1]
-        return self.period[(j - m - 1) % len(self.period)]
+        return _periodic_item(self.prefix, self.period, j)
 
     def n(self, j: int) -> int:
         return self.column(j).n
@@ -125,12 +124,10 @@ class ColumnMatrix:
     def min_entry(self) -> Fraction:
         return min(c.min_entry() for c in self.columns())
 
-    def shape_matches(self, other: "ColumnMatrix", upto: int | None = None) -> bool:
-        if upto is not None:
-            return all(self.n(j) == other.n(j) for j in range(1, upto + 1))
+    def shape_matches(self, other: "ColumnMatrix") -> bool:
         lcm = math.lcm(len(self.period), len(other.period))
-        upto = max(len(self.prefix), len(other.prefix)) + lcm
-        return all(self.n(j) == other.n(j) for j in range(1, upto + 1))
+        horizon = max(len(self.prefix), len(other.prefix)) + lcm
+        return all(self.n(j) == other.n(j) for j in range(1, horizon + 1))
 
     def is_digit_uniform(self) -> bool:
         """True when every column has all-equal entries."""
@@ -144,11 +141,7 @@ class ColumnMatrix:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ColumnMatrix":
-        prefix = [ProbColumn(tuple(to_fraction(e) for e in col))
-                  for col in doc.get("prefix", [])]
-        period = [ProbColumn(tuple(to_fraction(e) for e in col))
-                  for col in doc.get("period", [])]
-        return cls(tuple(prefix), tuple(period))
+        return cls(doc.get("prefix", []), doc.get("period", []))
 
 
 class QMatrix(ColumnMatrix):
@@ -166,31 +159,6 @@ class QMatrix(ColumnMatrix):
 
 class PMatrix(ColumnMatrix):
     """Measure matrix: zero (and hence unit) entries are permitted."""
-
-
-def validate_matrix(prefix: Iterable[Sequence[RationalLike]],
-                    period: Iterable[Sequence[RationalLike]]) -> QMatrix:
-    """Build a QMatrix from raw column entry lists, validating everything."""
-    pre = tuple(ProbColumn(tuple(to_fraction(e) for e in col)) for col in prefix)
-    per = tuple(ProbColumn(tuple(to_fraction(e) for e in col)) for col in period)
-    return QMatrix(pre, per)
-
-
-def validate_pmatrix(prefix: Iterable[Sequence[RationalLike]],
-                     period: Iterable[Sequence[RationalLike]],
-                     paired: ColumnMatrix | None = None) -> PMatrix:
-    """Build a PMatrix; optionally check digit counts against a paired matrix."""
-    pre = tuple(ProbColumn(tuple(to_fraction(e) for e in col)) for col in prefix)
-    per = tuple(ProbColumn(tuple(to_fraction(e) for e in col)) for col in period)
-    p = PMatrix(pre, per)
-    if paired is not None and not p.shape_matches(paired):
-        raise ShapeMismatch("digit counts differ from the paired matrix")
-    return p
-
-
-def q_min(matrix: ColumnMatrix) -> Fraction:
-    """Minimum entry over the prefix and one period (finite, so inf = min)."""
-    return matrix.min_entry()
 
 
 @dataclass(frozen=True)
@@ -217,12 +185,33 @@ class Cylinder:
         return (self.left + self.right) / 2
 
 
-def cylinder(matrix: ColumnMatrix, word: Sequence[int]) -> Cylinder:
-    """Exact interval of the cylinder addressed by `word` under `matrix`.
+def digits(matrix: ColumnMatrix, x: RationalLike) -> Iterator[int]:
+    """The digits of x under `matrix`, position by position, without end.
 
-    left = sum over positions of (cumulative column mass below the digit)
-    scaled by the product of earlier digit lengths; length is the plain
-    product of chosen entries.
+    Walks in relative coordinates: t is the position of x inside the current
+    cylinder, t <- (t - c_a) / q_a, which equals (x - left) / length exactly
+    but keeps the operand small.  Cylinders are left-closed, so every
+    rational in [0, 1) has exactly one digit word per rank.
+    """
+    t = to_fraction(x)
+    if not ZERO <= t < ONE:
+        raise OutOfUnitInterval(f"{t} is not in [0, 1)")
+
+    def walk(t: Fraction) -> Iterator[int]:
+        for j in count(1):
+            col = matrix.column(j)
+            a = bisect_right(col.cumulative, t) - 1  # t < 1 = c_n, so a < n
+            yield a
+            t = (t - col.cumulative[a]) / col.entries[a]
+
+    return walk(t)
+
+
+def nested(matrix: ColumnMatrix, word: Iterable[int]) -> Iterator[tuple]:
+    """(left, length) of the cylinder of each successive prefix of `word`.
+
+    left adds the cumulative column mass below each digit, scaled by the
+    length so far; length is the plain product of chosen entries.
     """
     left = ZERO
     length = ONE
@@ -234,29 +223,19 @@ def cylinder(matrix: ColumnMatrix, word: Sequence[int]) -> Cylinder:
             )
         left += col.cumulative[a] * length
         length *= col.entries[a]
-    return Cylinder(tuple(word), left, left + length)
+        yield left, length
+
+
+def cylinder(matrix: ColumnMatrix, word: Sequence[int]) -> Cylinder:
+    """Exact interval of the cylinder addressed by `word` under `matrix`."""
+    word = tuple(word)
+    left, length = ZERO, ONE
+    for left, length in nested(matrix, word):
+        pass
+    return Cylinder(word, left, left + length)
 
 
 def expand(matrix: ColumnMatrix, x: RationalLike, rank: int) -> tuple:
-    """The unique rank-`rank` digit word whose cylinder contains x.
-
-    Cylinder endpoints use the left-closed convention, so every rational in
-    [0, 1) has exactly one word per rank.
-    """
-    x = to_fraction(x)
-    if not ZERO <= x < ONE:
-        raise OutOfUnitInterval(f"{x} is not in [0, 1)")
-    digits = []
-    left = ZERO
-    length = ONE
-    for j in range(1, rank + 1):
-        col = matrix.column(j)
-        # position of x inside the current cylinder, in [0, 1)
-        t = (x - left) / length
-        a = bisect_right(col.cumulative, t) - 1
-        if a >= col.n:  # t == 1 cannot happen for x < right
-            a = col.n - 1
-        digits.append(a)
-        left += col.cumulative[a] * length
-        length *= col.entries[a]
-    return tuple(digits)
+    """The unique rank-`rank` digit word whose cylinder contains x
+    (the empty word when rank <= 0)."""
+    return tuple(islice(digits(matrix, x), max(rank, 0)))

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from dimlab import (
+    PMatrix,
     box_counts,
     counterexample_spec,
     cylinder,
@@ -27,7 +28,6 @@ from dimlab import (
     pdp_verdict,
     premeasure_ordering_check,
     sparse_column_stats,
-    validate_pmatrix,
 )
 from dimlab.criteria import PDP, NOT_PDP_B_POSITIVE
 from dimlab.dimension import MoranSpec
@@ -77,7 +77,7 @@ def test_acceptance_1_exact_cylinder_algebra():
 
 def test_acceptance_2_transform_correctness():
     start = time.perf_counter()
-    p13 = validate_pmatrix([], [["1/3", "2/3"]])
+    p13 = PMatrix([], [["1/3", "2/3"]])
     rng = random.Random(43)
     for _ in range(1000):
         w = tuple(rng.randrange(2) for _ in range(rng.randrange(1, 16)))
@@ -221,9 +221,9 @@ def test_acceptance_8_premeasure_ordering():
 def test_acceptance_9_gibbs_inequality():
     pairs = [
         (QB, QB),
-        (QB, validate_pmatrix([], [["1/3", "2/3"]])),
+        (QB, PMatrix([], [["1/3", "2/3"]])),
         (QB, fixtures.sparse_spike_p(100)),
-        (QMIX, validate_pmatrix([["1/5", "4/5"]], [["1/3", "2/3"]])),
+        (QMIX, PMatrix([["1/5", "4/5"]], [["1/3", "2/3"]])),
         (Q3, Q3),
     ]
     for q, p in pairs:

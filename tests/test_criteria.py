@@ -12,8 +12,6 @@ from dimlab import (
     fixtures,
     pdp_verdict,
     sparse_column_stats,
-    validate_matrix,
-    validate_pmatrix,
 )
 from dimlab.criteria import (
     INCONCLUSIVE,
@@ -21,9 +19,10 @@ from dimlab.criteria import (
     NOT_PDP_MEASURE_DIM,
     PDP,
 )
+from dimlab.qtilde import PMatrix, QMatrix
 
 QB = fixtures.uniform_binary()
-P13 = validate_pmatrix([], [["1/3", "2/3"]])
+P13 = PMatrix([], [["1/3", "2/3"]])
 LN2 = math.log(2)
 
 
@@ -39,8 +38,8 @@ class TestEntropyTerms:
         assert b == pytest.approx(LN2, abs=1e-12)
 
     def test_degenerate_column(self):
-        p = validate_pmatrix([], [["0", "1"]])
-        q = validate_matrix([], [["1/4", "3/4"]])
+        p = PMatrix([], [["0", "1"]])
+        q = QMatrix([], [["1/4", "3/4"]])
         h, b = entropy_terms(q, p, 1)
         assert h == 0.0
         assert b == pytest.approx(-math.log(3 / 4), abs=1e-12)
@@ -50,7 +49,7 @@ class TestEntropyTerms:
             (QB, P13),
             (QB, fixtures.sparse_spike_p(50)),
             (fixtures.mixed_prefix_period(),
-             validate_pmatrix([["1/5", "4/5"]], [["1/3", "2/3"]])),
+             PMatrix([["1/5", "4/5"]], [["1/3", "2/3"]])),
         ]
         for q, p in pairs:
             for j in range(1, 30):
@@ -96,7 +95,7 @@ class TestSparseColumns:
 
     def test_zero_min_column_flags_infinity(self):
         cols = [["1/2", "1/2"]] * 4 + [["0", "1"]]
-        p = validate_pmatrix(cols, [["1/2", "1/2"]])
+        p = PMatrix(cols, [["1/2", "1/2"]])
         members, partials, est = sparse_column_stats(QB, p, 10)
         assert 5 in members
         assert est == math.inf
@@ -122,7 +121,7 @@ class TestDigitLogShare:
         rng = random.Random(23)
         for _ in range(20):
             a = Fraction(rng.randrange(1, 9), 10)
-            q = validate_matrix([], [[str(a), str(1 - a)]])
+            q = QMatrix([], [[str(a), str(1 - a)]])
             lo = min(a, 1 - a)
             hi = max(a, 1 - a)
             w = tuple(rng.randrange(2) for _ in range(12))
@@ -153,7 +152,7 @@ class TestVerdict:
         # one mildly sparse column among many keeps the density inside
         # (tol, 2*tol]
         cols = [["1/5", "4/5"]] + [["1/2", "1/2"]] * 39
-        p = validate_pmatrix(cols, [["1/2", "1/2"]])
+        p = PMatrix(cols, [["1/2", "1/2"]])
         report = pdp_verdict(QB, p, 40, measure_dim_tol=0.05)
         assert report.tolerance < report.sparse_estimate <= 2 * report.tolerance
         assert report.verdict == INCONCLUSIVE

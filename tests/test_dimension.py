@@ -17,7 +17,13 @@ from dimlab import (
     premeasure_ordering_check,
 )
 from dimlab.dimension import MoranSpec, ScaleSample
-from dimlab.errors import BudgetExceeded, NonUniformColumns, TooFewScales
+from dimlab import dimension
+from dimlab.errors import (
+    BudgetExceeded,
+    NonUniformColumns,
+    PremeasureOrderingViolated,
+    TooFewScales,
+)
 from dimlab.qtilde import Cylinder
 
 Q3 = fixtures.uniform_ternary()
@@ -220,3 +226,10 @@ class TestPackingPremeasure:
     def test_centered_equals_uncentered_single_point(self):
         c, u = premeasure_ordering_check([Fraction(1, 2)], 1, Fraction(1, 8))
         assert c == u
+
+    def test_ordering_violation_raises(self, monkeypatch):
+        def inverted(points, alpha, eps, mode, t_max):
+            return 0.25 if mode == "uncentered" else 0.75
+        monkeypatch.setattr(dimension, "packing_premeasure", inverted)
+        with pytest.raises(PremeasureOrderingViolated, match=r"0\.25.*0\.75"):
+            premeasure_ordering_check([Fraction(1, 2)], 1, Fraction(1, 8))

@@ -1,12 +1,13 @@
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 
 from dimlab import fixtures
 from dimlab.cli import main
-from dimlab.errors import SchemaError
+from dimlab.errors import SchemaError, ShapeMismatch
 from dimlab.harness import (
     emit_plot_data,
     emit_report,
@@ -26,6 +27,13 @@ class TestLoading:
         with pytest.raises(SchemaError):
             parse_scenario({"kind": "criteria",
                             "Q": {"prefix": [], "period": [["1/2", "1/2"]]}})
+
+    def test_p_digit_counts_differ_from_q(self):
+        with pytest.raises(ShapeMismatch):
+            parse_scenario({"kind": "criteria",
+                            "Q": {"prefix": [], "period": [["1/2", "1/2"]]},
+                            "P": {"prefix": [["1/2", "1/2"]],
+                                  "period": [["1/3", "1/3", "1/3"]]}})
 
     def test_unknown_kind(self):
         with pytest.raises(SchemaError):
@@ -160,3 +168,23 @@ class TestCli:
                    "--config", str(fixture_path("cantor_dimension.json")),
                    "--out", str(tmp_path)])
         assert rc == 1
+
+    def test_counterexample_k_max_6400(self, tmp_path):
+        # exact rationals at this horizon outgrow CPython's 4300-digit
+        # int -> str limit in both the JSON report and the CSV tables
+        config = tmp_path / "spike6400.json"
+        config.write_text(json.dumps({
+            "kind": "counterexample",
+            "Q": fixtures.uniform_binary().to_dict(),
+            "P": fixtures.sparse_spike_p(6400).to_dict(),
+            "k_max": 6400,
+        }))
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        out = tmp_path / "out"
+        rc = main(["counterexample", "--config", str(config),
+                   "--out", str(out), "--format", "csv"])
+        assert rc == 0
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["failed"] is False
+        assert (out / "image_dim_scales.csv").exists()
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit

@@ -12,13 +12,12 @@ from dimlab import (
     fixtures,
     local_dim_ratio,
     mu_cylinder,
-    validate_pmatrix,
 )
 from dimlab.errors import ToleranceNotReached, ZeroMeasureCylinder
 from dimlab.qtilde import PMatrix, ProbColumn
 
 QB = fixtures.uniform_binary()
-P13 = validate_pmatrix([], [["1/3", "2/3"]])
+P13 = PMatrix([], [["1/3", "2/3"]])
 
 
 class TestMuCylinder:
@@ -30,7 +29,7 @@ class TestMuCylinder:
         assert mu_cylinder(QB, ()) == 1
 
     def test_prefix_column(self):
-        p = validate_pmatrix([["368/1000", "632/1000"]], [["1/2", "1/2"]])
+        p = PMatrix([["368/1000", "632/1000"]], [["1/2", "1/2"]])
         assert mu_cylinder(p, (0, 1)) == Fraction(23, 125)
 
     def test_additivity_over_children(self):
@@ -73,13 +72,13 @@ class TestPointEvaluation:
         assert f_xi_point(QB, P13, Fraction(1, 2), 1) == (Fraction(1, 3), Fraction(1))
 
     def test_zero_probability_digit_collapses(self):
-        p0 = validate_pmatrix([], [["0", "1"]])
+        p0 = PMatrix([], [["0", "1"]])
         lo, hi = f_xi_point(QB, p0, Fraction(1, 4), Fraction(1, 10))
         assert lo == hi == 0
 
     def test_tolerance_not_reached(self):
         # a unit-probability digit never shrinks the image
-        p1 = validate_pmatrix([], [["1", "0"]])
+        p1 = PMatrix([], [["1", "0"]])
         with pytest.raises(ToleranceNotReached):
             f_xi_point(QB, p1, 0, Fraction(1, 10), max_rank=16)
 
@@ -103,6 +102,25 @@ class TestPointEvaluation:
         assert img.left <= lo <= hi <= img.left + Fraction(1, 10 ** 6)
 
 
+    @pytest.mark.parametrize("p", [
+        P13,
+        PMatrix([["1/3", "2/3"]], [["0", "1"], ["1/5", "4/5"]]),
+    ])
+    def test_bracket_is_image_cylinder_at_stopping_rank(self, p):
+        # the bracket is the p-cylinder of x's q-digits at the first rank
+        # whose image is no longer than tol (zero-length images included)
+        q = fixtures.mixed_prefix_period()
+        rng = random.Random(23)
+        tol = Fraction(1, 1000)
+        for _ in range(100):
+            x = Fraction(rng.randrange(999983), 999983)
+            rank = 1
+            while cylinder(p, expand(q, x, rank)).length > tol:
+                rank += 1
+            img = cylinder(p, expand(q, x, rank))
+            assert f_xi_point(q, p, x, tol) == (img.left, img.right)
+
+
 class TestLocalDimRatio:
     def test_identity_is_one(self):
         assert local_dim_ratio(QB, QB, (0, 1, 1)) == 1.0
@@ -112,7 +130,7 @@ class TestLocalDimRatio:
         assert local_dim_ratio(QB, P13, (0, 0)) == pytest.approx(1.5849625007, abs=1e-9)
 
     def test_zero_measure(self):
-        p0 = validate_pmatrix([], [["0", "1"]])
+        p0 = PMatrix([], [["0", "1"]])
         with pytest.raises(ZeroMeasureCylinder):
             local_dim_ratio(QB, p0, (0,))
 
@@ -120,9 +138,10 @@ class TestLocalDimRatio:
         # swapping a column's (q, p) pairs and the digit through the same
         # permutation leaves the ratio unchanged
         q = fixtures.mixed_prefix_period()
-        p = validate_pmatrix([["1/5", "4/5"]], [["1/3", "2/3"]], paired=q)
-        q_swapped = validate_pmatrix([["3/4", "1/4"]], [["1/2", "1/2"]])
-        p_swapped = validate_pmatrix([["4/5", "1/5"]], [["1/3", "2/3"]])
+        p = PMatrix([["1/5", "4/5"]], [["1/3", "2/3"]])
+        assert p.shape_matches(q)
+        q_swapped = PMatrix([["3/4", "1/4"]], [["1/2", "1/2"]])
+        p_swapped = PMatrix([["4/5", "1/5"]], [["1/3", "2/3"]])
         w = (0, 1, 0)
         w_swapped = (1, 1, 0)  # only column 1 was permuted
         assert local_dim_ratio(q, p, w) == pytest.approx(

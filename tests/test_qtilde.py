@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from dimlab import cylinder, expand, fixtures, q_min, validate_matrix
+from dimlab import cylinder, expand, fixtures
 from dimlab.errors import (
     ColumnNotStochastic,
     DigitOutOfRange,
@@ -22,27 +22,27 @@ def random_word(matrix, rank, rng):
 
 class TestValidation:
     def test_uniform_binary_valid(self):
-        q = validate_matrix([], [["1/2", "1/2"]])
-        assert q_min(q) == HALF
+        q = QMatrix([], [["1/2", "1/2"]])
+        assert q.min_entry() == HALF
 
     def test_non_stochastic_column(self):
         with pytest.raises(ColumnNotStochastic):
-            validate_matrix([], [["1/3", "1/3", "1/4"]])
+            QMatrix([], [["1/3", "1/3", "1/4"]])
 
     def test_mixed_prefix_period(self):
-        q = validate_matrix([["1/4", "3/4"]], [["1/2", "1/2"]])
-        assert q_min(q) == Fraction(1, 4)
+        q = QMatrix([["1/4", "3/4"]], [["1/2", "1/2"]])
+        assert q.min_entry() == Fraction(1, 4)
 
     def test_empty_period(self):
         with pytest.raises(EmptyPeriod):
-            validate_matrix([["1/2", "1/2"]], [])
+            QMatrix([["1/2", "1/2"]], [])
 
     def test_zero_entry_rejected_for_geometry(self):
         with pytest.raises(NonPositiveEntry):
-            validate_matrix([], [["0", "1"]])
+            QMatrix([], [["0", "1"]])
 
     def test_ternary_q_min(self):
-        assert q_min(fixtures.uniform_ternary()) == Fraction(1, 3)
+        assert fixtures.uniform_ternary().min_entry() == Fraction(1, 3)
 
     def test_roundtrip_dict(self):
         q = fixtures.mixed_prefix_period()
@@ -155,4 +155,47 @@ def test_q_min_monotone_under_period_removal():
     full = QMatrix((), tuple(cols))
     for drop in range(len(cols)):
         reduced = QMatrix((), tuple(c for i, c in enumerate(cols) if i != drop))
-        assert q_min(reduced) >= q_min(full)
+        assert reduced.min_entry() >= full.min_entry()
+
+
+def reference_walk(matrix, x, rank):
+    """Digits and cylinder of x by the absolute-coordinate walk: digit a is
+    the last one whose left endpoint left + c_a * length is <= x."""
+    word, left, length = [], Fraction(0), Fraction(1)
+    for j in range(1, rank + 1):
+        entries = matrix.column(j).entries
+        a, offset = 0, Fraction(0)
+        while x >= left + (offset + entries[a]) * length:
+            offset += entries[a]
+            a += 1
+        word.append(a)
+        left += offset * length
+        length *= entries[a]
+    return tuple(word), left, left + length
+
+
+def random_column(rng, n, den=97):
+    cuts = sorted(rng.sample(range(1, den), n - 1))
+    return [Fraction(b - a, den) for a, b in zip([0] + cuts, cuts + [den])]
+
+
+def random_columns(rng):
+    return [random_column(rng, rng.choice((2, 3)))
+            for _ in range(rng.randrange(1, 4))]
+
+
+def test_walk_matches_absolute_reference():
+    rng = random.Random(29)
+    for _ in range(12):
+        # 97 is prime, so no 2- or 3-digit column is uniform
+        q = QMatrix(random_columns(rng), random_columns(rng))
+        for rank in (1, 5, 32, 128):
+            for _ in range(4):
+                x = Fraction(rng.randrange(10 ** 9), 10 ** 9 + 7)
+                # cylinder endpoints exercise the left-closed convention
+                endpoint = cylinder(q, random_word(q, rng.randrange(1, 6), rng)).left
+                for point in (x, endpoint):
+                    word, left, right = reference_walk(q, point, rank)
+                    assert expand(q, point, rank) == word
+                    c = cylinder(q, word)
+                    assert (c.left, c.right) == (left, right)
