@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .dimension import DEFAULT_WINDOW_FRACTION, MoranSpec, tail_window_max
-from .errors import DegenerateDenominator
+from .errors import DegenerateDenominator, ShapeMismatch
 from .qtilde import ColumnMatrix, ln
 
 # Verdict labels (fixed report vocabulary)
@@ -33,7 +33,7 @@ def entropy_terms(q: ColumnMatrix, p: ColumnMatrix, j: int):
     qcol = q.column(j)
     pcol = p.column(j)
     if qcol.n != pcol.n:
-        raise DegenerateDenominator(
+        raise ShapeMismatch(
             f"column {j}: digit counts differ ({qcol.n} vs {pcol.n})"
         )
     h = 0.0

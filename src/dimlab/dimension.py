@@ -1,16 +1,16 @@
 """Numerical dimension machinery for digit-restricted sets on [0, 1).
 
-Provides cylinder enumeration for Moran-type sets, exact grid box counts,
-tail-window limsup dimension estimates, a family-restricted (cylinder
-packing) estimator, a closed-form oracle for digit-uniform matrices, and
-finite-scale packing premeasure lower bounds (centered and uncentered)
-via dynamic programming over disjoint balls.
+Provides cylinder enumeration for Moran-type sets, exact grid box counts
+(one sorted sweep per scale), tail-window limsup dimension estimates, a
+family-restricted (cylinder packing) estimator, a closed-form oracle for
+digit-uniform matrices, and finite-scale packing premeasure lower bounds
+(centered and uncentered) by weighted interval scheduling over balls.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -18,9 +18,11 @@ from typing import Iterable, Sequence
 from .errors import (
     BudgetExceeded,
     DigitOutOfRange,
+    EmptyPeriod,
     GridTooCoarse,
     NonUniformColumns,
     PremeasureOrderingViolated,
+    SchemaError,
     TooFewScales,
 )
 from .qtilde import (ColumnMatrix, Cylinder, ONE, ZERO, ln, _periodic_item,
@@ -48,10 +50,10 @@ class MoranSpec:
         object.__setattr__(self, "allowed_prefix", pre)
         object.__setattr__(self, "allowed_period", per)
         if not per:
-            raise ValueError("allowed_period must be nonempty")
-        for s in pre + per:
-            if not s:
-                raise ValueError("every allowed-digit set must be nonempty")
+            raise EmptyPeriod("allowed_period must be nonempty")
+        for name, sets in (("allowed_prefix", pre), ("allowed_period", per)):
+            if () in sets:
+                raise SchemaError(f"{name}[{sets.index(())}]: allowed-digit set is empty")
 
     def allowed(self, j: int) -> tuple:
         return _periodic_item(self.allowed_prefix, self.allowed_period, j)
@@ -165,28 +167,17 @@ def box_counts(cylinders: Sequence[Cylinder],
         delta = to_fraction(delta)
         if delta <= 0:
             raise ValueError("scale must be positive")
-        # index ranges of cells hit by each interval, then merge
-        ranges = []
+        # left ends ascend, so only cells past the last one counted are new
+        count = 0
+        last = None
         for left, right in intervals:
             lo = left // delta  # floor for Fractions
-            if right > left:
-                hi = -((-right) // delta) - 1  # ceil(right/delta) - 1
-            else:
-                hi = lo  # degenerate point
-            ranges.append((int(lo), int(hi)))
-        count = 0
-        cur_lo = cur_hi = None
-        for lo, hi in ranges:
-            if cur_lo is None:
-                cur_lo, cur_hi = lo, hi
-            elif lo <= cur_hi + 1:
-                cur_hi = max(cur_hi, hi)
-            else:
-                count += cur_hi - cur_lo + 1
-                cur_lo, cur_hi = lo, hi
-        if cur_lo is not None:
-            count += cur_hi - cur_lo + 1
-        count = max(count, 1 if intervals else 0)
+            hi = -((-right) // delta) - 1 if right > left else lo
+            if last is not None:
+                lo = max(lo, last + 1)
+            if hi >= lo:
+                count += hi - lo + 1
+                last = hi
         if count <= 1:
             log_ratio = 0.0
         else:
@@ -269,19 +260,7 @@ def moran_dim_oracle(spec: MoranSpec, matrix: ColumnMatrix, k_max: int,
     return DimensionEstimate(tuple(samples), est, "moran_oracle")
 
 
-# --- finite-scale packing premeasure (disjoint-ball DP) ---
-
-def _candidates(points: Sequence[Fraction], mode: str) -> list:
-    pts = sorted(set(points))
-    if mode == "centered":
-        return pts
-    if mode != "uncentered":
-        raise ValueError(f"unknown mode {mode!r}")
-    cands = list(pts)
-    for a, b in zip(pts, pts[1:]):
-        cands.append((a + b) / 2)
-    return sorted(set(cands))
-
+# --- finite-scale packing premeasure (weighted interval scheduling) ---
 
 def packing_premeasure(points: Iterable, alpha: float, eps,
                        mode: str = "centered", t_max: int = 4) -> float:
@@ -290,55 +269,36 @@ def packing_premeasure(points: Iterable, alpha: float, eps,
     Ball diameters are drawn from the dyadic grid {eps/2^t : t=0..t_max}.
     Centered mode places centers at the given points; uncentered mode also
     allows midpoints between consecutive points, requiring only that each
-    ball meets the set.  The DP result is a certified lower bound of the
-    true supremum.
+    ball meets the set.  The result is a certified lower bound of the true
+    supremum, found as a weighted interval schedule: balls sorted by right
+    end, each one's predecessors found by bisection, with a prefix max.
     """
     eps = to_fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     if t_max < 0:
         raise GridTooCoarse("t_max must be >= 0")
+    if mode not in ("centered", "uncentered"):
+        raise ValueError(f"unknown mode {mode!r}")
     pts = sorted({to_fraction(p) for p in points})
-    if not pts:
-        return 0.0  # the empty set of balls is a packing
-    diams = [eps / (2 ** t) for t in range(t_max + 1)]
-    cands = _candidates(pts, mode)
-
-    def ball_ok(c: Fraction, d: Fraction) -> bool:
-        if mode == "centered":
-            return True  # center is a set point, so the ball meets the set
-        half = d / 2
-        i = bisect_left(pts, c)
-        for p in (pts[i - 1] if i > 0 else None, pts[i] if i < len(pts) else None):
-            if p is not None and abs(p - c) < half:
-                return True
-        return False
-
-    weights = [float(d) ** alpha for d in diams]
-    # dp[(i, t)] = best total using candidate i with diameter index t last
-    best_overall = 0.0
-    dp = {}
-    for i, c in enumerate(cands):
-        for t, d in enumerate(diams):
-            if not ball_ok(c, d):
-                continue
-            best_prev = 0.0
-            right_limit = c - d / 2
-            for (j, s), v in dp.items():
-                if cands[j] + diams[s] / 2 <= right_limit and v > best_prev:
-                    best_prev = v
-            total = best_prev + weights[t]
-            key = (i, t)
-            if total > dp.get(key, -1.0):
-                dp[key] = total
-            if total > best_overall:
-                best_overall = total
-    return best_overall
+    radii = [eps / 2 ** (t + 1) for t in range(t_max + 1)]
+    sizes = [(r, float(2 * r) ** alpha) for r in radii]
+    centers = [(c, sizes) for c in pts]
+    if mode == "uncentered":
+        # a ball centred between neighbours a < b meets the set iff b - a < d
+        centers += [((a + b) / 2, [(r, w) for r, w in sizes if b - a < 2 * r])
+                    for a, b in zip(pts, pts[1:])]
+    balls = sorted((c + r, c - r, w) for c, rs in centers for r, w in rs)
+    rights = [right for right, _, _ in balls]
+    best = [0.0]  # best[k]: best total over the first k balls
+    for _, left, weight in balls:
+        best.append(max(best[-1], weight + best[bisect_right(rights, left)]))
+    return best[-1]
 
 
 def premeasure_ordering_check(points: Iterable, alpha: float, eps,
                               t_max: int = 4):
-    """Both DP values; the uncentered one can only be larger."""
+    """Both premeasure values; the uncentered one can only be larger."""
     pts = list(points)
     centered = packing_premeasure(pts, alpha, eps, "centered", t_max)
     uncentered = packing_premeasure(pts, alpha, eps, "uncentered", t_max)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import sys
 import time
 from contextlib import contextmanager
@@ -267,7 +268,13 @@ def jsonify(obj):
         return {"method": obj.method, "estimate": obj.estimate,
                 "samples": [jsonify(x) for x in obj.samples]}
     if isinstance(obj, crit.CriterionReport):
-        return obj.to_dict()
+        # a zero flagged minimum makes the sparse fields inf, and a config
+        # may set the tolerance to Infinity; the h/b/ratio partials are finite
+        doc = obj.to_dict()
+        doc["sparse_partials"] = [_json_float(v) for v in obj.sparse_partials]
+        for key in ("sparse_estimate", "tolerance"):
+            doc[key] = _json_float(doc[key])
+        return doc
     if isinstance(obj, dim.MoranSpec):
         return obj.to_dict()
     if is_dataclass(obj) and not isinstance(obj, type):
@@ -277,8 +284,14 @@ def jsonify(obj):
     if isinstance(obj, (list, tuple)):
         return [jsonify(v) for v in obj]
     if isinstance(obj, float):
-        return "inf" if obj == float("inf") else obj
+        return _json_float(obj)
     return obj
+
+
+def _json_float(value: float):
+    """JSON has no inf or nan: a non-finite float becomes "inf", "-inf" or
+    "nan"."""
+    return value if math.isfinite(value) else str(value)
 
 
 @contextmanager
@@ -310,7 +323,8 @@ def emit_report(report: Report, out_dir, fmt: str = "json") -> list:
             "run_meta": report.run_meta,
         }
         master = out_dir / "report.json"
-        master.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        master.write_text(
+            json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
         written = [master]
         if fmt == "csv":
             written.extend(_emit_csv_tables(report, out_dir))

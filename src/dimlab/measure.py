@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Sequence
 
-from .errors import DigitOutOfRange, ToleranceNotReached, ZeroMeasureCylinder
+from .errors import ShapeMismatch, ToleranceNotReached, ZeroMeasureCylinder
 from .qtilde import (
     ONE,
     ColumnMatrix,
@@ -40,7 +40,7 @@ def f_xi_cylinder(q: ColumnMatrix, p: ColumnMatrix, word: Sequence[int]) -> Cyli
     """
     for j in range(1, len(word) + 1):
         if q.n(j) != p.n(j):
-            raise DigitOutOfRange(
+            raise ShapeMismatch(
                 f"column {j}: digit counts differ ({q.n(j)} vs {p.n(j)})"
             )
     return cylinder(p, word)

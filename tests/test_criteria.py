@@ -19,6 +19,7 @@ from dimlab.criteria import (
     NOT_PDP_MEASURE_DIM,
     PDP,
 )
+from dimlab.errors import ShapeMismatch
 from dimlab.qtilde import PMatrix, QMatrix
 
 QB = fixtures.uniform_binary()
@@ -43,6 +44,11 @@ class TestEntropyTerms:
         h, b = entropy_terms(q, p, 1)
         assert h == 0.0
         assert b == pytest.approx(-math.log(3 / 4), abs=1e-12)
+
+    def test_digit_count_mismatch(self):
+        p3 = PMatrix([], [["1/3", "1/3", "1/3"]])
+        with pytest.raises(ShapeMismatch, match="column 1"):
+            entropy_terms(QB, p3, 1)
 
     def test_gibbs_inequality_per_column(self):
         pairs = [

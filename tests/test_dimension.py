@@ -59,6 +59,20 @@ class TestEnumerate:
             enumerate_cylinders(fixtures.full_spec(2), QB, 10, budget=512)
 
 
+def brute_force_cells(cylinders, delta):
+    """Independent oracle: test every grid cell [i*delta, (i+1)*delta)
+    against every interval [left, right), or the point left if degenerate."""
+    lo = math.floor(min(c.left for c in cylinders) / delta)
+    hi = math.ceil(max(c.right for c in cylinders) / delta)
+    count = 0
+    for i in range(lo, hi + 1):
+        a, b = i * delta, (i + 1) * delta
+        if any(a <= c.left < b if c.left == c.right else a < c.right and c.left < b
+               for c in cylinders):
+            count += 1
+    return count
+
+
 class TestBoxCounts:
     def test_full_interval(self):
         unit = [Cylinder((), Fraction(0), Fraction(1))]
@@ -80,6 +94,19 @@ class TestBoxCounts:
             (s,) = box_counts(point, [scale])
             assert s.count == 1
             assert s.log_ratio == 0.0
+
+    def test_matches_cell_by_cell_check(self):
+        # overlapping intervals and single points, some left of 0
+        rng = random.Random(41)
+        for _ in range(200):
+            cyls = []
+            for _ in range(rng.randrange(1, 7)):
+                left = Fraction(rng.randrange(-12, 49), 48)
+                width = 0 if rng.random() < 0.3 else Fraction(rng.randrange(1, 25), 48)
+                cyls.append(Cylinder((), left, left + width))
+            scales = [Fraction(1, rng.randrange(2, 20)), Fraction(2, 7)]
+            for smp in box_counts(cyls, scales):
+                assert smp.count == brute_force_cells(cyls, smp.scale)
 
     def test_grid_count_equals_cylinder_count_on_full_tiling(self):
         for k in (3, 5, 7):
@@ -191,6 +218,30 @@ def brute_force_max_disjoint(points, eps, t_max):
     return best
 
 
+def brute_force_premeasure(points, alpha, eps, mode, t_max):
+    """Independent oracle: the best sum of d^alpha over every family of
+    pairwise disjoint admissible open balls.  A ball is admissible when its
+    center is a point (or, uncentered, a midpoint of two neighbours) and it
+    contains a point of the set."""
+    pts = sorted(set(points))
+    centers = list(pts)
+    if mode == "uncentered":
+        centers += [(a + b) / 2 for a, b in zip(pts, pts[1:])]
+    balls = [(c, eps / 2 ** t) for c in centers for t in range(t_max + 1)
+             if any(abs(p - c) < eps / 2 ** (t + 1) for p in pts)]
+
+    def best(i, chosen):
+        if i == len(balls):
+            return sum(float(d) ** alpha for _, d in chosen)
+        c, d = balls[i]
+        value = best(i + 1, chosen)
+        if all(abs(c - c2) >= (d + d2) / 2 for c2, d2 in chosen):
+            value = max(value, best(i + 1, chosen + [(c, d)]))
+        return value
+
+    return best(0, [])
+
+
 class TestPackingPremeasure:
     def test_single_point(self):
         assert packing_premeasure([Fraction(0)], 0, Fraction(1, 2)) == 1.0
@@ -214,6 +265,33 @@ class TestPackingPremeasure:
             for t_max in (1, 3):
                 dp = packing_premeasure(pts, 0, Fraction(1, 8), "centered", t_max)
                 assert dp == brute_force_max_disjoint(pts, Fraction(1, 8), t_max)
+
+    def test_matches_exhaustive_search(self):
+        rng = random.Random(43)
+        for _ in range(40):
+            pts = rng.sample([Fraction(i, 32) for i in range(33)], rng.randrange(1, 5))
+            eps = rng.choice([Fraction(1, 4), Fraction(1, 8)])
+            for mode in ("centered", "uncentered"):
+                for alpha in (0.5, 1):
+                    for t_max in (0, 1):
+                        value = packing_premeasure(pts, alpha, eps, mode, t_max)
+                        assert value == pytest.approx(brute_force_premeasure(
+                            pts, alpha, eps, mode, t_max), rel=1e-12)
+
+    @pytest.mark.parametrize("inner,uncentered", [
+        # balls of diameter 1/4 at 0 and 1/2 leave exactly (1/8, 3/8) free:
+        # too narrow for a ball centred at either inner point, but the
+        # midpoint ball at 1/4 fits when it contains them
+        ((Fraction(3, 16), Fraction(5, 16)), 0.75),
+        # ... and is not admissible when they sit on its boundary
+        ((Fraction(1, 8), Fraction(3, 8)), 0.5),
+    ])
+    def test_midpoint_ball_in_a_gap(self, inner, uncentered):
+        pts = [Fraction(0), *inner, Fraction(1, 2)]
+        eps = Fraction(1, 4)
+        for mode, expected in (("centered", 0.5), ("uncentered", uncentered)):
+            assert packing_premeasure(pts, 1, eps, mode, 0) == expected
+            assert brute_force_premeasure(pts, 1, eps, mode, 0) == expected
 
     def test_ordering_random_sets(self):
         rng = random.Random(37)

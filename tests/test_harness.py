@@ -11,10 +11,18 @@ from dimlab.errors import SchemaError, ShapeMismatch
 from dimlab.harness import (
     emit_plot_data,
     emit_report,
+    jsonify,
     load_scenario,
     parse_scenario,
     run_scenario,
 )
+
+
+def strict_json(text):
+    """json.loads that rejects the non-standard Infinity/NaN literals."""
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
 
 
 class TestLoading:
@@ -108,6 +116,10 @@ class TestEmission:
             d.pop("run_meta")
         assert json.dumps(doc["a"], sort_keys=True) == json.dumps(doc["b"], sort_keys=True)
 
+    def test_non_finite_floats_as_strings(self):
+        assert jsonify([math.inf, -math.inf, math.nan, 0.5]) == [
+            "inf", "-inf", "nan", 0.5]
+
     def test_criteria_csv_header(self, fixture_path, tmp_path):
         s = load_scenario(fixture_path("sparse_spike_criteria.json"))
         written = emit_report(run_scenario(s), tmp_path, fmt="csv")
@@ -168,6 +180,42 @@ class TestCli:
                    "--config", str(fixture_path("cantor_dimension.json")),
                    "--out", str(tmp_path)])
         assert rc == 1
+
+    def test_zero_flagged_minimum_report_is_strict_json(self, tmp_path):
+        config = tmp_path / "zero_min.json"
+        config.write_text(json.dumps({
+            "kind": "criteria",
+            "Q": {"prefix": [], "period": [["1/2", "1/2"]]},
+            "P": {"prefix": [["0", "1"]], "period": [["1/2", "1/2"]]},
+            "k_max": 8,
+        }))
+        rc = main(["criteria", "--config", str(config), "--out", str(tmp_path)])
+        assert rc == 0
+        doc = strict_json((tmp_path / "report.json").read_text())
+        crit_doc = doc["results"]["criteria"]
+        assert crit_doc["sparse_estimate"] == "inf"
+        assert crit_doc["sparse_partials"] == ["inf"] * 8
+        assert crit_doc["sparse_members"] == [1]
+
+    @pytest.mark.parametrize("command,moran", [
+        ("validate", {"allowed_prefix": [], "allowed_period": []}),
+        ("dimension", {"allowed_prefix": [[0], []], "allowed_period": [[0]]}),
+    ])
+    def test_bad_moran_spec_is_an_error_line(self, tmp_path, capsys,
+                                             command, moran):
+        config = tmp_path / "moran.json"
+        config.write_text(json.dumps({
+            "kind": "dimension",
+            "Q": {"prefix": [], "period": [["1/3", "1/3", "1/3"]]},
+            "moran": moran,
+            "ranks": [2, 3, 4, 5],
+        }))
+        rc = main([command, "--config", str(config), "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: allowed_p")
+        assert "Traceback" not in err
+        assert not (tmp_path / "report.json").exists()
 
     def test_counterexample_k_max_6400(self, tmp_path):
         # exact rationals at this horizon outgrow CPython's 4300-digit

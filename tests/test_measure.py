@@ -13,7 +13,7 @@ from dimlab import (
     local_dim_ratio,
     mu_cylinder,
 )
-from dimlab.errors import ToleranceNotReached, ZeroMeasureCylinder
+from dimlab.errors import ShapeMismatch, ToleranceNotReached, ZeroMeasureCylinder
 from dimlab.qtilde import PMatrix, ProbColumn
 
 QB = fixtures.uniform_binary()
@@ -59,6 +59,12 @@ class TestImageCylinder:
         for _ in range(1000):
             w = tuple(rng.randrange(2) for _ in range(rng.randrange(1, 15)))
             assert f_xi_cylinder(QB, P13, w).length == mu_cylinder(P13, w)
+
+    def test_digit_count_mismatch(self):
+        p3 = PMatrix([["1/2", "1/2"]], [["1/3", "1/3", "1/3"]])
+        assert f_xi_cylinder(QB, p3, (1,)).length == Fraction(1, 2)
+        with pytest.raises(ShapeMismatch, match="column 2"):
+            f_xi_cylinder(QB, p3, (1, 0))
 
 
 class TestPointEvaluation:
