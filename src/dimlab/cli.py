@@ -8,7 +8,7 @@ import os
 import sys
 
 from .dimension import DEFAULT_ENUM_BUDGET
-from .errors import DimlabError
+from .errors import DimlabError, ParseError
 from .harness import KINDS, emit_plot_data, emit_report, load_scenario, run_scenario
 
 ENV_BUDGET = "DIMLAB_RANK_BUDGET"
@@ -35,15 +35,18 @@ def resolve_budget(cli_value) -> int:
     if cli_value is not None:
         return cli_value
     env = os.environ.get(ENV_BUDGET)
-    if env:
-        return int(env)
-    return DEFAULT_ENUM_BUDGET
+    if not env:
+        return DEFAULT_ENUM_BUDGET
+    if not (env.strip().isdecimal() and int(env) >= 1):
+        raise ParseError(f"{ENV_BUDGET} must be a positive integer, got {env!r}")
+    return int(env)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         scenario = load_scenario(args.config)
+        budget = resolve_budget(args.rank_budget)
     except DimlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -62,7 +65,6 @@ def main(argv=None) -> int:
               f"subcommand {args.command!r}", file=sys.stderr)
         return 1
 
-    budget = resolve_budget(args.rank_budget)
     report = run_scenario(scenario, budget=budget)
     written = emit_report(report, args.out, fmt=args.format)
     if args.plot_data:

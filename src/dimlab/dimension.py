@@ -1,7 +1,8 @@
 """Numerical dimension machinery for digit-restricted sets on [0, 1).
 
-Provides cylinder enumeration for Moran-type sets, exact grid box counts
-(one sorted sweep per scale), tail-window limsup dimension estimates, a
+Provides cylinder enumeration for Moran-type sets (exact integer endpoints
+over one common denominator, in left-to-right order), exact grid box counts
+(one integer sweep per scale), tail-window limsup dimension estimates, a
 family-restricted (cylinder packing) estimator, a closed-form oracle for
 digit-uniform matrices, and finite-scale packing premeasure lower bounds
 (centered and uncentered) by weighted interval scheduling over balls.
@@ -11,9 +12,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import product
 
 from .errors import (
     BudgetExceeded,
@@ -25,8 +27,7 @@ from .errors import (
     SchemaError,
     TooFewScales,
 )
-from .qtilde import (ColumnMatrix, Cylinder, ONE, ZERO, ln, _periodic_item,
-                     to_fraction)
+from .qtilde import ColumnMatrix, Cylinder, ONE, ln, _periodic_item, to_fraction
 
 DEFAULT_ENUM_BUDGET = 2 ** 22
 DEFAULT_WINDOW_FRACTION = 0.5
@@ -95,10 +96,23 @@ class MoranSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "MoranSpec":
-        return cls(
-            tuple(tuple(s) for s in doc.get("allowed_prefix", [])),
-            tuple(tuple(s) for s in doc.get("allowed_period", [])),
-        )
+        """Spec from its JSON form; each field must be a list of lists of
+        integer digits (a `SchemaError` names the field and index)."""
+        if not isinstance(doc, dict):
+            raise SchemaError("moran must be an object")
+        fields = []
+        for name in ("allowed_prefix", "allowed_period"):
+            sets = doc.get(name, [])
+            if not isinstance(sets, list):
+                raise SchemaError(f"moran.{name} must be a list of digit lists")
+            for i, s in enumerate(sets):
+                if not (isinstance(s, list) and all(
+                        isinstance(a, int) and not isinstance(a, bool)
+                        for a in s)):
+                    raise SchemaError(
+                        f"moran.{name}[{i}] must be a list of integer digits")
+            fields.append(tuple(tuple(s) for s in sets))
+        return cls(*fields)
 
 
 @dataclass(frozen=True)
@@ -128,53 +142,120 @@ def tail_window_max(values: Sequence[float],
     return max(values[start:])
 
 
+class Cylinders(Sequence):
+    """The rank-k cylinders of a Moran set, held as exact integers.
+
+    Cylinder i is [lefts[i], rights[i]) / denominator, lefts ascending.
+    Words run over `choices`, the nonzero allowed digits of each column, in
+    product order, which is left-to-right order.  A `Cylinder` is built
+    only when an item is read.
+    """
+
+    # slots, not a dataclass: generating its methods slows every import
+    __slots__ = ("choices", "denominator", "lefts", "rights")
+
+    def __init__(self, choices: tuple, denominator: int, lefts: list,
+                 rights: list):
+        self.choices = choices
+        self.denominator = denominator
+        self.lefts = lefts
+        self.rights = rights
+
+    def __len__(self) -> int:
+        return len(self.lefts)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        i = range(len(self))[index]
+        word = []
+        rest = i
+        for digits in reversed(self.choices):
+            rest, r = divmod(rest, len(digits))
+            word.append(digits[r])
+        return Cylinder(tuple(reversed(word)),
+                        Fraction(self.lefts[i], self.denominator),
+                        Fraction(self.rights[i], self.denominator))
+
+    def __iter__(self):
+        d = self.denominator
+        for word, left, right in zip(product(*self.choices), self.lefts,
+                                     self.rights):
+            yield Cylinder(word, Fraction(left, d), Fraction(right, d))
+
+
 def enumerate_cylinders(spec: MoranSpec, matrix: ColumnMatrix, rank: int,
-                        budget: int = DEFAULT_ENUM_BUDGET) -> list:
+                        budget: int = DEFAULT_ENUM_BUDGET) -> Cylinders:
     """All rank-k cylinders obeying the spec, left to right, exact endpoints.
 
-    Degenerate (zero-length) cylinders are skipped: they contribute single
-    points, which are dimension-null.
+    Works column by column over the common denominator D_j = d_1 ... d_j,
+    d_j the lcm of column j's entry denominators: each (left, length)
+    numerator pair becomes (left*d_j + c_a*length, length*e_a) for every
+    allowed digit a, with c_a and e_a column j's offset and entry scaled
+    by d_j.  Degenerate (zero-length) cylinders are skipped: they
+    contribute single points, which are dimension-null.
     """
     spec.validate_against(matrix, rank)
     if spec.count(rank) > budget:
         raise BudgetExceeded(
             f"{spec.count(rank)} cylinders at rank {rank} exceed budget {budget}"
         )
-    out = []
-
-    def descend(j: int, left: Fraction, length: Fraction, word: tuple):
-        if j > rank:
-            out.append(Cylinder(word, left, left + length))
-            return
+    choices = []
+    denominator = 1
+    lefts, lengths = [0], [1]
+    for j in range(1, rank + 1):
         col = matrix.column(j)
-        for a in spec.allowed(j):
-            e = col.entries[a]
-            if e == 0:
-                continue
-            descend(j + 1, left + col.cumulative[a] * length,
-                    length * e, word + (a,))
+        d = math.lcm(*(e.denominator for e in col.entries))
+        digits = [a for a in spec.allowed(j) if col.entries[a]]
+        steps = [(int(col.cumulative[a] * d), int(col.entries[a] * d))
+                 for a in digits]
+        lefts = [left * d + c * length
+                 for left, length in zip(lefts, lengths) for c, _ in steps]
+        lengths = [length * e for length in lengths for _, e in steps]
+        choices.append(tuple(digits))
+        denominator *= d
+    rights = [left + length for left, length in zip(lefts, lengths)]
+    return Cylinders(tuple(choices), denominator, lefts, rights)
 
-    descend(1, ZERO, ONE, ())
-    return out
+
+def _integer_ends(cylinders: Iterable[Cylinder]) -> tuple:
+    """(D, lefts, rights): the ends as integers over one denominator D, in
+    ascending (left, right) order."""
+    if isinstance(cylinders, Cylinders):
+        return cylinders.denominator, cylinders.lefts, cylinders.rights
+    ends = [(to_fraction(c.left), to_fraction(c.right)) for c in cylinders]
+    d = math.lcm(*(x.denominator for pair in ends for x in pair))
+    pairs = sorted((left.numerator * (d // left.denominator),
+                    right.numerator * (d // right.denominator))
+                   for left, right in ends)
+    return d, [left for left, _ in pairs], [right for _, right in pairs]
 
 
-def box_counts(cylinders: Sequence[Cylinder],
+def box_counts(cylinders: Iterable[Cylinder],
                scales: Iterable[Fraction]) -> list:
-    """Exact grid counts: cells [i*delta, (i+1)*delta) meeting the union."""
-    intervals = sorted((c.left, c.right) for c in cylinders)
+    """Exact grid counts: cells [i*delta, (i+1)*delta) meeting the union.
+
+    An enumeration's integer ends are used as they are, already in order;
+    other cylinders are put over the lcm of their endpoint denominators and
+    sorted.  With ends L/D and delta = a/b, L lies in cell (L*b) // (D*a).
+    """
+    denominator, lefts, rights = _integer_ends(cylinders)
     samples = []
     for delta in scales:
         delta = to_fraction(delta)
         if delta <= 0:
             raise ValueError("scale must be positive")
-        # left ends ascend, so only cells past the last one counted are new
+        b = delta.denominator
+        width = denominator * delta.numerator
+        # left ends ascend, so only cells past the last one counted are new;
+        # `last` starts one cell left of the first, as ends may be negative
         count = 0
-        last = None
-        for left, right in intervals:
-            lo = left // delta  # floor for Fractions
-            hi = -((-right) // delta) - 1 if right > left else lo
-            if last is not None:
-                lo = max(lo, last + 1)
+        last = lefts[0] * b // width - 1 if lefts else 0
+        for left, right in zip(lefts, rights):
+            lo = left * b // width
+            hi = -(-right * b // width) - 1 if right > left else lo
+            if lo <= last:
+                lo = last + 1
             if hi >= lo:
                 count += hi - lo + 1
                 last = hi

@@ -71,6 +71,11 @@ def parse_scenario(doc: dict) -> Scenario:
     if p is not None and not p.shape_matches(q):
         raise ShapeMismatch("digit counts differ from the paired matrix")
     moran = dim.MoranSpec.from_dict(doc["moran"]) if "moran" in doc else None
+    if moran is not None:
+        # both are eventually periodic: one joint period covers every column
+        horizon = (max(len(q.prefix), len(moran.allowed_prefix))
+                   + math.lcm(len(q.period), len(moran.allowed_period)))
+        moran.validate_against(q, horizon)
     tolerances = dict(DEFAULT_TOLERANCES)
     tolerances.update(doc.get("tolerances", {}))
     return Scenario(
@@ -81,14 +86,39 @@ def parse_scenario(doc: dict) -> Scenario:
         points=tuple(to_fraction(x) for x in doc.get("points", [])),
         words=tuple(tuple(w) for w in doc.get("words", [])),
         rank=int(doc.get("rank", 8)),
-        ranks=tuple(int(r) for r in doc.get("ranks", [])),
+        ranks=_positive_ranks(doc["ranks"]) if "ranks" in doc else (),
         k_max=int(doc.get("k_max", 400)),
         tol=to_fraction(doc.get("tol", "1/1024")),
-        scales=tuple(to_fraction(s) for s in doc.get("scales", [])),
+        scales=_positive_scales(doc.get("scales", [])),
         tolerances=tolerances,
         name=str(doc.get("name", "scenario")),
         raw=doc,
     )
+
+
+def _positive_ranks(ranks) -> tuple:
+    if not (isinstance(ranks, list) and ranks and all(
+            isinstance(r, int) and not isinstance(r, bool) and r >= 1
+            for r in ranks)):
+        raise SchemaError(f"ranks must be a nonempty list of positive "
+                          f"integers, got {ranks!r}")
+    return tuple(ranks)
+
+
+def _positive_scales(values) -> tuple:
+    if not isinstance(values, list):
+        raise SchemaError(f"scales must be a list of rationals, got {values!r}")
+    scales = []
+    for i, value in enumerate(values):
+        try:
+            scale = to_fraction(value)
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise SchemaError(
+                f"scales[{i}] is not an exact rational: {value!r}") from exc
+        if scale <= 0:
+            raise SchemaError(f"scales[{i}] must be positive, got {value!r}")
+        scales.append(scale)
+    return tuple(scales)
 
 
 def load_scenario(path) -> Scenario:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,7 @@ from dimlab.errors import (
     PremeasureOrderingViolated,
     TooFewScales,
 )
-from dimlab.qtilde import Cylinder
+from dimlab.qtilde import Cylinder, PMatrix, QMatrix, cylinder
 
 Q3 = fixtures.uniform_ternary()
 QB = fixtures.uniform_binary()
@@ -57,6 +58,92 @@ class TestEnumerate:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             enumerate_cylinders(fixtures.full_spec(2), QB, 10, budget=512)
+
+
+PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+
+
+def random_column(rng, n, denom, zeros=False):
+    """n entries over denom summing to 1; some may be 0 when zeros is set."""
+    cuts = sorted(rng.choices(range(denom + 1), k=n - 1) if zeros
+                  else rng.sample(range(1, denom), n - 1))
+    return [Fraction(b - a, denom) for a, b in zip([0, *cuts], [*cuts, denom])]
+
+
+def random_system(rng, zeros=False):
+    """A non-uniform matrix (prefix + period, 2-4 digits per column, a
+    distinct prime denominator per column) and a random spec on it."""
+    sizes = [rng.randrange(2, 5) for _ in range(rng.randrange(3, 6))]
+    split = rng.randrange(len(sizes))
+    columns = [random_column(rng, n, p, zeros) for n, p in zip(sizes, PRIMES)]
+    matrix = (PMatrix if zeros else QMatrix)(columns[:split], columns[split:])
+    allowed = [rng.sample(range(n), rng.randrange(1, min(n, 3) + 1))
+               for n in sizes]
+    return matrix, MoranSpec(allowed[:split], allowed[split:])
+
+
+def reference_cylinders(spec, matrix, rank):
+    """Every allowed word in product order, one digit walk each, with the
+    zero-length cylinders dropped."""
+    words = itertools.product(*(spec.allowed(j) for j in range(1, rank + 1)))
+    return [c for c in (cylinder(matrix, w) for w in words) if c.length > 0]
+
+
+class TestIntegerKernel:
+    @pytest.mark.parametrize("zeros", [False, True])
+    def test_matches_digit_walk(self, zeros):
+        rng = random.Random(53 + zeros)
+        skipped = 0
+        for _ in range(25):
+            matrix, spec = random_system(rng, zeros)
+            for rank in range(9):
+                if spec.count(rank) > 3000:
+                    break
+                expected = reference_cylinders(spec, matrix, rank)
+                cyls = enumerate_cylinders(spec, matrix, rank)
+                assert len(cyls) == len(expected)
+                assert list(cyls) == expected
+                skipped += spec.count(rank) - len(expected)
+        # the zero-entry case really drops degenerate cylinders
+        assert (skipped > 0) == zeros
+
+    def test_indexing_matches_iteration(self):
+        matrix, spec = random_system(random.Random(59), zeros=True)
+        cyls = enumerate_cylinders(spec, matrix, 5)
+        items = list(cyls)
+        assert [cyls[i] for i in range(len(cyls))] == items
+        assert cyls[-1] == items[-1]
+        assert cyls[1:4] == items[1:4] and cyls[::-2] == items[::-2]
+        with pytest.raises(IndexError):
+            cyls[len(cyls)]
+
+    def test_box_counts_match_cell_by_cell(self):
+        rng = random.Random(61)
+        for zeros in (False, True):
+            for _ in range(10):
+                matrix, spec = random_system(rng, zeros)
+                rank = max(r for r in range(1, 7) if spec.count(r) <= 300)
+                cyls = enumerate_cylinders(spec, matrix, rank)
+                if not cyls:
+                    continue
+                scales = [Fraction(1, 2 ** k) for k in (2, 4, 6)]
+                scales += [Fraction(2, 7), Fraction(3, 40)]
+                samples = box_counts(cyls, scales)
+                # the enumeration's integer ends and the generic path agree
+                assert samples == box_counts(list(cyls), scales)
+                for smp in samples:
+                    assert smp.count == brute_force_cells(cyls, smp.scale)
+
+    def test_budget_checked_before_allocation(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded):
+                enumerate_cylinders(fixtures.full_spec(2), QB, 16, budget=2 ** 15)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 2**16 integer ends would take megabytes
+        assert peak < 64 * 1024
 
 
 def brute_force_cells(cylinders, delta):

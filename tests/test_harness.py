@@ -7,7 +7,7 @@ import pytest
 
 from dimlab import fixtures
 from dimlab.cli import main
-from dimlab.errors import SchemaError, ShapeMismatch
+from dimlab.errors import DigitOutOfRange, SchemaError, ShapeMismatch
 from dimlab.harness import (
     emit_plot_data,
     emit_report,
@@ -52,6 +52,60 @@ class TestLoading:
         assert s.kind == "criteria"
         assert s.q.min_entry() == Fraction(1, 2)
         assert s.p.column(4).min_entry() < Fraction(1, 4)
+
+
+def dimension_doc(**fields):
+    doc = {"kind": "dimension",
+           "Q": {"prefix": [], "period": [["1/2", "1/2"]]},
+           "moran": {"allowed_prefix": [], "allowed_period": [[0, 1]]},
+           "ranks": [2, 3, 4, 5]}
+    doc.update(fields)
+    return doc
+
+
+class TestParseChecks:
+    @pytest.mark.parametrize("moran,field", [
+        ({"allowed_period": 3}, "moran.allowed_period"),
+        ({"allowed_period": [[0, "1"]]}, r"moran.allowed_period\[0\]"),
+        ({"allowed_prefix": [[0], 1], "allowed_period": [[0]]},
+         r"moran.allowed_prefix\[1\]"),
+        ({"allowed_period": [[True]]}, r"moran.allowed_period\[0\]"),
+        ([[0, 1]], "moran"),
+    ])
+    def test_moran_must_be_lists_of_int_lists(self, moran, field):
+        with pytest.raises(SchemaError, match=field):
+            parse_scenario(dimension_doc(moran=moran))
+
+    @pytest.mark.parametrize("q,period", [
+        ({"prefix": [], "period": [["1/2", "1/2"]]}, [[5]]),
+        # column 2 has two digits; only the joint horizon reaches it
+        ({"prefix": [["1/3", "1/3", "1/3"]], "period": [["1/2", "1/2"]]},
+         [[2]]),
+        # digit 2 first meets a binary column at column 4, past both periods
+        ({"prefix": [], "period": [["1/3", "1/3", "1/3"], ["1/2", "1/2"]]},
+         [[2], [0], [0]]),
+    ])
+    def test_moran_digits_checked_against_q(self, q, period):
+        with pytest.raises(DigitOutOfRange):
+            parse_scenario(dimension_doc(
+                Q=q, moran={"allowed_prefix": [], "allowed_period": period}))
+
+    @pytest.mark.parametrize("scales,index", [
+        (["0"], 0), (["-1/4"], 0), (["1/4", "1/0"], 1), (["1/4", "x"], 1),
+    ])
+    def test_scales_must_be_positive_rationals(self, scales, index):
+        with pytest.raises(SchemaError, match=rf"scales\[{index}\]"):
+            parse_scenario(dimension_doc(scales=scales))
+
+    @pytest.mark.parametrize("ranks", [[], [0, 4], [-1], ["a"], [2.5], 5])
+    def test_ranks_must_be_positive_integers(self, ranks):
+        with pytest.raises(SchemaError, match="ranks"):
+            parse_scenario(dimension_doc(ranks=ranks))
+
+    def test_valid_fields_still_parse(self):
+        s = parse_scenario(dimension_doc(scales=["1/4", "2/7"], ranks=[3, 1]))
+        assert s.scales == (Fraction(1, 4), Fraction(2, 7))
+        assert s.ranks == (3, 1)
 
 
 class TestRunners:
@@ -216,6 +270,37 @@ class TestCli:
         assert err.startswith("error: allowed_p")
         assert "Traceback" not in err
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "dimension"])
+    @pytest.mark.parametrize("fields", [
+        {"moran": {"allowed_prefix": [], "allowed_period": 3}},
+        {"moran": {"allowed_prefix": [], "allowed_period": [[5]]}},
+        {"scales": ["0"]},
+        {"ranks": []},
+    ])
+    def test_malformed_field_fails_at_parse(self, tmp_path, capsys, command,
+                                            fields):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(dimension_doc(**fields)))
+        out = tmp_path / "out"
+        rc = main([command, "--config", str(config), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
+    def test_bad_env_budget_is_an_error_line(self, fixture_path, tmp_path,
+                                             capsys, monkeypatch, value):
+        monkeypatch.setenv("DIMLAB_RANK_BUDGET", value)
+        rc = main(["dimension",
+                   "--config", str(fixture_path("cantor_dimension.json")),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: DIMLAB_RANK_BUDGET")
+        assert not (tmp_path / "out").exists()
 
     def test_counterexample_k_max_6400(self, tmp_path):
         # exact rationals at this horizon outgrow CPython's 4300-digit
