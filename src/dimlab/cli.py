@@ -25,21 +25,25 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True)
         p.add_argument("--out", default="dimlab-out")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--rank-budget", type=int, default=None)
+        p.add_argument("--rank-budget", default=None,
+                       help=f"positive integer; overrides ${ENV_BUDGET}")
         p.add_argument("--plot-data", action="store_true",
                        help="also emit two-column series files")
     return parser
 
 
 def resolve_budget(cli_value) -> int:
+    """The budget from --rank-budget, else $DIMLAB_RANK_BUDGET, else the
+    default; either spelling must be a positive decimal integer."""
     if cli_value is not None:
-        return cli_value
-    env = os.environ.get(ENV_BUDGET)
-    if not env:
-        return DEFAULT_ENUM_BUDGET
-    if not (env.strip().isdecimal() and int(env) >= 1):
-        raise ParseError(f"{ENV_BUDGET} must be a positive integer, got {env!r}")
-    return int(env)
+        source, value = "--rank-budget", cli_value
+    else:
+        source, value = ENV_BUDGET, os.environ.get(ENV_BUDGET)
+        if not value:
+            return DEFAULT_ENUM_BUDGET
+    if not (value.strip().isdecimal() and int(value) >= 1):
+        raise ParseError(f"{source} must be a positive integer, got {value!r}")
+    return int(value)
 
 
 def main(argv=None) -> int:

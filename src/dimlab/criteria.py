@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .dimension import DEFAULT_WINDOW_FRACTION, MoranSpec, tail_window_max
+from .dimension import MoranSpec, tail_window_max
 from .errors import DegenerateDenominator, ShapeMismatch
 from .qtilde import ColumnMatrix, ln
 
@@ -47,8 +47,7 @@ def entropy_terms(q: ColumnMatrix, p: ColumnMatrix, j: int):
     return h, b
 
 
-def entropy_ratio(q: ColumnMatrix, p: ColumnMatrix, k_max: int,
-                  window_fraction: float = DEFAULT_WINDOW_FRACTION):
+def entropy_ratio(q: ColumnMatrix, p: ColumnMatrix, k_max: int):
     """Partial-sum entropy / cross-entropy ratios and their tail-max estimate.
 
     A ratio of 1 in the limit is the operational criterion for the measure
@@ -72,12 +71,11 @@ def entropy_ratio(q: ColumnMatrix, p: ColumnMatrix, k_max: int,
         h_partials.append(h_sum)
         b_partials.append(b_sum)
         ratios.append(h_sum / b_sum)
-    estimate = tail_window_max(ratios, window_fraction)
+    estimate = tail_window_max(ratios)
     return h_partials, b_partials, ratios, estimate
 
 
-def sparse_column_stats(q: ColumnMatrix, p: ColumnMatrix, k_max: int,
-                        window_fraction: float = DEFAULT_WINDOW_FRACTION):
+def sparse_column_stats(q: ColumnMatrix, p: ColumnMatrix, k_max: int):
     """Columns whose minimal digit probability is below q_min/2, plus the
     running density of their log masses.
 
@@ -100,7 +98,7 @@ def sparse_column_stats(q: ColumnMatrix, p: ColumnMatrix, k_max: int,
             else:
                 log_sum += -ln(pk)
         partials.append(math.inf if has_zero else log_sum / k)
-    estimate = math.inf if has_zero else tail_window_max(partials, window_fraction)
+    estimate = math.inf if has_zero else tail_window_max(partials)
     return members, partials, estimate
 
 
@@ -146,25 +144,9 @@ class CriterionReport:
                    self.ratio_partials[i], self.sparse_partials[i],
                    int(k in members))
 
-    def to_dict(self) -> dict:
-        return {
-            "k_max": self.k_max,
-            "q_min": str(self.q_min),
-            "sparse_members": list(self.sparse_members),
-            "sparse_partials": list(self.sparse_partials),
-            "sparse_estimate": self.sparse_estimate,
-            "h_partials": list(self.h_partials),
-            "b_partials": list(self.b_partials),
-            "ratio_partials": list(self.ratio_partials),
-            "ratio_estimate": self.ratio_estimate,
-            "verdict": self.verdict,
-            "tolerance": self.tolerance,
-        }
-
 
 def pdp_verdict(q: ColumnMatrix, p: ColumnMatrix, k_max: int,
-                measure_dim_tol: float = 0.05,
-                window_fraction: float = DEFAULT_WINDOW_FRACTION) -> CriterionReport:
+                measure_dim_tol: float = 0.05) -> CriterionReport:
     """Preservation verdict from the two finite-surrogate estimates.
 
     Preservation needs the entropy ratio at 1 and the sparse log-mass
@@ -172,10 +154,8 @@ def pdp_verdict(q: ColumnMatrix, p: ColumnMatrix, k_max: int,
     a ratio below the band fails on the measure-dimension ground; density
     inside (tol, 2*tol] is reported as inconclusive rather than overclaimed.
     """
-    members, sparse_partials, sparse_est = sparse_column_stats(
-        q, p, k_max, window_fraction)
-    h_partials, b_partials, ratios, ratio_est = entropy_ratio(
-        q, p, k_max, window_fraction)
+    members, sparse_partials, sparse_est = sparse_column_stats(q, p, k_max)
+    h_partials, b_partials, ratios, ratio_est = entropy_ratio(q, p, k_max)
     tol = measure_dim_tol
     if sparse_est > 2 * tol:
         verdict = NOT_PDP_B_POSITIVE
@@ -205,18 +185,19 @@ def counterexample_spec(q: ColumnMatrix, p: ColumnMatrix, k_max: int) -> MoranSp
 
     Columns flagged by sparse_column_stats are forced to their
     minimal-probability digit (smallest index on ties); all other columns
-    are unrestricted.  The periodic tail allows every digit.
+    are unrestricted.  The periodic tail allows every digit; the prefix
+    covers q's prefix and at least k_max columns, and ends on a period
+    boundary of q so that the two tails stay aligned.
     """
     members, _, _ = sparse_column_stats(q, p, k_max)
     flagged = set(members)
-    spec_full = MoranSpec.full(q, prefix_len=k_max)
+    m, r = len(q.prefix), len(q.period)
+    prefix_len = m + r * -(-max(k_max - m, 0) // r)
     prefix = []
-    for j in range(1, len(spec_full.allowed_prefix) + 1):
+    for j in range(1, prefix_len + 1):
         if j in flagged:
-            pcol = p.column(j)
-            lo = min(pcol.entries)
-            forced = pcol.entries.index(lo)
-            prefix.append((forced,))
+            entries = p.column(j).entries
+            prefix.append((entries.index(min(entries)),))
         else:
             prefix.append(tuple(range(q.n(j))))
-    return MoranSpec(tuple(prefix), spec_full.allowed_period)
+    return MoranSpec(tuple(prefix), tuple(tuple(range(c.n)) for c in q.period))

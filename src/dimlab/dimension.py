@@ -6,6 +6,10 @@ over one common denominator, in left-to-right order), exact grid box counts
 family-restricted (cylinder packing) estimator, a closed-form oracle for
 digit-uniform matrices, and finite-scale packing premeasure lower bounds
 (centered and uncentered) by weighted interval scheduling over balls.
+
+Every limsup here, and in `criteria`, is estimated by `tail_window_max`:
+the maximum over the tail half (`WINDOW_FRACTION`) of the partial values.
+The window is fixed; no function takes it as a parameter.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from itertools import product
 
 from .errors import (
     BudgetExceeded,
+    DegenerateDenominator,
     DigitOutOfRange,
     EmptyPeriod,
     GridTooCoarse,
@@ -27,10 +32,11 @@ from .errors import (
     SchemaError,
     TooFewScales,
 )
-from .qtilde import ColumnMatrix, Cylinder, ONE, ln, _periodic_item, to_fraction
+from .qtilde import (ColumnMatrix, Cylinder, ONE, ln, _int_lists,
+                     _periodic_item, to_fraction)
 
 DEFAULT_ENUM_BUDGET = 2 ** 22
-DEFAULT_WINDOW_FRACTION = 0.5
+WINDOW_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
@@ -75,44 +81,13 @@ class MoranSpec:
         return c
 
     @classmethod
-    def full(cls, matrix: ColumnMatrix, prefix_len: int = 0) -> "MoranSpec":
-        """Spec allowing every digit everywhere (prefix padded to prefix_len)."""
-        m = len(matrix.prefix)
-        r = len(matrix.period)
-        if prefix_len > m:
-            # extend to a period boundary so the tails stay aligned
-            prefix_len = m + r * math.ceil((prefix_len - m) / r)
-        else:
-            prefix_len = m
-        pre = tuple(tuple(range(matrix.n(j))) for j in range(1, prefix_len + 1))
-        per = tuple(tuple(range(c.n)) for c in matrix.period)
-        return cls(pre, per)
-
-    def to_dict(self) -> dict:
-        return {
-            "allowed_prefix": [list(s) for s in self.allowed_prefix],
-            "allowed_period": [list(s) for s in self.allowed_period],
-        }
-
-    @classmethod
     def from_dict(cls, doc: dict) -> "MoranSpec":
         """Spec from its JSON form; each field must be a list of lists of
         integer digits (a `SchemaError` names the field and index)."""
         if not isinstance(doc, dict):
             raise SchemaError("moran must be an object")
-        fields = []
-        for name in ("allowed_prefix", "allowed_period"):
-            sets = doc.get(name, [])
-            if not isinstance(sets, list):
-                raise SchemaError(f"moran.{name} must be a list of digit lists")
-            for i, s in enumerate(sets):
-                if not (isinstance(s, list) and all(
-                        isinstance(a, int) and not isinstance(a, bool)
-                        for a in s)):
-                    raise SchemaError(
-                        f"moran.{name}[{i}] must be a list of integer digits")
-            fields.append(tuple(tuple(s) for s in sets))
-        return cls(*fields)
+        return cls(*(_int_lists(doc.get(name, []), f"moran.{name}")
+                     for name in ("allowed_prefix", "allowed_period")))
 
 
 @dataclass(frozen=True)
@@ -131,15 +106,11 @@ class DimensionEstimate:
     method: str  # dyadic_box | cylinder_family | moran_oracle
 
 
-def tail_window_max(values: Sequence[float],
-                    window_fraction: float = DEFAULT_WINDOW_FRACTION) -> float:
-    """Finite limsup surrogate: max over the tail fraction of the sequence."""
+def tail_window_max(values: Sequence[float]) -> float:
+    """Finite limsup surrogate: max over the tail half of the sequence."""
     if not values:
         raise ValueError("no values to estimate from")
-    if not 0 < window_fraction <= 1:
-        raise ValueError("window_fraction must be in (0, 1]")
-    start = math.ceil(window_fraction * len(values)) - 1
-    return max(values[start:])
+    return max(values[math.ceil(WINDOW_FRACTION * len(values)) - 1:])
 
 
 class Cylinders(Sequence):
@@ -267,17 +238,15 @@ def box_counts(cylinders: Iterable[Cylinder],
     return samples
 
 
-def dim_estimate(samples: Sequence[ScaleSample],
-                 window_fraction: float = DEFAULT_WINDOW_FRACTION,
-                 method: str = "dyadic_box") -> DimensionEstimate:
+def dim_estimate(samples: Sequence[ScaleSample]) -> DimensionEstimate:
     if len(samples) < 4:
         raise TooFewScales(f"need at least 4 scale samples, got {len(samples)}")
-    est = tail_window_max([s.log_ratio for s in samples], window_fraction)
-    return DimensionEstimate(tuple(samples), est, method)
+    est = tail_window_max([s.log_ratio for s in samples])
+    return DimensionEstimate(tuple(samples), est, "dyadic_box")
 
 
-def family_dim(spec: MoranSpec, matrix: ColumnMatrix, ranks: Sequence[int],
-               window_fraction: float = DEFAULT_WINDOW_FRACTION) -> DimensionEstimate:
+def family_dim(spec: MoranSpec, matrix: ColumnMatrix,
+               ranks: Sequence[int]) -> DimensionEstimate:
     """Cylinder-family packing estimate: ln N_k / ln(1/l_k) per rank.
 
     N_k is the spec's rank-k cylinder count and l_k the largest rank-k
@@ -301,19 +270,19 @@ def family_dim(spec: MoranSpec, matrix: ColumnMatrix, ranks: Sequence[int],
             log_count += math.log(len(choices))
             best = max(col.entries[a] for a in choices)
             if best == 0:
-                raise ZeroDivisionError(
+                raise DegenerateDenominator(
                     f"all allowed digits at column {j} have zero length"
                 )
             max_len *= best
             j += 1
         ratio = 0.0 if max_len == ONE else log_count / -ln(max_len)
         samples.append(ScaleSample(max_len, count, ratio))
-    est = tail_window_max([s.log_ratio for s in samples], window_fraction)
+    est = tail_window_max([s.log_ratio for s in samples])
     return DimensionEstimate(tuple(samples), est, "cylinder_family")
 
 
-def moran_dim_oracle(spec: MoranSpec, matrix: ColumnMatrix, k_max: int,
-                     window_fraction: float = DEFAULT_WINDOW_FRACTION) -> DimensionEstimate:
+def moran_dim_oracle(spec: MoranSpec, matrix: ColumnMatrix,
+                     k_max: int) -> DimensionEstimate:
     """Independent ground truth for digit-uniform matrices.
 
     partial_k = sum_{j<=k} ln|allowed(j)| / sum_{j<=k} ln(1/q_j) where q_j
@@ -322,7 +291,6 @@ def moran_dim_oracle(spec: MoranSpec, matrix: ColumnMatrix, k_max: int,
     spec.validate_against(matrix, k_max)
     num = 0.0
     den = 0.0
-    partials = []
     samples = []
     count = 1
     length = ONE
@@ -335,9 +303,8 @@ def moran_dim_oracle(spec: MoranSpec, matrix: ColumnMatrix, k_max: int,
         num += math.log(choices)
         den += -ln(col.entries[0])
         length *= col.entries[0]
-        partials.append(num / den)
         samples.append(ScaleSample(length, count, num / den))
-    est = tail_window_max(partials, window_fraction)
+    est = tail_window_max([s.log_ratio for s in samples])
     return DimensionEstimate(tuple(samples), est, "moran_oracle")
 
 

@@ -8,7 +8,7 @@ import math
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, is_dataclass, asdict
+from dataclasses import dataclass, field, fields, is_dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
@@ -18,8 +18,8 @@ from . import criteria as crit
 from . import dimension as dim
 from . import measure
 from . import qtilde
-from .errors import ParseError, SchemaError, ShapeMismatch
-from .qtilde import PMatrix, QMatrix, to_fraction
+from .errors import DimlabError, ParseError, SchemaError, ShapeMismatch
+from .qtilde import PMatrix, QMatrix, _exact, _int_lists, _rationals
 
 KINDS = ("expand", "transform", "dimension", "criteria",
          "preservation", "counterexample")
@@ -76,49 +76,67 @@ def parse_scenario(doc: dict) -> Scenario:
         horizon = (max(len(q.prefix), len(moran.allowed_prefix))
                    + math.lcm(len(q.period), len(moran.allowed_period)))
         moran.validate_against(q, horizon)
-    tolerances = dict(DEFAULT_TOLERANCES)
-    tolerances.update(doc.get("tolerances", {}))
+    k_max = _integer(doc, "k_max", 400, minimum=1)
+    if kind == "counterexample" and "ranks" not in doc and k_max < 4:
+        # the default ranks are the squares m*m <= k_max with m >= 2
+        raise SchemaError(f"k_max must be >= 4 for a counterexample without "
+                          f"ranks, got {k_max}")
+    tol = _exact(doc.get("tol", "1/1024"), "tol")
+    if tol <= 0:
+        raise SchemaError(f"tol must be positive, got {tol}")
     return Scenario(
         kind=kind,
         q=q,
         p=p,
         moran=moran,
-        points=tuple(to_fraction(x) for x in doc.get("points", [])),
-        words=tuple(tuple(w) for w in doc.get("words", [])),
-        rank=int(doc.get("rank", 8)),
+        points=tuple(_rationals(doc.get("points", []), "points")),
+        words=_int_lists(doc.get("words", []), "words"),
+        rank=_integer(doc, "rank", 8),
         ranks=_positive_ranks(doc["ranks"]) if "ranks" in doc else (),
-        k_max=int(doc.get("k_max", 400)),
-        tol=to_fraction(doc.get("tol", "1/1024")),
+        k_max=k_max,
+        tol=tol,
         scales=_positive_scales(doc.get("scales", [])),
-        tolerances=tolerances,
+        tolerances=_tolerances(doc.get("tolerances", {})),
         name=str(doc.get("name", "scenario")),
         raw=doc,
     )
 
 
+def _integer(doc: dict, key: str, default: int, minimum=None) -> int:
+    value = doc.get(key, default)
+    if type(value) is not int or (minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise SchemaError(f"{key} must be an integer{bound}, got {value!r}")
+    return value
+
+
 def _positive_ranks(ranks) -> tuple:
     if not (isinstance(ranks, list) and ranks and all(
-            isinstance(r, int) and not isinstance(r, bool) and r >= 1
-            for r in ranks)):
+            type(r) is int and r >= 1 for r in ranks)):
         raise SchemaError(f"ranks must be a nonempty list of positive "
                           f"integers, got {ranks!r}")
     return tuple(ranks)
 
 
 def _positive_scales(values) -> tuple:
-    if not isinstance(values, list):
-        raise SchemaError(f"scales must be a list of rationals, got {values!r}")
-    scales = []
-    for i, value in enumerate(values):
-        try:
-            scale = to_fraction(value)
-        except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise SchemaError(
-                f"scales[{i}] is not an exact rational: {value!r}") from exc
+    scales = _rationals(values, "scales")
+    for i, scale in enumerate(scales):
         if scale <= 0:
-            raise SchemaError(f"scales[{i}] must be positive, got {value!r}")
-        scales.append(scale)
+            raise SchemaError(
+                f"scales[{i}] must be positive, got {values[i]!r}")
     return tuple(scales)
+
+
+def _tolerances(values) -> dict:
+    """The default tolerances, overridden by the config's; each must be a
+    number >= 0 (Infinity included, NaN and bools refused)."""
+    if not isinstance(values, dict):
+        raise SchemaError(f"tolerances must be an object, got {values!r}")
+    for key, value in values.items():
+        if not (type(value) in (int, float) and value >= 0):
+            raise SchemaError(
+                f"tolerances.{key} must be a number >= 0, got {value!r}")
+    return {**DEFAULT_TOLERANCES, **values}
 
 
 def load_scenario(path) -> Scenario:
@@ -142,22 +160,6 @@ class Report:
     verdicts: dict
     run_meta: dict          # timestamp + timings, isolated for determinism
     failed: bool = False
-
-
-def _matched_scales(q: QMatrix, ranks) -> list:
-    """Grid scales aligned to the matrix: the common rank-k length when the
-    matrix is digit-uniform, else plain dyadic 2^-k."""
-    if q.is_digit_uniform():
-        scales = []
-        length = Fraction(1)
-        j = 1
-        for k in sorted(ranks):
-            while j <= k:
-                length *= q.column(j).entries[0]
-                j += 1
-            scales.append(length)
-        return scales
-    return [Fraction(1, 2 ** k) for k in sorted(ranks)]
 
 
 def _run_expand(s: Scenario, budget: int) -> dict:
@@ -190,12 +192,20 @@ def _run_transform(s: Scenario, budget: int) -> dict:
 
 def _run_dimension(s: Scenario, budget: int) -> dict:
     ranks = sorted(s.ranks)
-    cylinders = dim.enumerate_cylinders(s.moran, s.q, ranks[-1], budget)
-    scales = list(s.scales) or _matched_scales(s.q, ranks)
-    box = dim.dim_estimate(dim.box_counts(cylinders, scales))
+    uniform = s.q.is_digit_uniform()
     family = dim.family_dim(s.moran, s.q, ranks)
+    cylinders = dim.enumerate_cylinders(s.moran, s.q, ranks[-1], budget)
+    # grid scales aligned to the matrix: on a digit-uniform Q the family
+    # scales are the common rank-k lengths; otherwise plain dyadic 2^-k
+    if s.scales:
+        scales = s.scales
+    elif uniform:
+        scales = [smp.scale for smp in family.samples]
+    else:
+        scales = [Fraction(1, 2 ** k) for k in ranks]
+    box = dim.dim_estimate(dim.box_counts(cylinders, scales))
     out = {"box": box, "family": family}
-    if s.q.is_digit_uniform():
+    if uniform:
         oracle = dim.moran_dim_oracle(s.moran, s.q, ranks[-1])
         out["oracle"] = oracle
         out["oracle_agreement"] = abs(family.estimate - oracle.estimate) <= 0.01
@@ -265,7 +275,7 @@ def run_scenario(s: Scenario, budget: int = dim.DEFAULT_ENUM_BUDGET) -> Report:
     verdicts = {}
     try:
         results = _RUNNERS[s.kind](s, budget)
-    except Exception as exc:  # partial report with failure annotation
+    except DimlabError as exc:  # partial report; any other error is a bug
         results = {"error": f"{type(exc).__name__}: {exc}"}
         failed = True
     elapsed = time.perf_counter() - start
@@ -287,34 +297,21 @@ def run_scenario(s: Scenario, budget: int = dim.DEFAULT_ENUM_BUDGET) -> Report:
 
 
 def jsonify(obj):
-    """Deterministic JSON-friendly form: Fractions as strings, dataclasses
-    as dicts, method tags kept alongside numeric results."""
+    """Deterministic JSON form, one rule per type: floats through
+    `_json_float`, Fractions as strings, dicts and sequences element-wise,
+    and a dataclass as the dict of its fields."""
+    if isinstance(obj, float):
+        return _json_float(obj)
+    if obj is None or isinstance(obj, (str, int)):
+        return obj
     if isinstance(obj, Fraction):
         return str(obj)
-    if isinstance(obj, dim.ScaleSample):
-        return {"scale": str(obj.scale), "count": obj.count,
-                "log_ratio": obj.log_ratio}
-    if isinstance(obj, dim.DimensionEstimate):
-        return {"method": obj.method, "estimate": obj.estimate,
-                "samples": [jsonify(x) for x in obj.samples]}
-    if isinstance(obj, crit.CriterionReport):
-        # a zero flagged minimum makes the sparse fields inf, and a config
-        # may set the tolerance to Infinity; the h/b/ratio partials are finite
-        doc = obj.to_dict()
-        doc["sparse_partials"] = [_json_float(v) for v in obj.sparse_partials]
-        for key in ("sparse_estimate", "tolerance"):
-            doc[key] = _json_float(doc[key])
-        return doc
-    if isinstance(obj, dim.MoranSpec):
-        return obj.to_dict()
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return {k: jsonify(v) for k, v in asdict(obj).items()}
     if isinstance(obj, dict):
         return {str(k): jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonify(v) for v in obj]
-    if isinstance(obj, float):
-        return _json_float(obj)
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: jsonify(getattr(obj, f.name)) for f in fields(obj)}
     return obj
 
 

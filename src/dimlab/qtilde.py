@@ -23,6 +23,7 @@ from .errors import (
     EmptyPeriod,
     NonPositiveEntry,
     OutOfUnitInterval,
+    SchemaError,
 )
 
 RationalLike = Union[Fraction, int, str]
@@ -41,6 +42,36 @@ def to_fraction(value: RationalLike) -> Fraction:
         # floats are exact binary rationals; accept them verbatim
         return Fraction(*value.as_integer_ratio())
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def _exact(value, name: str) -> Fraction:
+    """A config value as an exact Fraction; anything else (a bool, "1/0",
+    "abc", a non-finite float) is a `SchemaError` naming the field."""
+    if not isinstance(value, bool):
+        try:
+            return to_fraction(value)
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+            pass
+    raise SchemaError(f"{name} is not an exact rational: {value!r}")
+
+
+def _rationals(values, name: str) -> list:
+    """A config list of exact rationals as Fractions; a `SchemaError` names
+    the field, or the index of the first element that is not one."""
+    if not isinstance(values, list):
+        raise SchemaError(f"{name} must be a list of rationals, got {values!r}")
+    return [_exact(value, f"{name}[{i}]") for i, value in enumerate(values)]
+
+
+def _int_lists(value, name: str) -> tuple:
+    """A config list of integer lists (digit words or digit sets) as a tuple
+    of tuples; a `SchemaError` names the field and the first bad index."""
+    if not isinstance(value, list):
+        raise SchemaError(f"{name} must be a list of digit lists")
+    for i, item in enumerate(value):
+        if not (isinstance(item, list) and all(type(a) is int for a in item)):
+            raise SchemaError(f"{name}[{i}] must be a list of integer digits")
+    return tuple(tuple(item) for item in value)
 
 
 def ln(value: Fraction) -> float:
@@ -104,6 +135,8 @@ class ColumnMatrix:
     prefix: tuple  # tuple[ProbColumn, ...]
     period: tuple  # tuple[ProbColumn, ...], nonempty
 
+    CONFIG_KEY = "matrix"  # the config field that from_dict reads, for errors
+
     def __post_init__(self):
         for name in ("prefix", "period"):
             columns = tuple(c if isinstance(c, ProbColumn) else ProbColumn(c)
@@ -141,11 +174,25 @@ class ColumnMatrix:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ColumnMatrix":
-        return cls(doc.get("prefix", []), doc.get("period", []))
+        """Matrix from its JSON form: "prefix" and "period" are lists of
+        columns of exact rationals (a `SchemaError` names the field)."""
+        name = cls.CONFIG_KEY
+        if not isinstance(doc, dict):
+            raise SchemaError(f"{name} must be an object")
+        parts = []
+        for part in ("prefix", "period"):
+            columns = doc.get(part, [])
+            if not isinstance(columns, list):
+                raise SchemaError(f"{name}.{part} must be a list of columns")
+            parts.append([_rationals(col, f"{name}.{part}[{i}]")
+                          for i, col in enumerate(columns)])
+        return cls(*parts)
 
 
 class QMatrix(ColumnMatrix):
     """Geometry matrix: every entry strictly inside (0, 1)."""
+
+    CONFIG_KEY = "Q"
 
     def __post_init__(self):
         super().__post_init__()
@@ -159,6 +206,8 @@ class QMatrix(ColumnMatrix):
 
 class PMatrix(ColumnMatrix):
     """Measure matrix: zero (and hence unit) entries are permitted."""
+
+    CONFIG_KEY = "P"
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,214 @@
+"""Parse-time config checks, both budget spellings, and a config fuzzer."""
+
+import copy
+import json
+import random
+
+import pytest
+
+from dimlab.cli import main
+from dimlab.errors import SchemaError
+from dimlab.qtilde import PMatrix, QMatrix
+
+BINARY = {"prefix": [], "period": [["1/2", "1/2"]]}
+
+
+def config(kind, **fields):
+    doc = {"kind": kind, "Q": BINARY}
+    if kind in ("transform", "criteria", "preservation", "counterexample"):
+        doc["P"] = BINARY
+    if kind in ("dimension", "preservation"):
+        doc["moran"] = {"allowed_prefix": [], "allowed_period": [[0, 1]]}
+        doc["ranks"] = [2, 3, 4, 5]
+    if kind == "expand":
+        doc["points"] = ["1/3"]
+    doc.update(fields)
+    return doc
+
+
+# (config, the field the error line must name)
+MALFORMED = [
+    (config("expand", points=["abc"]), "points[0]"),
+    (config("expand", points=["1/3", "1/0"]), "points[1]"),
+    (config("expand", points=[True]), "points[0]"),
+    (config("expand", points="1/2"), "points"),
+    (config("transform", words=[[0, "1"]]), "words[0]"),
+    (config("transform", words=[[0], 1]), "words[1]"),
+    (config("transform", words=[[False]]), "words[0]"),
+    (config("transform", words=3), "words"),
+    (config("expand", rank="x"), "rank"),
+    (config("expand", rank=True), "rank"),
+    (config("expand", rank=2.0), "rank"),
+    (config("criteria", k_max=0), "k_max"),
+    (config("criteria", k_max="5"), "k_max"),
+    (config("criteria", k_max=False), "k_max"),
+    (config("counterexample", k_max=3), "k_max"),
+    (config("transform", tol="0"), "tol"),
+    (config("transform", tol="-1/8"), "tol"),
+    (config("transform", tol="abc"), "tol"),
+    (config("transform", tol="1/0"), "tol"),
+    (config("criteria", tolerances={"verdict_band": "x"}), "verdict_band"),
+    (config("criteria", tolerances={"verdict_band": -0.5}), "verdict_band"),
+    (config("criteria", tolerances={"dimension": True}), "dimension"),
+    (config("criteria", tolerances={"verdict_band": float("nan")}),
+     "verdict_band"),
+    (config("criteria", tolerances=[0.1]), "tolerances"),
+    (config("criteria", Q=[["1/2", "1/2"]]), "Q"),
+    (config("criteria", P="1/2"), "P"),
+    (config("criteria", Q={"prefix": 3, "period": [["1/2", "1/2"]]}),
+     "Q.prefix"),
+    (config("criteria", P={"prefix": [], "period": "x"}), "P.period"),
+    (config("criteria", P={"prefix": [], "period": [3]}), "P.period[0]"),
+    (config("criteria", Q={"prefix": [], "period": [["1/0", "1/2"]]}),
+     "Q.period[0][0]"),
+    (config("criteria", P={"prefix": [["1/2", "abc"]],
+                           "period": [["1/2", "1/2"]]}),
+     "P.prefix[0][1]"),
+]
+
+
+@pytest.mark.parametrize("doc,field", MALFORMED,
+                         ids=[field for _, field in MALFORMED])
+@pytest.mark.parametrize("command", ["validate", "kind"])
+def test_malformed_field_is_an_error_line(tmp_path, capsys, doc, field,
+                                          command):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    command = doc["kind"] if command == "kind" else command
+    rc = main([command, "--config", str(path), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert field in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_counterexample_with_ranks_allows_small_k_max(tmp_path):
+    path = tmp_path / "ok.json"
+    path.write_text(json.dumps(config("counterexample", k_max=3,
+                                      ranks=[1, 2, 3, 4])))
+    assert main(["validate", "--config", str(path)]) == 0
+
+
+def test_infinite_tolerance_is_allowed(tmp_path, capsys):
+    path = tmp_path / "ok.json"
+    path.write_text(json.dumps(
+        config("criteria", tolerances={"verdict_band": float("inf")})))
+    assert main(["validate", "--config", str(path)]) == 0
+
+
+@pytest.mark.parametrize("cls,doc,field", [
+    (QMatrix, [["1/2", "1/2"]], "Q must be an object"),
+    (PMatrix, {"prefix": {}, "period": [["1/2", "1/2"]]}, "P.prefix"),
+    (QMatrix, {"prefix": [], "period": None}, "Q.period"),
+    (PMatrix, {"prefix": [], "period": [["1/2", "1/0"]]},
+     r"P.period\[0\]\[1\]"),
+    (QMatrix, {"prefix": [], "period": [["abc", "1/2"]]},
+     r"Q.period\[0\]\[0\]"),
+    (PMatrix, {"prefix": [[True, 0]], "period": [["1/2", "1/2"]]},
+     r"P.prefix\[0\]\[0\]"),
+])
+def test_matrix_from_dict_names_the_field(cls, doc, field):
+    with pytest.raises(SchemaError, match=field):
+        cls.from_dict(doc)
+
+
+@pytest.mark.parametrize("value", ["0", "-5", "abc", "1.5", ""])
+def test_bad_cli_budget_is_an_error_line(fixture_path, tmp_path, capsys,
+                                         value):
+    out = tmp_path / "out"
+    rc = main(["dimension",
+               "--config", str(fixture_path("cantor_dimension.json")),
+               "--out", str(out), "--rank-budget", value])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(
+        f"error: --rank-budget must be a positive integer, got {value!r}")
+    assert not out.exists()
+
+
+def test_cli_budget_overrides_env(fixture_path, tmp_path, monkeypatch):
+    monkeypatch.setenv("DIMLAB_RANK_BUDGET", "16")
+    rc = main(["dimension",
+               "--config", str(fixture_path("cantor_dimension.json")),
+               "--out", str(tmp_path), "--rank-budget", "4096"])
+    assert rc == 0
+
+
+# --- mutation fuzzer: every config gives a report or an error line ---
+
+BAD_VALUES = [None, True, -1, 0, 2.5, "abc", "1/0", [], {}]
+DELETE = object()
+
+
+def random_value(rng, depth=0):
+    """A small random JSON value; ints stay small so that no mutated rank
+    or horizon makes a run slow."""
+    kind = rng.randrange(5 if depth < 2 else 3)
+    if kind == 0:
+        return rng.randint(-2, 3)
+    if kind == 1:
+        return "".join(rng.choice("0123456789/-.ax")
+                       for _ in range(rng.randint(0, 4)))
+    if kind == 2:
+        return rng.choice([None, False, 0.5, float("inf")])
+    if kind == 3:
+        return [random_value(rng, depth + 1) for _ in range(rng.randint(0, 2))]
+    return {"prefix": random_value(rng, depth + 1),
+            "period": random_value(rng, depth + 1)}
+
+
+def mutation_sites(doc):
+    """Paths to each top-level field and to the first element of each
+    list, and into the matrix and moran objects one level down."""
+    for key, value in doc.items():
+        yield (key,)
+        if isinstance(value, list) and value:
+            yield (key, 0)
+        if isinstance(value, dict):
+            for sub, subvalue in value.items():
+                yield (key, sub)
+                if isinstance(subvalue, list) and subvalue:
+                    yield (key, sub, 0)
+
+
+def mutated(doc, path, value):
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    if value is DELETE:
+        if isinstance(parent, dict):
+            del parent[path[-1]]
+        else:
+            parent.pop(path[-1])
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+def test_mutated_fixtures_give_a_report_or_an_error_line(
+        fixture_path, tmp_path, capsys):
+    """Only a valid report (exit 0) or a DimlabError (exit 1 with an
+    `error:` line) may come out; any other exception fails the test."""
+    rng = random.Random(2016)
+    runs = 0
+    for name in sorted(p.name for p in fixture_path("").glob("*.json")):
+        doc = json.loads(fixture_path(name).read_text())
+        for path in mutation_sites(doc):
+            extra = [random_value(rng) for _ in range(2)]
+            for value in BAD_VALUES + [DELETE] + extra:
+                bad = mutated(doc, path, value)
+                config_path = tmp_path / f"{runs}.json"
+                config_path.write_text(json.dumps(bad))
+                out = tmp_path / f"out{runs}"
+                rc = main([doc["kind"], "--config", str(config_path),
+                           "--out", str(out)])
+                err = capsys.readouterr().err
+                assert rc in (0, 1), (name, path, value)
+                if rc == 1:
+                    assert err.startswith("error: "), (name, path, value)
+                runs += 1
+    assert runs > 1000
