@@ -32,7 +32,7 @@ from .errors import (
     SchemaError,
     TooFewScales,
 )
-from .qtilde import (ColumnMatrix, Cylinder, ONE, ln, _int_lists,
+from .qtilde import (ColumnMatrix, Cylinder, ln, _int_lists,
                      _periodic_item, to_fraction)
 
 DEFAULT_ENUM_BUDGET = 2 ** 22
@@ -159,12 +159,11 @@ def enumerate_cylinders(spec: MoranSpec, matrix: ColumnMatrix, rank: int,
                         budget: int = DEFAULT_ENUM_BUDGET) -> Cylinders:
     """All rank-k cylinders obeying the spec, left to right, exact endpoints.
 
-    Works column by column over the common denominator D_j = d_1 ... d_j,
-    d_j the lcm of column j's entry denominators: each (left, length)
-    numerator pair becomes (left*d_j + c_a*length, length*e_a) for every
-    allowed digit a, with c_a and e_a column j's offset and entry scaled
-    by d_j.  Degenerate (zero-length) cylinders are skipped: they
-    contribute single points, which are dimension-null.
+    Works column by column over D_j = d_1 ... d_j with column j's table
+    (d_j, C, E) from `ProbColumn.scaled`: each (left, length) numerator pair
+    becomes (left*d_j + C_a*length, length*E_a) for each allowed digit a.
+    Degenerate (zero-length) cylinders are skipped: they contribute single
+    points, which are dimension-null.
     """
     spec.validate_against(matrix, rank)
     if spec.count(rank) > budget:
@@ -175,14 +174,11 @@ def enumerate_cylinders(spec: MoranSpec, matrix: ColumnMatrix, rank: int,
     denominator = 1
     lefts, lengths = [0], [1]
     for j in range(1, rank + 1):
-        col = matrix.column(j)
-        d = math.lcm(*(e.denominator for e in col.entries))
-        digits = [a for a in spec.allowed(j) if col.entries[a]]
-        steps = [(int(col.cumulative[a] * d), int(col.entries[a] * d))
-                 for a in digits]
-        lefts = [left * d + c * length
-                 for left, length in zip(lefts, lengths) for c, _ in steps]
-        lengths = [length * e for length in lengths for _, e in steps]
+        d, offsets, entries = matrix.column(j).scaled
+        digits = [a for a in spec.allowed(j) if entries[a]]
+        lefts = [left * d + offsets[a] * length
+                 for left, length in zip(lefts, lengths) for a in digits]
+        lengths = [length * entries[a] for length in lengths for a in digits]
         choices.append(tuple(digits))
         denominator *= d
     rights = [left + length for left, length in zip(lefts, lengths)]
@@ -260,7 +256,7 @@ def family_dim(spec: MoranSpec, matrix: ColumnMatrix,
     samples = []
     count = 1
     log_count = 0.0
-    max_len = ONE
+    max_len = Fraction(1)
     j = 1
     for k in ranks:
         while j <= k:
@@ -275,7 +271,7 @@ def family_dim(spec: MoranSpec, matrix: ColumnMatrix,
                 )
             max_len *= best
             j += 1
-        ratio = 0.0 if max_len == ONE else log_count / -ln(max_len)
+        ratio = 0.0 if max_len == 1 else log_count / -ln(max_len)
         samples.append(ScaleSample(max_len, count, ratio))
     est = tail_window_max([s.log_ratio for s in samples])
     return DimensionEstimate(tuple(samples), est, "cylinder_family")
@@ -293,7 +289,7 @@ def moran_dim_oracle(spec: MoranSpec, matrix: ColumnMatrix,
     den = 0.0
     samples = []
     count = 1
-    length = ONE
+    length = Fraction(1)
     for j in range(1, k_max + 1):
         col = matrix.column(j)
         if len(set(col.entries)) != 1:

@@ -181,7 +181,7 @@ def _run_transform(s: Scenario, budget: int) -> dict:
             "word": list(w),
             "source": [src.left, src.right],
             "image": [img.left, img.right],
-            "measure": measure.mu_cylinder(s.p, w),
+            "measure": img.length,
         })
     point_rows = []
     for x in s.points:

@@ -13,7 +13,6 @@ from typing import Sequence
 
 from .errors import ShapeMismatch, ToleranceNotReached, ZeroMeasureCylinder
 from .qtilde import (
-    ONE,
     ColumnMatrix,
     Cylinder,
     RationalLike,
@@ -29,7 +28,10 @@ DEFAULT_POINT_MAX_RANK = 200
 
 def mu_cylinder(p: ColumnMatrix, word: Sequence[int]) -> Fraction:
     """Measure of a cylinder: the exact product of chosen column entries."""
-    return cylinder(p, word).length
+    length, denominator = 1, 1
+    for _, length, denominator in nested(p, word):
+        pass
+    return Fraction(length, denominator)
 
 
 def f_xi_cylinder(q: ColumnMatrix, p: ColumnMatrix, word: Sequence[int]) -> Cylinder:
@@ -53,18 +55,19 @@ def f_xi_point(q: ColumnMatrix, p: ColumnMatrix, x: RationalLike,
     Deepens the digit expansion of x under q until the p-image cylinder is
     no longer than tol (rank at least 1, so tol >= 1 still reports a proper
     cylinder image).  A zero-probability digit collapses the image to an
-    exact point.  Returns (lo, hi) as exact rationals.
+    exact point.  Returns (lo, hi) as exact rationals; the walk and the
+    tolerance test stay in integers until then.
     """
     tol = to_fraction(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    length = ONE
-    for left, length in nested(p, islice(digits(q, x), max_rank)):
-        if length <= tol:
-            return (left, left + length)
-    raise ToleranceNotReached(
-        f"image interval still {length} wide after rank {max_rank}"
-    )
+    length, denominator = 1, 1
+    for left, length, denominator in nested(p, islice(digits(q, x), max_rank)):
+        if length * tol.denominator <= tol.numerator * denominator:
+            return (Fraction(left, denominator),
+                    Fraction(left + length, denominator))
+    raise ToleranceNotReached(f"image interval still {Fraction(length, denominator)}"
+                              f" wide after rank {max_rank}")
 
 
 def local_dim_ratio(q: ColumnMatrix, p: ColumnMatrix, word: Sequence[int]) -> float:
@@ -74,5 +77,4 @@ def local_dim_ratio(q: ColumnMatrix, p: ColumnMatrix, word: Sequence[int]) -> fl
     mu = mu_cylinder(p, word)
     if mu == 0:
         raise ZeroMeasureCylinder(f"word {tuple(word)} has zero measure")
-    lam = cylinder(q, word).length
-    return ln(mu) / ln(lam)
+    return ln(mu) / ln(mu_cylinder(q, word))

@@ -2,8 +2,9 @@
 
 A matrix is a finite prefix of probability columns plus a nonempty periodic
 tail; column j (1-indexed) partitions every rank-(j-1) interval into n_j
-subintervals whose relative lengths are the column entries.  All endpoint
-arithmetic is done with `fractions.Fraction`, so cylinder identities
+subintervals whose relative lengths are the column entries.  Endpoints are
+integers over the product of the column denominators (`ProbColumn.scaled`),
+and a `Fraction` is built only when one is returned, so cylinder identities
 (tiling, nesting, length products) hold exactly at any rank.
 """
 
@@ -27,9 +28,6 @@ from .errors import (
 )
 
 RationalLike = Union[Fraction, int, str]
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def to_fraction(value: RationalLike) -> Fraction:
@@ -109,7 +107,7 @@ class ProbColumn:
         for e in entries:
             if e < 0 or e > 1:
                 raise NonPositiveEntry(f"entry {e} outside [0, 1]")
-        if sum(entries) != ONE:
+        if sum(entries) != 1:
             raise ColumnNotStochastic(
                 f"column sums to {sum(entries)}, expected 1"
             )
@@ -119,9 +117,11 @@ class ProbColumn:
         return len(self.entries)
 
     @cached_property
-    def cumulative(self) -> tuple:
-        """Prefix sums (c_0=0, c_1, ..., c_n=1); c_a is the left offset of digit a."""
-        return (ZERO, *accumulate(self.entries))
+    def scaled(self) -> tuple:
+        """(d, C, E): entries E and offsets C (C_0 = 0) as integers over lcm d."""
+        d = math.lcm(*(e.denominator for e in self.entries))
+        entries = tuple(e.numerator * (d // e.denominator) for e in self.entries)
+        return d, (0, *accumulate(entries)), entries
 
     def min_entry(self) -> Fraction:
         return min(self.entries)
@@ -237,51 +237,50 @@ class Cylinder:
 def digits(matrix: ColumnMatrix, x: RationalLike) -> Iterator[int]:
     """The digits of x under `matrix`, position by position, without end.
 
-    Walks in relative coordinates: t is the position of x inside the current
-    cylinder, t <- (t - c_a) / q_a, which equals (x - left) / length exactly
-    but keeps the operand small.  Cylinders are left-closed, so every
-    rational in [0, 1) has exactly one digit word per rank.
+    Walks in integer coordinates: x sits at r/w in the current cylinder, at
+    first r/w = x.  With the column's table (d, C, E) the digit is the last a
+    with C_a <= d*r/w; then r <- d*r - C_a*w, w <- w*E_a, with no gcd.
+    Cylinders are left-closed, so each rational in [0, 1) has one word per rank.
     """
     t = to_fraction(x)
-    if not ZERO <= t < ONE:
+    if not 0 <= t < 1:
         raise OutOfUnitInterval(f"{t} is not in [0, 1)")
 
-    def walk(t: Fraction) -> Iterator[int]:
+    def walk(r: int, w: int) -> Iterator[int]:
         for j in count(1):
-            col = matrix.column(j)
-            a = bisect_right(col.cumulative, t) - 1  # t < 1 = c_n, so a < n
+            d, offsets, entries = matrix.column(j).scaled
+            a = bisect_right(offsets, d * r // w) - 1  # r < w, so a < n
             yield a
-            t = (t - col.cumulative[a]) / col.entries[a]
+            r, w = d * r - offsets[a] * w, w * entries[a]
 
-    return walk(t)
+    return walk(t.numerator, t.denominator)
 
 
 def nested(matrix: ColumnMatrix, word: Iterable[int]) -> Iterator[tuple]:
-    """(left, length) of the cylinder of each successive prefix of `word`.
-
-    left adds the cumulative column mass below each digit, scaled by the
-    length so far; length is the plain product of chosen entries.
-    """
-    left = ZERO
-    length = ONE
+    """(L, Λ, D), all integers, for each successive prefix of `word`: its
+    cylinder is [L/D, (L + Λ)/D), and column j's table (d, C, E) steps
+    L <- L*d + C_a*Λ, Λ <- Λ*E_a and D <- D*d."""
+    left, length, denominator = 0, 1, 1
     for j, a in enumerate(word, start=1):
-        col = matrix.column(j)
-        if not 0 <= a < col.n:
+        d, offsets, entries = matrix.column(j).scaled
+        if not 0 <= a < len(entries):
             raise DigitOutOfRange(
-                f"digit {a} out of range for column {j} (n={col.n})"
+                f"digit {a} out of range for column {j} (n={len(entries)})"
             )
-        left += col.cumulative[a] * length
-        length *= col.entries[a]
-        yield left, length
+        left = left * d + offsets[a] * length
+        length *= entries[a]
+        denominator *= d
+        yield left, length, denominator
 
 
 def cylinder(matrix: ColumnMatrix, word: Sequence[int]) -> Cylinder:
     """Exact interval of the cylinder addressed by `word` under `matrix`."""
     word = tuple(word)
-    left, length = ZERO, ONE
-    for left, length in nested(matrix, word):
+    left, length, denominator = 0, 1, 1
+    for left, length, denominator in nested(matrix, word):
         pass
-    return Cylinder(word, left, left + length)
+    return Cylinder(word, Fraction(left, denominator),
+                    Fraction(left + length, denominator))
 
 
 def expand(matrix: ColumnMatrix, x: RationalLike, rank: int) -> tuple:

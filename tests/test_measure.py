@@ -88,6 +88,20 @@ class TestPointEvaluation:
         with pytest.raises(ToleranceNotReached):
             f_xi_point(QB, p1, 0, Fraction(1, 10), max_rank=16)
 
+    @pytest.mark.parametrize("q, p, x, max_rank, width", [
+        (QB, PMatrix([], [["1", "0"]]), 0, 200, "1"),
+        (QB, PMatrix([], [["1", "0"]]), 0, 0, "1"),
+        # 3 parts in 6 after the first digit: the width is stated reduced
+        (fixtures.uniform_ternary(),
+         PMatrix([["1/6", "1/3", "1/2"]], [["1", "0", "0"]]),
+         Fraction(2, 3), 200, "1/2"),
+    ])
+    def test_tolerance_message(self, q, p, x, max_rank, width):
+        with pytest.raises(ToleranceNotReached) as info:
+            f_xi_point(q, p, x, Fraction(1, 1000), max_rank=max_rank)
+        assert str(info.value) == (
+            f"image interval still {width} wide after rank {max_rank}")
+
     def test_monotone(self):
         rng = random.Random(17)
         den = 999983
