@@ -9,11 +9,10 @@ from .qtilde import (
     cylinder,
     expand,
 )
-from .measure import f_xi_cylinder, f_xi_point, local_dim_ratio, mu_cylinder
+from .measure import f_xi_cylinder, f_xi_point, mu_cylinder
 from .criteria import (
     CriterionReport,
     counterexample_spec,
-    digit_log_share,
     entropy_ratio,
     entropy_terms,
     pdp_verdict,

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .dimension import MoranSpec, tail_window_max
 from .errors import DegenerateDenominator, ShapeMismatch
@@ -100,23 +99,6 @@ def sparse_column_stats(q: ColumnMatrix, p: ColumnMatrix, k_max: int):
         partials.append(math.inf if has_zero else log_sum / k)
     estimate = math.inf if has_zero else tail_window_max(partials)
     return members, partials, estimate
-
-
-def digit_log_share(q: ColumnMatrix, word: Sequence[int]):
-    """Per-position ratio ln(last entry) / ln(product of earlier entries).
-
-    Small values mean no single digit dominates the cylinder's log-length;
-    for a constant-column matrix the value at position k is 1/(k-1).
-    """
-    if len(word) < 2:
-        raise ValueError("word must have length >= 2")
-    logs = [ln(q.column(j).entries[a]) for j, a in enumerate(word, start=1)]
-    shares = []
-    acc = logs[0]
-    for k in range(2, len(word) + 1):
-        shares.append(logs[k - 1] / acc)
-        acc += logs[k - 1]
-    return shares
 
 
 @dataclass(frozen=True)

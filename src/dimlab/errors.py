@@ -37,10 +37,6 @@ class OutOfUnitInterval(DimlabError):
     pass
 
 
-class ZeroMeasureCylinder(DimlabError):
-    pass
-
-
 class ToleranceNotReached(DimlabError):
     """Rank budget exhausted before the image interval shrank below tol."""
 

@@ -273,11 +273,12 @@ def run_scenario(s: Scenario, budget: int = dim.DEFAULT_ENUM_BUDGET) -> Report:
     start = time.perf_counter()
     failed = False
     verdicts = {}
-    try:
-        results = _RUNNERS[s.kind](s, budget)
-    except DimlabError as exc:  # partial report; any other error is a bug
-        results = {"error": f"{type(exc).__name__}: {exc}"}
-        failed = True
+    with _unlimited_int_digits():  # error messages may state huge integers
+        try:
+            results = _RUNNERS[s.kind](s, budget)
+        except DimlabError as exc:  # partial report; any other error is a bug
+            results = {"error": f"{type(exc).__name__}: {exc}"}
+            failed = True
     elapsed = time.perf_counter() - start
     report_obj = results.get("criteria")
     if report_obj is not None:
@@ -323,8 +324,9 @@ def _json_float(value: float):
 
 @contextmanager
 def _unlimited_int_digits():
-    """Lift CPython's int -> str digit limit (3.10.7+) while exact results
-    are written; deep-rank rationals can exceed its 4300 digits."""
+    """Lift CPython's int -> str digit limit (3.10.7+) while a scenario
+    runs and is written; deep-rank rationals, in results or errors, can
+    outgrow it."""
     if not hasattr(sys, "set_int_max_str_digits"):
         yield
         return

@@ -1,8 +1,9 @@
 """Product measure of independent digits and its distribution function.
 
-The random variable picks digit a at position j with probability p_{aj};
-its distribution function maps each geometry cylinder onto the cylinder
-with the same digit word under the measure matrix.
+The random variable picks digit a at position j with probability p_{aj}.
+Its distribution function F maps each geometry cylinder onto the cylinder
+with the same digit word under the measure matrix: `mu_cylinder` gives the
+measure, `f_xi_cylinder` the image, and `f_xi_point` brackets F at a point.
 """
 
 from __future__ import annotations
@@ -11,14 +12,13 @@ from fractions import Fraction
 from itertools import islice
 from typing import Sequence
 
-from .errors import ShapeMismatch, ToleranceNotReached, ZeroMeasureCylinder
+from .errors import ShapeMismatch, ToleranceNotReached
 from .qtilde import (
     ColumnMatrix,
     Cylinder,
     RationalLike,
     cylinder,
     digits,
-    ln,
     nested,
     to_fraction,
 )
@@ -69,12 +69,3 @@ def f_xi_point(q: ColumnMatrix, p: ColumnMatrix, x: RationalLike,
     raise ToleranceNotReached(f"image interval still {Fraction(length, denominator)}"
                               f" wide after rank {max_rank}")
 
-
-def local_dim_ratio(q: ColumnMatrix, p: ColumnMatrix, word: Sequence[int]) -> float:
-    """ln(measure of the word's cylinder) / ln(length of the cylinder)."""
-    if not word:
-        raise ValueError("word must be nonempty")
-    mu = mu_cylinder(p, word)
-    if mu == 0:
-        raise ZeroMeasureCylinder(f"word {tuple(word)} has zero measure")
-    return ln(mu) / ln(mu_cylinder(q, word))

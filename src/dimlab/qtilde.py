@@ -222,10 +222,6 @@ class Cylinder:
     def length(self) -> Fraction:
         return self.right - self.left
 
-    @property
-    def rank(self) -> int:
-        return len(self.word)
-
     def contains(self, x: Fraction) -> bool:
         # left-closed convention: the left endpoint belongs to the cylinder
         return self.left <= x < self.right

@@ -1,12 +1,12 @@
-"""Canonical matrices and digit specs used by the test-bench scenarios."""
+"""Canonical matrices and digit specs shared by the tests."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 
-from .dimension import MoranSpec
-from .qtilde import PMatrix, ProbColumn, QMatrix
+from dimlab.dimension import MoranSpec
+from dimlab.qtilde import PMatrix, ProbColumn, QMatrix
 
 HALF = Fraction(1, 2)
 

@@ -21,7 +21,6 @@ from dimlab import (
     f_xi_cylinder,
     f_xi_point,
     family_dim,
-    fixtures,
     moran_dim_oracle,
     mu_cylinder,
     packing_premeasure,
@@ -32,10 +31,12 @@ from dimlab import (
 from dimlab.criteria import PDP, NOT_PDP_B_POSITIVE
 from dimlab.dimension import MoranSpec
 
-QB = fixtures.uniform_binary()
-Q3 = fixtures.uniform_ternary()
-QMIX = fixtures.mixed_prefix_period()
-CANTOR = fixtures.cantor_spec()
+import matrices
+
+QB = matrices.uniform_binary()
+Q3 = matrices.uniform_ternary()
+QMIX = matrices.mixed_prefix_period()
+CANTOR = matrices.cantor_spec()
 LN2_LN3 = math.log(2) / math.log(3)
 
 
@@ -103,9 +104,9 @@ def test_acceptance_3_dimension_calibration():
     fam = family_dim(CANTOR, Q3, range(8, 13)).estimate
     assert abs(box - LN2_LN3) <= 0.02
     assert abs(fam - LN2_LN3) <= 0.02
-    full = family_dim(fixtures.full_spec(2), QB, range(8, 13)).estimate
+    full = family_dim(matrices.full_spec(2), QB, range(8, 13)).estimate
     full_box = dim_estimate(box_counts(
-        enumerate_cylinders(fixtures.full_spec(2), QB, 12),
+        enumerate_cylinders(matrices.full_spec(2), QB, 12),
         [Fraction(1, 2 ** k) for k in range(8, 13)])).estimate
     assert abs(full - 1.0) <= 0.01 and abs(full_box - 1.0) <= 0.01
     elapsed = time.perf_counter() - start
@@ -118,7 +119,7 @@ def test_acceptance_4_faithfulness_surrogate():
     cases = [
         (CANTOR, Q3, [Fraction(1, 3 ** k) for k in range(8, 13)]),
         (MoranSpec((), ((0, 1),)), Q3, [Fraction(1, 3 ** k) for k in range(8, 13)]),
-        (MoranSpec((), ((0, 2, 4),)), fixtures.s_adic(5),
+        (MoranSpec((), ((0, 2, 4),)), matrices.s_adic(5),
          [Fraction(1, 5 ** k) for k in range(5, 10)]),
     ]
     details = []
@@ -135,17 +136,17 @@ def test_acceptance_4_faithfulness_surrogate():
 
 def test_acceptance_5_criterion_engine():
     start = time.perf_counter()
-    p = fixtures.sparse_spike_p(400)
+    p = matrices.sparse_spike_p(400)
     members, partials, b_est = sparse_column_stats(QB, p, 400)
     # independent oracle: direct summation over the known spike positions
-    oracle = sum(-math.log(float(fixtures.spike_probability(m)))
+    oracle = sum(-math.log(float(matrices.spike_probability(m)))
                  for m in range(2, 21)) / 400
     assert abs(partials[399] - oracle) <= 1e-9
     assert abs(partials[399] - 0.5225) <= 0.01
     assert abs(b_est - 0.5) <= 0.05
     # the entropy-ratio limsup surrogate needs a longer horizon: spike
     # density 1/sqrt(k) only drops below 2% beyond k ~ 2500
-    _, _, _, ratio_est = entropy_ratio(QB, fixtures.sparse_spike_p(3000), 3000)
+    _, _, _, ratio_est = entropy_ratio(QB, matrices.sparse_spike_p(3000), 3000)
     assert ratio_est >= 0.98
     verdict = pdp_verdict(QB, p, 400, measure_dim_tol=0.05).verdict
     assert verdict == NOT_PDP_B_POSITIVE
@@ -157,7 +158,7 @@ def test_acceptance_5_criterion_engine():
 
 def test_acceptance_6_counterexample_pipeline():
     start = time.perf_counter()
-    p = fixtures.sparse_spike_p(400)
+    p = matrices.sparse_spike_p(400)
     spec = counterexample_spec(QB, p, 144)
     source = moran_dim_oracle(spec, QB, 144)
     members, _, b_est = sparse_column_stats(QB, p, 400)
@@ -222,7 +223,7 @@ def test_acceptance_9_gibbs_inequality():
     pairs = [
         (QB, QB),
         (QB, PMatrix([], [["1/3", "2/3"]])),
-        (QB, fixtures.sparse_spike_p(100)),
+        (QB, matrices.sparse_spike_p(100)),
         (QMIX, PMatrix([["1/5", "4/5"]], [["1/3", "2/3"]])),
         (Q3, Q3),
     ]

@@ -1,15 +1,11 @@
 import math
-import random
-from fractions import Fraction
 
 import pytest
 
 from dimlab import (
     counterexample_spec,
-    digit_log_share,
     entropy_ratio,
     entropy_terms,
-    fixtures,
     pdp_verdict,
     sparse_column_stats,
 )
@@ -22,7 +18,9 @@ from dimlab.criteria import (
 from dimlab.errors import ShapeMismatch
 from dimlab.qtilde import PMatrix, QMatrix
 
-QB = fixtures.uniform_binary()
+import matrices
+
+QB = matrices.uniform_binary()
 P13 = PMatrix([], [["1/3", "2/3"]])
 LN2 = math.log(2)
 
@@ -53,8 +51,8 @@ class TestEntropyTerms:
     def test_gibbs_inequality_per_column(self):
         pairs = [
             (QB, P13),
-            (QB, fixtures.sparse_spike_p(50)),
-            (fixtures.mixed_prefix_period(),
+            (QB, matrices.sparse_spike_p(50)),
+            (matrices.mixed_prefix_period(),
              PMatrix([["1/5", "4/5"]], [["1/3", "2/3"]])),
         ]
         for q, p in pairs:
@@ -79,7 +77,7 @@ class TestEntropyRatio:
         assert est == pytest.approx(0.9182958, abs=1e-6)
 
     def test_sparse_spike_long_horizon(self):
-        p = fixtures.sparse_spike_p(3000)
+        p = matrices.sparse_spike_p(3000)
         _, _, _, est = entropy_ratio(QB, p, 3000)
         assert est >= 0.98
 
@@ -92,7 +90,7 @@ class TestSparseColumns:
         assert est == 0.0
 
     def test_sparse_spike(self):
-        p = fixtures.sparse_spike_p(400)
+        p = matrices.sparse_spike_p(400)
         members, partials, est = sparse_column_stats(QB, p, 400)
         # m=1 is excluded: e^-1 ~ 0.368 >= q_min/2 = 1/4
         assert members == [m * m for m in range(2, 21)]
@@ -107,45 +105,22 @@ class TestSparseColumns:
         assert est == math.inf
 
     def test_partial_times_k_nondecreasing(self):
-        p = fixtures.sparse_spike_p(200)
+        p = matrices.sparse_spike_p(200)
         _, partials, _ = sparse_column_stats(QB, p, 200)
         masses = [v * k for k, v in enumerate(partials, start=1)]
         assert all(b >= a - 1e-12 for a, b in zip(masses, masses[1:]))
 
 
-class TestDigitLogShare:
-    def test_uniform_binary(self):
-        shares = digit_log_share(QB, (0, 1, 1, 0, 1))
-        for k, s in enumerate(shares, start=2):
-            assert s == pytest.approx(1 / (k - 1), abs=1e-12)
-
-    def test_uniform_ternary_rank_ten(self):
-        shares = digit_log_share(fixtures.uniform_ternary(), (0,) * 10)
-        assert shares[-1] == pytest.approx(1 / 9, abs=1e-12)
-
-    def test_bounded_by_extreme_entries(self):
-        rng = random.Random(23)
-        for _ in range(20):
-            a = Fraction(rng.randrange(1, 9), 10)
-            q = QMatrix([], [[str(a), str(1 - a)]])
-            lo = min(a, 1 - a)
-            hi = max(a, 1 - a)
-            w = tuple(rng.randrange(2) for _ in range(12))
-            for k, s in enumerate(digit_log_share(q, w), start=2):
-                bound = math.log(lo) / ((k - 1) * math.log(hi))
-                assert s <= bound + 1e-12
-
-
 class TestVerdict:
     def test_identity_pdp(self):
-        for q in (QB, fixtures.uniform_ternary(), fixtures.mixed_prefix_period()):
+        for q in (QB, matrices.uniform_ternary(), matrices.mixed_prefix_period()):
             report = pdp_verdict(q, q, 64)
             assert report.verdict == PDP
             assert report.sparse_estimate == 0.0
             assert report.ratio_estimate == 1.0
 
     def test_sparse_spike_fails_on_density(self):
-        report = pdp_verdict(QB, fixtures.sparse_spike_p(400), 400,
+        report = pdp_verdict(QB, matrices.sparse_spike_p(400), 400,
                              measure_dim_tol=0.05)
         assert report.verdict == NOT_PDP_B_POSITIVE
         assert report.sparse_estimate == pytest.approx(0.5, abs=0.05)
@@ -171,7 +146,7 @@ class TestCounterexampleSpec:
             assert spec.allowed(j) == (0, 1)
 
     def test_sparse_spike_forcing(self):
-        p = fixtures.sparse_spike_p(400)
+        p = matrices.sparse_spike_p(400)
         spec = counterexample_spec(QB, p, 16)
         for j in (4, 9, 16):
             assert spec.allowed(j) == (0,)
@@ -181,7 +156,7 @@ class TestCounterexampleSpec:
         assert spec.count(16) == 2 ** 13
 
     def test_forced_density_matches_measured(self):
-        p = fixtures.sparse_spike_p(400)
+        p = matrices.sparse_spike_p(400)
         members, _, _ = sparse_column_stats(QB, p, 144)
         spec = counterexample_spec(QB, p, 144)
         forced = [j for j in range(1, 145) if len(spec.allowed(j)) == 1]

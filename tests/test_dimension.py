@@ -12,7 +12,6 @@ from dimlab import (
     dim_estimate,
     enumerate_cylinders,
     family_dim,
-    fixtures,
     moran_dim_oracle,
     packing_premeasure,
     premeasure_ordering_check,
@@ -27,15 +26,17 @@ from dimlab.errors import (
 )
 from dimlab.qtilde import Cylinder, PMatrix, QMatrix, cylinder
 
-Q3 = fixtures.uniform_ternary()
-QB = fixtures.uniform_binary()
-CANTOR = fixtures.cantor_spec()
+import matrices
+
+Q3 = matrices.uniform_ternary()
+QB = matrices.uniform_binary()
+CANTOR = matrices.cantor_spec()
 LN2_LN3 = math.log(2) / math.log(3)
 
 
 class TestEnumerate:
     def test_full_binary_tiles(self):
-        cyls = enumerate_cylinders(fixtures.full_spec(2), QB, 3)
+        cyls = enumerate_cylinders(matrices.full_spec(2), QB, 3)
         assert len(cyls) == 8
         assert cyls[0].left == 0 and cyls[-1].right == 1
         for a, b in zip(cyls, cyls[1:]):
@@ -52,12 +53,12 @@ class TestEnumerate:
         ]
 
     def test_counterexample_spec_pruned_count(self):
-        spec = counterexample_spec(QB, fixtures.sparse_spike_p(400), 16)
+        spec = counterexample_spec(QB, matrices.sparse_spike_p(400), 16)
         assert len(enumerate_cylinders(spec, QB, 4)) == 8
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
-            enumerate_cylinders(fixtures.full_spec(2), QB, 10, budget=512)
+            enumerate_cylinders(matrices.full_spec(2), QB, 10, budget=512)
 
 
 PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
@@ -138,7 +139,7 @@ class TestIntegerKernel:
         tracemalloc.start()
         try:
             with pytest.raises(BudgetExceeded):
-                enumerate_cylinders(fixtures.full_spec(2), QB, 16, budget=2 ** 15)
+                enumerate_cylinders(matrices.full_spec(2), QB, 16, budget=2 ** 15)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -197,7 +198,7 @@ class TestBoxCounts:
 
     def test_grid_count_equals_cylinder_count_on_full_tiling(self):
         for k in (3, 5, 7):
-            cyls = enumerate_cylinders(fixtures.full_spec(2), QB, k)
+            cyls = enumerate_cylinders(matrices.full_spec(2), QB, k)
             (s,) = box_counts(cyls, [Fraction(1, 2 ** k)])
             assert s.count == len(cyls)
 
@@ -227,7 +228,7 @@ class TestDimEstimate:
 
 class TestFamilyDim:
     def test_full_binary(self):
-        est = family_dim(fixtures.full_spec(2), QB, range(4, 10))
+        est = family_dim(matrices.full_spec(2), QB, range(4, 10))
         assert est.estimate == pytest.approx(1.0, abs=1e-12)
         assert all(s.log_ratio == pytest.approx(1.0) for s in est.samples)
 
@@ -236,7 +237,7 @@ class TestFamilyDim:
         assert est.estimate == pytest.approx(LN2_LN3, abs=1e-12)
 
     def test_sparse_spike_witness_partials(self):
-        spec = counterexample_spec(QB, fixtures.sparse_spike_p(400), 16)
+        spec = counterexample_spec(QB, matrices.sparse_spike_p(400), 16)
         est = family_dim(spec, QB, [4, 9, 16])
         ratios = [s.log_ratio for s in est.samples]
         assert ratios[0] == pytest.approx(3 / 4, abs=1e-12)
@@ -256,7 +257,7 @@ class TestFamilyDim:
     def test_deep_ranks_without_enumeration(self):
         # counts are astronomically large; closed-form per-column products
         # keep this cheap
-        spec = counterexample_spec(QB, fixtures.sparse_spike_p(400), 400)
+        spec = counterexample_spec(QB, matrices.sparse_spike_p(400), 400)
         est = family_dim(spec, QB, [m * m for m in range(2, 21)])
         assert 0.9 <= est.estimate <= 1.0
 
@@ -267,11 +268,11 @@ class TestMoranOracle:
         assert est.estimate == pytest.approx(LN2_LN3, abs=1e-12)
 
     def test_full_s_adic(self):
-        est = moran_dim_oracle(fixtures.full_spec(5), fixtures.s_adic(5), 10)
+        est = moran_dim_oracle(matrices.full_spec(5), matrices.s_adic(5), 10)
         assert est.estimate == pytest.approx(1.0, abs=1e-12)
 
     def test_sparse_spike_witness(self):
-        spec = counterexample_spec(QB, fixtures.sparse_spike_p(400), 400)
+        spec = counterexample_spec(QB, matrices.sparse_spike_p(400), 400)
         est = moran_dim_oracle(spec, QB, 400)
         members = [m * m for m in range(2, 21)]
         for k in (4, 9, 16):
@@ -281,7 +282,7 @@ class TestMoranOracle:
         assert est.estimate >= 0.85  # density of forced columns -> 0
 
     def test_agrees_with_family_dim(self):
-        specs = [CANTOR, fixtures.full_spec(3), MoranSpec((), ((0, 1),))]
+        specs = [CANTOR, matrices.full_spec(3), MoranSpec((), ((0, 1),))]
         for spec in specs:
             fam = family_dim(spec, Q3, range(6, 13))
             oracle = moran_dim_oracle(spec, Q3, 12)
@@ -289,7 +290,7 @@ class TestMoranOracle:
 
     def test_rejects_non_uniform(self):
         with pytest.raises(NonUniformColumns):
-            moran_dim_oracle(fixtures.full_spec(2), fixtures.mixed_prefix_period(), 6)
+            moran_dim_oracle(matrices.full_spec(2), matrices.mixed_prefix_period(), 6)
 
 
 def brute_force_max_disjoint(points, eps, t_max):

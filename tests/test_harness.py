@@ -1,11 +1,14 @@
+import importlib.util
 import json
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from dimlab import fixtures
 from dimlab.cli import main
 from dimlab.errors import DigitOutOfRange, SchemaError, ShapeMismatch
 from dimlab.harness import (
@@ -16,6 +19,8 @@ from dimlab.harness import (
     parse_scenario,
     run_scenario,
 )
+
+import matrices
 
 
 def strict_json(text):
@@ -308,8 +313,8 @@ class TestCli:
         config = tmp_path / "spike6400.json"
         config.write_text(json.dumps({
             "kind": "counterexample",
-            "Q": fixtures.uniform_binary().to_dict(),
-            "P": fixtures.sparse_spike_p(6400).to_dict(),
+            "Q": matrices.uniform_binary().to_dict(),
+            "P": matrices.sparse_spike_p(6400).to_dict(),
             "k_max": 6400,
         }))
         limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
@@ -321,3 +326,50 @@ class TestCli:
         assert doc["failed"] is False
         assert (out / "image_dim_scales.csv").exists()
         assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+    @pytest.mark.parametrize("kind,error", [
+        ("dimension", "BudgetExceeded"),
+        ("transform", "ToleranceNotReached"),
+    ])
+    def test_error_stating_a_huge_integer(self, fixture_path, tmp_path,
+                                          capsys, kind, error):
+        # the error messages state 2^15000 cylinders and an image width
+        # over 10^6000, past CPython's 4300-digit int -> str limit
+        if kind == "dimension":
+            doc = json.loads(fixture_path("cantor_dimension.json").read_text())
+            doc["ranks"] = [8, 9, 10, 11, 15000]
+        else:
+            big = 10 ** 30
+            p = [f"{big - 1}/{big}", f"1/{big}"]
+            doc = {"kind": "transform",
+                   "Q": {"prefix": [], "period": [["1/2", "1/2"]]},
+                   "P": {"prefix": [], "period": [p]},
+                   "points": ["0"], "tol": "1/1024"}
+        config = tmp_path / "huge.json"
+        config.write_text(json.dumps(doc))
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        out = tmp_path / "out"
+        rc = main([kind, "--config", str(config), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {error}")
+        assert "Traceback" not in err
+        assert json.loads((out / "report.json").read_text())["failed"] is True
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def test_runtime_imports_only_stdlib():
+    # compare against a snapshot: site hooks may preload third-party modules
+    code = ("import sys; before = set(sys.modules); "
+            "import dimlab, dimlab.cli, dimlab.harness; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    added = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                           capture_output=True, text=True).stdout.split()
+    assert "dimlab.cli" in added
+    allowed = sys.stdlib_module_names | {"dimlab"}
+    assert [name for name in added
+            if name.partition(".")[0] not in allowed] == []
+    assert importlib.util.find_spec("dimlab.fixtures") is None

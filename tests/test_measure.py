@@ -9,14 +9,14 @@ from dimlab import (
     expand,
     f_xi_cylinder,
     f_xi_point,
-    fixtures,
-    local_dim_ratio,
     mu_cylinder,
 )
-from dimlab.errors import ShapeMismatch, ToleranceNotReached, ZeroMeasureCylinder
+from dimlab.errors import ShapeMismatch, ToleranceNotReached
 from dimlab.qtilde import PMatrix, ProbColumn
 
-QB = fixtures.uniform_binary()
+import matrices
+
+QB = matrices.uniform_binary()
 P13 = PMatrix([], [["1/3", "2/3"]])
 
 
@@ -34,7 +34,7 @@ class TestMuCylinder:
 
     def test_additivity_over_children(self):
         rng = random.Random(3)
-        p = fixtures.sparse_spike_p(50)
+        p = matrices.sparse_spike_p(50)
         for _ in range(100):
             w = tuple(rng.randrange(2) for _ in range(rng.randrange(0, 10)))
             total = sum(mu_cylinder(p, w + (a,)) for a in range(2))
@@ -92,7 +92,7 @@ class TestPointEvaluation:
         (QB, PMatrix([], [["1", "0"]]), 0, 200, "1"),
         (QB, PMatrix([], [["1", "0"]]), 0, 0, "1"),
         # 3 parts in 6 after the first digit: the width is stated reduced
-        (fixtures.uniform_ternary(),
+        (matrices.uniform_ternary(),
          PMatrix([["1/6", "1/3", "1/2"]], [["1", "0", "0"]]),
          Fraction(2, 3), 200, "1/2"),
     ])
@@ -129,7 +129,7 @@ class TestPointEvaluation:
     def test_bracket_is_image_cylinder_at_stopping_rank(self, p):
         # the bracket is the p-cylinder of x's q-digits at the first rank
         # whose image is no longer than tol (zero-length images included)
-        q = fixtures.mixed_prefix_period()
+        q = matrices.mixed_prefix_period()
         rng = random.Random(23)
         tol = Fraction(1, 1000)
         for _ in range(100):
@@ -140,29 +140,3 @@ class TestPointEvaluation:
             img = cylinder(p, expand(q, x, rank))
             assert f_xi_point(q, p, x, tol) == (img.left, img.right)
 
-
-class TestLocalDimRatio:
-    def test_identity_is_one(self):
-        assert local_dim_ratio(QB, QB, (0, 1, 1)) == 1.0
-
-    def test_known_values(self):
-        assert local_dim_ratio(QB, P13, (1, 1)) == pytest.approx(0.5849625007, abs=1e-9)
-        assert local_dim_ratio(QB, P13, (0, 0)) == pytest.approx(1.5849625007, abs=1e-9)
-
-    def test_zero_measure(self):
-        p0 = PMatrix([], [["0", "1"]])
-        with pytest.raises(ZeroMeasureCylinder):
-            local_dim_ratio(QB, p0, (0,))
-
-    def test_permutation_invariance(self):
-        # swapping a column's (q, p) pairs and the digit through the same
-        # permutation leaves the ratio unchanged
-        q = fixtures.mixed_prefix_period()
-        p = PMatrix([["1/5", "4/5"]], [["1/3", "2/3"]])
-        assert p.shape_matches(q)
-        q_swapped = PMatrix([["3/4", "1/4"]], [["1/2", "1/2"]])
-        p_swapped = PMatrix([["4/5", "1/5"]], [["1/3", "2/3"]])
-        w = (0, 1, 0)
-        w_swapped = (1, 1, 0)  # only column 1 was permuted
-        assert local_dim_ratio(q, p, w) == pytest.approx(
-            local_dim_ratio(q_swapped, p_swapped, w_swapped), abs=1e-12)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from dimlab import cylinder, expand, fixtures
+from dimlab import cylinder, expand
 from dimlab.errors import (
     ColumnNotStochastic,
     DigitOutOfRange,
@@ -12,6 +12,8 @@ from dimlab.errors import (
     OutOfUnitInterval,
 )
 from dimlab.qtilde import ProbColumn, QMatrix
+
+import matrices
 
 HALF = Fraction(1, 2)
 
@@ -42,59 +44,59 @@ class TestValidation:
             QMatrix([], [["0", "1"]])
 
     def test_ternary_q_min(self):
-        assert fixtures.uniform_ternary().min_entry() == Fraction(1, 3)
+        assert matrices.uniform_ternary().min_entry() == Fraction(1, 3)
 
     def test_roundtrip_dict(self):
-        q = fixtures.mixed_prefix_period()
+        q = matrices.mixed_prefix_period()
         assert QMatrix.from_dict(q.to_dict()) == q
 
 
 class TestCylinder:
     def test_ternary_word(self):
-        c = cylinder(fixtures.uniform_ternary(), (0, 2))
+        c = cylinder(matrices.uniform_ternary(), (0, 2))
         assert (c.left, c.right) == (Fraction(2, 9), Fraction(1, 3))
         assert c.length == Fraction(1, 9)
 
     def test_binary_word(self):
-        c = cylinder(fixtures.uniform_binary(), (1,))
+        c = cylinder(matrices.uniform_binary(), (1,))
         assert (c.left, c.right) == (HALF, Fraction(1))
 
     def test_mixed_word(self):
-        c = cylinder(fixtures.mixed_prefix_period(), (1, 0))
+        c = cylinder(matrices.mixed_prefix_period(), (1, 0))
         assert (c.left, c.right) == (Fraction(1, 4), Fraction(5, 8))
         assert c.length == Fraction(3, 8)
 
     def test_digit_out_of_range(self):
         with pytest.raises(DigitOutOfRange):
-            cylinder(fixtures.uniform_binary(), (0, 2))
+            cylinder(matrices.uniform_binary(), (0, 2))
 
     def test_empty_word_is_unit_interval(self):
-        c = cylinder(fixtures.uniform_binary(), ())
+        c = cylinder(matrices.uniform_binary(), ())
         assert (c.left, c.right) == (Fraction(0), Fraction(1))
 
 
 class TestExpand:
     def test_zero(self):
-        assert expand(fixtures.uniform_binary(), 0, 3) == (0, 0, 0)
+        assert expand(matrices.uniform_binary(), 0, 3) == (0, 0, 0)
 
     def test_quarter_ternary(self):
         # 1/4 = 0.020202... in base 3
-        assert expand(fixtures.uniform_ternary(), Fraction(1, 4), 4) == (0, 2, 0, 2)
+        assert expand(matrices.uniform_ternary(), Fraction(1, 4), 4) == (0, 2, 0, 2)
 
     def test_mixed_half(self):
-        assert expand(fixtures.mixed_prefix_period(), HALF, 2) == (1, 0)
+        assert expand(matrices.mixed_prefix_period(), HALF, 2) == (1, 0)
 
     def test_out_of_interval(self):
         with pytest.raises(OutOfUnitInterval):
-            expand(fixtures.uniform_binary(), Fraction(3, 2), 2)
+            expand(matrices.uniform_binary(), Fraction(3, 2), 2)
         with pytest.raises(OutOfUnitInterval):
-            expand(fixtures.uniform_binary(), 1, 2)
+            expand(matrices.uniform_binary(), 1, 2)
 
 
 TEST_MATRICES = [
-    fixtures.uniform_binary(),
-    fixtures.uniform_ternary(),
-    fixtures.mixed_prefix_period(),
+    matrices.uniform_binary(),
+    matrices.uniform_ternary(),
+    matrices.mixed_prefix_period(),
 ]
 
 
