@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .dimension import MoranSpec, tail_window_max
 from .errors import DegenerateDenominator, ShapeMismatch
-from .qtilde import ColumnMatrix, ln
+from .qtilde import ColumnMatrix, ProbColumn, ln
 
 # Verdict labels (fixed report vocabulary)
 PDP = "PDP"
@@ -29,20 +29,23 @@ def entropy_terms(q: ColumnMatrix, p: ColumnMatrix, j: int):
 
     Uses the convention 0 * ln 0 = 0, so zero-probability digits drop out.
     """
-    qcol = q.column(j)
-    pcol = p.column(j)
+    return _column_entropy(q.column(j), p.column(j), j)
+
+
+def _column_entropy(qcol: ProbColumn, pcol: ProbColumn, j: int):
+    """`entropy_terms` of column j, from the entry logs cached on each column."""
     if qcol.n != pcol.n:
         raise ShapeMismatch(
             f"column {j}: digit counts differ ({qcol.n} vs {pcol.n})"
         )
     h = 0.0
     b = 0.0
-    for pe, qe in zip(pcol.entries, qcol.entries):
-        if pe == 0:
+    for pterm, qterm in zip(pcol.logs, qcol.logs):
+        if pterm is None:  # a zero entry
             continue
-        lp = ln(pe)
-        h -= float(pe) * lp if pe != 1 else 0.0
-        b -= float(pe) * ln(qe)
+        pe, lp = pterm
+        h -= pe * lp  # ln 1 is exactly 0.0, so a unit entry adds nothing
+        b -= pe * qterm[1]
     return h, b
 
 
@@ -59,8 +62,8 @@ def entropy_ratio(q: ColumnMatrix, p: ColumnMatrix, k_max: int):
     ratios = []
     h_sum = 0.0
     b_sum = 0.0
-    for j in range(1, k_max + 1):
-        h, b = entropy_terms(q, p, j)
+    for j, qcol, pcol in zip(range(1, k_max + 1), q.stream(), p.stream()):
+        h, b = _column_entropy(qcol, pcol, j)
         h_sum += h
         b_sum += b
         if b_sum == 0.0:
@@ -88,8 +91,8 @@ def sparse_column_stats(q: ColumnMatrix, p: ColumnMatrix, k_max: int):
     partials = []
     log_sum = 0.0
     has_zero = False
-    for k in range(1, k_max + 1):
-        pk = p.column(k).min_entry()
+    for k, pcol in zip(range(1, k_max + 1), p.stream()):
+        pk = pcol.min_entry
         if pk < threshold:
             members.append(k)
             if pk == 0:
@@ -176,10 +179,9 @@ def counterexample_spec(q: ColumnMatrix, p: ColumnMatrix, k_max: int) -> MoranSp
     m, r = len(q.prefix), len(q.period)
     prefix_len = m + r * -(-max(k_max - m, 0) // r)
     prefix = []
-    for j in range(1, prefix_len + 1):
+    for j, qcol, pcol in zip(range(1, prefix_len + 1), q.stream(), p.stream()):
         if j in flagged:
-            entries = p.column(j).entries
-            prefix.append((entries.index(min(entries)),))
+            prefix.append((pcol.entries.index(pcol.min_entry),))
         else:
-            prefix.append(tuple(range(q.n(j))))
+            prefix.append(tuple(range(qcol.n)))
     return MoranSpec(tuple(prefix), tuple(tuple(range(c.n)) for c in q.period))

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, cycle, islice, product
 
 from .errors import (
     BudgetExceeded,
@@ -65,10 +65,15 @@ class MoranSpec:
     def allowed(self, j: int) -> tuple:
         return _periodic_item(self.allowed_prefix, self.allowed_period, j)
 
+    def stream(self) -> Iterator[tuple]:
+        """allowed(1), allowed(2), ... in order, without end."""
+        return chain(self.allowed_prefix, cycle(self.allowed_period))
+
     def validate_against(self, matrix: ColumnMatrix, upto: int) -> None:
-        for j in range(1, upto + 1):
-            n = matrix.n(j)
-            for a in self.allowed(j):
+        for j, allowed, column in zip(range(1, upto + 1), self.stream(),
+                                      matrix.stream()):
+            n = column.n
+            for a in allowed:
                 if not 0 <= a < n:
                     raise DigitOutOfRange(
                         f"allowed digit {a} out of range for column {j} (n={n})"
@@ -173,9 +178,9 @@ def enumerate_cylinders(spec: MoranSpec, matrix: ColumnMatrix, rank: int,
     choices = []
     denominator = 1
     lefts, lengths = [0], [1]
-    for j in range(1, rank + 1):
-        d, offsets, entries = matrix.column(j).scaled
-        digits = [a for a in spec.allowed(j) if entries[a]]
+    for allowed, column in islice(zip(spec.stream(), matrix.stream()), rank):
+        d, offsets, entries = column.scaled
+        digits = [a for a in allowed if entries[a]]
         lefts = [left * d + offsets[a] * length
                  for left, length in zip(lefts, lengths) for a in digits]
         lengths = [length * entries[a] for length in lengths for a in digits]
@@ -257,11 +262,11 @@ def family_dim(spec: MoranSpec, matrix: ColumnMatrix,
     count = 1
     log_count = 0.0
     max_len = Fraction(1)
+    columns = zip(spec.stream(), matrix.stream())
     j = 1
     for k in ranks:
         while j <= k:
-            choices = spec.allowed(j)
-            col = matrix.column(j)
+            choices, col = next(columns)
             count *= len(choices)
             log_count += math.log(len(choices))
             best = max(col.entries[a] for a in choices)
@@ -290,14 +295,14 @@ def moran_dim_oracle(spec: MoranSpec, matrix: ColumnMatrix,
     samples = []
     count = 1
     length = Fraction(1)
-    for j in range(1, k_max + 1):
-        col = matrix.column(j)
-        if len(set(col.entries)) != 1:
+    for j, allowed, col in zip(range(1, k_max + 1), spec.stream(),
+                               matrix.stream()):
+        if not col.uniform:
             raise NonUniformColumns(f"column {j} entries are not all equal")
-        choices = len(spec.allowed(j))
+        choices = len(allowed)
         count *= choices
         num += math.log(choices)
-        den += -ln(col.entries[0])
+        den += -col.logs[0][1]
         length *= col.entries[0]
         samples.append(ScaleSample(length, count, num / den))
     est = tail_window_max([s.log_ratio for s in samples])

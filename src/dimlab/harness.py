@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import sys
@@ -11,6 +10,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, is_dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
+from itertools import chain, islice, tee
 from pathlib import Path
 from typing import Optional
 
@@ -165,10 +165,14 @@ class Report:
 def _run_expand(s: Scenario, budget: int) -> dict:
     rows = []
     for x in s.points:
-        word = qtilde.expand(s.q, x, s.rank)
-        cyl = qtilde.cylinder(s.q, word)
+        # one walk: `nested` pulls each digit once, `tee` keeps the word
+        walk, word = tee(islice(qtilde.digits(s.q, x), max(s.rank, 0)))
+        left, length, denominator = 0, 1, 1
+        for left, length, denominator in qtilde.nested(s.q, walk):
+            pass
         rows.append({"point": x, "digits": list(word),
-                     "left": cyl.left, "right": cyl.right})
+                     "left": Fraction(left, denominator),
+                     "right": Fraction(left + length, denominator)})
     return {"digit_table": rows}
 
 
@@ -360,27 +364,30 @@ def emit_report(report: Report, out_dir, fmt: str = "json") -> list:
     return written
 
 
+def _write_csv(path: Path, header: tuple, rows) -> None:
+    """A CSV table of names, ints and floats.  No such cell holds a comma,
+    quote or line break, so each line is its cells' str() joined by commas
+    and ended by \r\n: the bytes `csv.writer` writes, without its
+    per-character scan."""
+    with open(path, "w", newline="") as fh:
+        fh.writelines(",".join(map(str, row)) + "\r\n"
+                      for row in chain((header,), rows))
+
+
 def _emit_csv_tables(report: Report, out_dir: Path) -> list:
     written = []
     crit_report = report.results.get("criteria")
     if isinstance(crit_report, crit.CriterionReport):
         path = out_dir / "criteria.csv"
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["k", "h_partial", "b_partial", "li_ratio",
-                        "B_partial", "in_T"])
-            for row in crit_report.csv_rows():
-                w.writerow(row)
+        _write_csv(path, ("k", "h_partial", "b_partial", "li_ratio",
+                          "B_partial", "in_T"), crit_report.csv_rows())
         written.append(path)
     for key, value in report.results.items():
         if isinstance(value, dim.DimensionEstimate):
             path = out_dir / f"{key}_scales.csv"
-            with open(path, "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["scale_num", "scale_den", "count", "log_ratio"])
-                for smp in value.samples:
-                    w.writerow([smp.scale.numerator, smp.scale.denominator,
-                                smp.count, smp.log_ratio])
+            _write_csv(path, ("scale_num", "scale_den", "count", "log_ratio"),
+                       ((smp.scale.numerator, smp.scale.denominator,
+                         smp.count, smp.log_ratio) for smp in value.samples))
             written.append(path)
     return written
 

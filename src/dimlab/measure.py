@@ -40,10 +40,10 @@ def f_xi_cylinder(q: ColumnMatrix, p: ColumnMatrix, word: Sequence[int]) -> Cyli
     Digit structure is preserved; only the interval is re-measured under p,
     so the image length equals mu_cylinder(p, word) exactly.
     """
-    for j in range(1, len(word) + 1):
-        if q.n(j) != p.n(j):
+    for j, qcol, pcol in zip(range(1, len(word) + 1), q.stream(), p.stream()):
+        if qcol.n != pcol.n:
             raise ShapeMismatch(
-                f"column {j}: digit counts differ ({q.n(j)} vs {p.n(j)})"
+                f"column {j}: digit counts differ ({qcol.n} vs {pcol.n})"
             )
     return cylinder(p, word)
 

@@ -15,7 +15,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, count, islice
+from itertools import accumulate, chain, cycle, islice
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import (
@@ -59,6 +59,16 @@ def _rationals(values, name: str) -> list:
     if not isinstance(values, list):
         raise SchemaError(f"{name} must be a list of rationals, got {values!r}")
     return [_exact(value, f"{name}[{i}]") for i, value in enumerate(values)]
+
+
+def _column(values, name: str) -> "ProbColumn":
+    """A config column as a ProbColumn; a `SchemaError` names the field, or
+    the index of its first bad entry."""
+    entries = _rationals(values, name)
+    try:
+        return ProbColumn(entries)
+    except (ColumnNotStochastic, NonPositiveEntry) as exc:
+        raise SchemaError(f"{name}: {exc}") from None
 
 
 def _int_lists(value, name: str) -> tuple:
@@ -123,8 +133,19 @@ class ProbColumn:
         entries = tuple(e.numerator * (d // e.denominator) for e in self.entries)
         return d, (0, *accumulate(entries)), entries
 
+    @cached_property
     def min_entry(self) -> Fraction:
         return min(self.entries)
+
+    @cached_property
+    def uniform(self) -> bool:
+        """True when all entries are equal."""
+        return len(set(self.entries)) == 1
+
+    @cached_property
+    def logs(self) -> tuple:
+        """(float(e), ln e) for each entry e, and None for a zero entry."""
+        return tuple((float(e), ln(e)) if e else None for e in self.entries)
 
 
 @dataclass(frozen=True)
@@ -148,23 +169,28 @@ class ColumnMatrix:
     def column(self, j: int) -> ProbColumn:
         return _periodic_item(self.prefix, self.period, j)
 
-    def n(self, j: int) -> int:
-        return self.column(j).n
+    def stream(self) -> Iterator[ProbColumn]:
+        """Columns 1, 2, ... in order, without end."""
+        return chain(self.prefix, cycle(self.period))
 
-    def columns(self) -> tuple:
-        return self.prefix + self.period
+    @cached_property
+    def distinct(self) -> tuple:
+        """Each column object once, in order of first position: a column
+        interned by `from_dict` is checked and summarised once."""
+        return tuple({id(c): c for c in self.prefix + self.period}.values())
 
     def min_entry(self) -> Fraction:
-        return min(c.min_entry() for c in self.columns())
+        return min(c.min_entry for c in self.distinct)
 
     def shape_matches(self, other: "ColumnMatrix") -> bool:
         lcm = math.lcm(len(self.period), len(other.period))
         horizon = max(len(self.prefix), len(other.prefix)) + lcm
-        return all(self.n(j) == other.n(j) for j in range(1, horizon + 1))
+        return all(a.n == b.n for a, b in
+                   islice(zip(self.stream(), other.stream()), horizon))
 
     def is_digit_uniform(self) -> bool:
         """True when every column has all-equal entries."""
-        return all(len(set(c.entries)) == 1 for c in self.columns())
+        return all(c.uniform for c in self.distinct)
 
     def to_dict(self) -> dict:
         return {
@@ -175,17 +201,31 @@ class ColumnMatrix:
     @classmethod
     def from_dict(cls, doc: dict) -> "ColumnMatrix":
         """Matrix from its JSON form: "prefix" and "period" are lists of
-        columns of exact rationals (a `SchemaError` names the field)."""
+        columns of exact rationals (a `SchemaError` names the field).
+
+        Equal raw columns share one `ProbColumn`, parsed and checked at the
+        first position that holds them.  The key keeps each value's type,
+        so `true` never passes for a `1` seen before."""
         name = cls.CONFIG_KEY
         if not isinstance(doc, dict):
             raise SchemaError(f"{name} must be an object")
+        interned = {}
         parts = []
         for part in ("prefix", "period"):
             columns = doc.get(part, [])
             if not isinstance(columns, list):
                 raise SchemaError(f"{name}.{part} must be a list of columns")
-            parts.append([_rationals(col, f"{name}.{part}[{i}]")
-                          for i, col in enumerate(columns)])
+            parsed = []
+            for i, col in enumerate(columns):
+                key = (tuple((type(v), v) for v in col)
+                       if isinstance(col, list) else None)
+                try:
+                    column = interned[key]
+                except (KeyError, TypeError):  # new, or unhashable (a list)
+                    # _column raises on a bad column: only good ones are kept
+                    column = interned[key] = _column(col, f"{name}.{part}[{i}]")
+                parsed.append(column)
+            parts.append(parsed)
         return cls(*parts)
 
 
@@ -196,7 +236,7 @@ class QMatrix(ColumnMatrix):
 
     def __post_init__(self):
         super().__post_init__()
-        for col in self.columns():
+        for col in self.distinct:
             for e in col.entries:
                 if e <= 0 or e >= 1:
                     raise NonPositiveEntry(
@@ -243,8 +283,8 @@ def digits(matrix: ColumnMatrix, x: RationalLike) -> Iterator[int]:
         raise OutOfUnitInterval(f"{t} is not in [0, 1)")
 
     def walk(r: int, w: int) -> Iterator[int]:
-        for j in count(1):
-            d, offsets, entries = matrix.column(j).scaled
+        for column in matrix.stream():
+            d, offsets, entries = column.scaled
             a = bisect_right(offsets, d * r // w) - 1  # r < w, so a < n
             yield a
             r, w = d * r - offsets[a] * w, w * entries[a]
@@ -257,8 +297,8 @@ def nested(matrix: ColumnMatrix, word: Iterable[int]) -> Iterator[tuple]:
     cylinder is [L/D, (L + Λ)/D), and column j's table (d, C, E) steps
     L <- L*d + C_a*Λ, Λ <- Λ*E_a and D <- D*d."""
     left, length, denominator = 0, 1, 1
-    for j, a in enumerate(word, start=1):
-        d, offsets, entries = matrix.column(j).scaled
+    for j, (a, column) in enumerate(zip(word, matrix.stream()), start=1):
+        d, offsets, entries = column.scaled
         if not 0 <= a < len(entries):
             raise DigitOutOfRange(
                 f"digit {a} out of range for column {j} (n={len(entries)})"

@@ -47,7 +47,7 @@ def report(n, detail):
 def all_words(matrix, rank):
     words = [()]
     for j in range(1, rank + 1):
-        words = [w + (a,) for w in words for a in range(matrix.n(j))]
+        words = [w + (a,) for w in words for a in range(matrix.column(j).n)]
     return words
 
 
@@ -63,7 +63,7 @@ def test_acceptance_1_exact_cylinder_algebra():
         # nesting + length product at a sampled depth
         rng = random.Random(41)
         for _ in range(200):
-            w = tuple(rng.randrange(matrix.n(j)) for j in range(1, 7))
+            w = tuple(rng.randrange(matrix.column(j).n) for j in range(1, 7))
             c = cylinder(matrix, w)
             parent = cylinder(matrix, w[:-1])
             assert parent.left <= c.left < c.right <= parent.right

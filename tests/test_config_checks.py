@@ -109,10 +109,39 @@ def test_infinite_tolerance_is_allowed(tmp_path, capsys):
      r"Q.period\[0\]\[0\]"),
     (PMatrix, {"prefix": [[True, 0]], "period": [["1/2", "1/2"]]},
      r"P.prefix\[0\]\[0\]"),
+    # a column equal to an earlier one under == but not in type is parsed
+    # on its own, so `true` is not taken for the `1` before it
+    (PMatrix, {"prefix": [[1, 0], [True, False]], "period": [["1/2", "1/2"]]},
+     r"P.prefix\[1\]\[0\]"),
+    (PMatrix, {"prefix": [[1, 0], [1, 0.5]], "period": [["1/2", "1/2"]]},
+     r"P.prefix\[1\]: column sums to 3/2"),
+    # an unhashable column skips the interning and still names its field
+    (PMatrix, {"prefix": [["1/2", "1/2"], [["1/2"], "1/2"]],
+               "period": [["1/2", "1/2"]]},
+     r"P.prefix\[1\]\[0\]"),
+    (QMatrix, {"prefix": [], "period": [["1/2", "1/2"], []]},
+     r"Q.period\[1\]: column has no entries"),
+    # a bad column at two positions is named at the first
+    (QMatrix, {"prefix": [["1/2", "1/2"], ["1/3", "1/3"], ["1/3", "1/3"]],
+               "period": [["1/3", "1/3"]]},
+     r"Q.prefix\[1\]: column sums to 2/3"),
+    (PMatrix, {"prefix": [["1/2", "1/2"]], "period": [[True, 0], [True, 0]]},
+     r"P.period\[0\]\[0\]"),
 ])
 def test_matrix_from_dict_names_the_field(cls, doc, field):
     with pytest.raises(SchemaError, match=field):
         cls.from_dict(doc)
+
+
+def test_from_dict_parses_each_distinct_column_once():
+    half, third = ["1/2", "1/2"], ["1/3", "2/3"]
+    m = PMatrix.from_dict({"prefix": [half, third, half, [0.5, 0.5], third],
+                           "period": [third, half]})
+    assert m.prefix[0] is m.prefix[2] is m.period[1]
+    assert m.prefix[1] is m.prefix[4] is m.period[0]
+    # equal entries spelled differently are parsed apart, and compare equal
+    assert m.prefix[3] is not m.prefix[0] and m.prefix[3] == m.prefix[0]
+    assert m.distinct == (m.prefix[0], m.prefix[1], m.prefix[3])
 
 
 @pytest.mark.parametrize("value", ["0", "-5", "abc", "1.5", ""])

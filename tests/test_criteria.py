@@ -6,6 +6,7 @@ from dimlab import (
     counterexample_spec,
     entropy_ratio,
     entropy_terms,
+    moran_dim_oracle,
     pdp_verdict,
     sparse_column_stats,
 )
@@ -15,8 +16,9 @@ from dimlab.criteria import (
     NOT_PDP_MEASURE_DIM,
     PDP,
 )
+from dimlab.dimension import MoranSpec, tail_window_max
 from dimlab.errors import ShapeMismatch
-from dimlab.qtilde import PMatrix, QMatrix
+from dimlab.qtilde import PMatrix, QMatrix, ln
 
 import matrices
 
@@ -161,3 +163,96 @@ class TestCounterexampleSpec:
         spec = counterexample_spec(QB, p, 144)
         forced = [j for j in range(1, 145) if len(spec.allowed(j)) == 1]
         assert forced == members
+
+
+# --- the cached column terms against an uncached reference ---
+
+HALF_RAW, THIRD_RAW = ["1/2", "1/2"], ["1/3", "1/3", "1/3"]
+
+
+def reference_entropy_ratio(q, p, k_max):
+    """Column by column through column(j), with ln and float on each entry."""
+    h_partials, b_partials, ratios = [], [], []
+    h_sum = b_sum = 0.0
+    for j in range(1, k_max + 1):
+        h = b = 0.0
+        for pe, qe in zip(p.column(j).entries, q.column(j).entries):
+            if pe == 0:
+                continue
+            h -= float(pe) * ln(pe) if pe != 1 else 0.0
+            b -= float(pe) * ln(qe)
+        h_sum += h
+        b_sum += b
+        h_partials.append(h_sum)
+        b_partials.append(b_sum)
+        ratios.append(h_sum / b_sum)
+    return h_partials, b_partials, ratios, tail_window_max(ratios)
+
+
+def reference_sparse_stats(q, p, k_max):
+    threshold = min(min(c.entries) for c in q.prefix + q.period) / 2
+    members, partials = [], []
+    log_sum, has_zero = 0.0, False
+    for k in range(1, k_max + 1):
+        pk = min(p.column(k).entries)
+        if pk < threshold:
+            members.append(k)
+            if pk == 0:
+                has_zero = True
+            else:
+                log_sum += -ln(pk)
+        partials.append(math.inf if has_zero else log_sum / k)
+    return members, partials, (math.inf if has_zero
+                               else tail_window_max(partials))
+
+
+def reference_oracle(spec, q, k_max):
+    num = den = 0.0
+    samples = []
+    for j in range(1, k_max + 1):
+        entry = q.column(j).entries[0]
+        num += math.log(len(spec.allowed(j)))
+        den += -ln(entry)
+        samples.append(num / den)
+    return samples, tail_window_max(samples)
+
+
+# Q parsed from a 400-column prefix of one repeated raw column
+Q_REPEATED = QMatrix.from_dict({"prefix": [HALF_RAW] * 400,
+                                "period": [HALF_RAW]})
+PAIRS = [
+    (Q_REPEATED, matrices.sparse_spike_p(400), 420),
+    # zero and unit P entries, and an infinite density from column 1
+    (matrices.mixed_prefix_period(),
+     PMatrix([["0", "1"], ["1/5", "4/5"]], [["1/3", "2/3"], ["1", "0"]]), 60),
+]
+
+
+class TestCachedColumnTerms:
+    """The cached per-column terms add the same floats in the same order as
+    the per-entry arithmetic, so every partial is equal, not just close."""
+
+    @pytest.mark.parametrize("q,p,k_max", PAIRS)
+    def test_entropy_ratio_is_bit_identical(self, q, p, k_max):
+        assert entropy_ratio(q, p, k_max) == reference_entropy_ratio(q, p, k_max)
+
+    @pytest.mark.parametrize("q,p,k_max", PAIRS)
+    def test_sparse_column_stats_is_bit_identical(self, q, p, k_max):
+        got = sparse_column_stats(q, p, k_max)
+        assert got == reference_sparse_stats(q, p, k_max)
+        assert q.min_entry() == min(min(c.entries) for c in q.prefix + q.period)
+
+    def test_moran_dim_oracle_is_bit_identical(self):
+        # uniform columns, binary and ternary, repeated through the prefix
+        q = QMatrix.from_dict({
+            "prefix": [THIRD_RAW if j % 7 == 0 else HALF_RAW
+                       for j in range(1, 301)],
+            "period": [HALF_RAW, THIRD_RAW]})
+        assert len(q.distinct) == 2
+        spec = MoranSpec(tuple((0,) if j % 5 == 0 else tuple(range(col.n))
+                               for j, col in enumerate(q.prefix, start=1)),
+                         ((0, 1), (0, 2)))
+        est = moran_dim_oracle(spec, q, 340)
+        samples, estimate = reference_oracle(spec, q, 340)
+        assert [smp.log_ratio for smp in est.samples] == samples
+        assert est.estimate == estimate

@@ -16,7 +16,7 @@ from dimlab import (
     packing_premeasure,
     premeasure_ordering_check,
 )
-from dimlab.dimension import MoranSpec, ScaleSample
+from dimlab.dimension import MoranSpec
 from dimlab import dimension
 from dimlab.errors import (
     BudgetExceeded,

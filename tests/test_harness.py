@@ -1,4 +1,6 @@
+import csv
 import importlib.util
+import io
 import json
 import math
 import os
@@ -9,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
+from dimlab import cylinder, expand
 from dimlab.cli import main
+from dimlab.dimension import DimensionEstimate
 from dimlab.errors import DigitOutOfRange, SchemaError, ShapeMismatch
 from dimlab.harness import (
     emit_plot_data,
@@ -56,7 +60,7 @@ class TestLoading:
         s = load_scenario(fixture_path("sparse_spike_criteria.json"))
         assert s.kind == "criteria"
         assert s.q.min_entry() == Fraction(1, 2)
-        assert s.p.column(4).min_entry() < Fraction(1, 4)
+        assert s.p.column(4).min_entry < Fraction(1, 4)
 
 
 def dimension_doc(**fields):
@@ -121,6 +125,20 @@ class TestRunners:
         assert rows[0]["digits"] == [0] * 6
         for row in rows:
             assert row["left"] <= row["point"] < row["right"]
+
+    def test_expand_rows_are_expand_and_cylinder(self):
+        doc = {"kind": "expand",
+               "Q": {"prefix": [["1/4", "3/4"]],
+                     "period": [["1/3", "1/3", "1/3"], ["2/5", "3/5"]]},
+               "points": ["0", "1/4", "5/7", "999/1000"]}
+        for rank in (-1, 0, 1, 9):
+            s = parse_scenario({**doc, "rank": rank})
+            rows = run_scenario(s).results["digit_table"]
+            for x, row in zip(s.points, rows):
+                word = expand(s.q, x, rank)
+                cyl = cylinder(s.q, word)
+                assert row == {"point": x, "digits": list(word),
+                               "left": cyl.left, "right": cyl.right}
 
     def test_transform(self, fixture_path):
         report = run_scenario(load_scenario(fixture_path("transform_onethird.json")))
@@ -194,6 +212,44 @@ class TestEmission:
         assert "box_scales.csv" in names
         scales = (tmp_path / "box_scales.csv").read_text().splitlines()
         assert scales[0] == "scale_num,scale_den,count,log_ratio"
+
+    @pytest.mark.parametrize("config", [
+        "sparse_spike_criteria.json", "counterexample_sparse_spike.json",
+        "cantor_dimension.json", "preservation_identity.json",
+        # a flagged column with a zero minimum: every B_partial is inf
+        {"kind": "criteria", "k_max": 12,
+         "Q": {"prefix": [], "period": [["1/2", "1/2"]]},
+         "P": {"prefix": [["0", "1"]], "period": [["1/3", "2/3"]]}},
+    ])
+    def test_csv_tables_are_csv_writer_bytes(self, fixture_path, tmp_path,
+                                             config):
+        if isinstance(config, dict):
+            s = parse_scenario(config)
+        else:
+            s = load_scenario(fixture_path(config))
+        report = run_scenario(s)
+        tables = {}
+        crit_report = report.results.get("criteria")
+        if crit_report is not None:
+            tables["criteria.csv"] = (
+                ["k", "h_partial", "b_partial", "li_ratio", "B_partial",
+                 "in_T"], list(crit_report.csv_rows()))
+        for key, value in report.results.items():
+            if isinstance(value, DimensionEstimate):
+                tables[f"{key}_scales.csv"] = (
+                    ["scale_num", "scale_den", "count", "log_ratio"],
+                    [[smp.scale.numerator, smp.scale.denominator, smp.count,
+                      smp.log_ratio] for smp in value.samples])
+        written = emit_report(report, tmp_path, fmt="csv")
+        assert sorted(p.name for p in written[1:]) == sorted(tables)
+        for name, (header, rows) in tables.items():
+            buf = io.StringIO(newline="")
+            writer = csv.writer(buf)
+            writer.writerow(header)
+            writer.writerows(rows)
+            assert (tmp_path / name).read_bytes() == buf.getvalue().encode()
+        if isinstance(config, dict):
+            assert all(row[4] == math.inf for row in tables["criteria.csv"][1])
 
     def test_plot_data(self, fixture_path, tmp_path):
         s = load_scenario(fixture_path("cantor_dimension.json"))

@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 
@@ -12,7 +11,7 @@ from dimlab import (
     mu_cylinder,
 )
 from dimlab.errors import ShapeMismatch, ToleranceNotReached
-from dimlab.qtilde import PMatrix, ProbColumn
+from dimlab.qtilde import PMatrix
 
 import matrices
 

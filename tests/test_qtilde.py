@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -11,6 +12,7 @@ from dimlab.errors import (
     NonPositiveEntry,
     OutOfUnitInterval,
 )
+from dimlab.dimension import MoranSpec
 from dimlab.qtilde import ProbColumn, QMatrix
 
 import matrices
@@ -19,7 +21,7 @@ HALF = Fraction(1, 2)
 
 
 def random_word(matrix, rank, rng):
-    return tuple(rng.randrange(matrix.n(j)) for j in range(1, rank + 1))
+    return tuple(rng.randrange(matrix.column(j).n) for j in range(1, rank + 1))
 
 
 class TestValidation:
@@ -106,7 +108,7 @@ def test_tiling_and_disjointness(matrix):
     for rank in range(1, 6):
         words = [()]
         for j in range(1, rank + 1):
-            words = [w + (a,) for w in words for a in range(matrix.n(j))]
+            words = [w + (a,) for w in words for a in range(matrix.column(j).n)]
         cyls = [cylinder(matrix, w) for w in words]
         assert cyls[0].left == 0
         assert cyls[-1].right == 1
@@ -132,7 +134,7 @@ def test_nesting(matrix):
     for _ in range(200):
         w = random_word(matrix, rng.randrange(0, 8), rng)
         parent = cylinder(matrix, w)
-        for a in range(matrix.n(len(w) + 1)):
+        for a in range(matrix.column(len(w) + 1).n):
             child = cylinder(matrix, w + (a,))
             assert parent.left <= child.left < child.right <= parent.right
 
@@ -201,3 +203,24 @@ def test_walk_matches_absolute_reference():
                     assert expand(q, point, rank) == word
                     c = cylinder(q, word)
                     assert (c.left, c.right) == (left, right)
+
+
+@pytest.mark.parametrize("matrix", [
+    matrices.sparse_spike_p(50),
+    QMatrix([["1/4", "3/4"], ["1/3", "1/3", "1/3"]],
+            [["1/2", "1/2"], ["1/5", "4/5"], ["1/3", "2/3"]]),
+    matrices.uniform_ternary(),
+])
+def test_stream_is_column_by_index(matrix):
+    horizon = len(matrix.prefix) + 3 * len(matrix.period)
+    streamed = list(islice(matrix.stream(), horizon))
+    assert len(streamed) == horizon
+    assert all(col is matrix.column(j)
+               for j, col in enumerate(streamed, start=1))
+
+
+def test_spec_stream_is_allowed_by_index():
+    spec = MoranSpec(((0,), (1, 2), (0,)), ((0, 1), (2,)))
+    horizon = 3 + 3 * 2
+    assert list(islice(spec.stream(), horizon)) == [
+        spec.allowed(j) for j in range(1, horizon + 1)]

@@ -154,8 +154,8 @@ class TestCounterexampleSpecPadding:
             tuple(range(c.n)) for c in q.period)
         for j in range(1, prefix_len + 3 * r):
             col = p.column(j)
-            flagged = j <= k_max and col.min_entry() < q.min_entry() / 2
-            expected = ((col.entries.index(col.min_entry()),) if flagged
+            flagged = j <= k_max and col.min_entry < q.min_entry() / 2
+            expected = ((col.entries.index(col.min_entry),) if flagged
                         else tuple(range(col.n)))
             assert spec.allowed(j) == expected
 

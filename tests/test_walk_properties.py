@@ -86,7 +86,7 @@ def points(draw):
 
 
 def words(matrix, rank):
-    return st.tuples(*(st.integers(0, matrix.n(j) - 1)
+    return st.tuples(*(st.integers(0, matrix.column(j).n - 1)
                        for j in range(1, rank + 1)))
 
 
