@@ -10,7 +10,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, is_dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
-from itertools import chain, islice, tee
+from itertools import chain
 from pathlib import Path
 from typing import Optional
 
@@ -165,14 +165,10 @@ class Report:
 def _run_expand(s: Scenario, budget: int) -> dict:
     rows = []
     for x in s.points:
-        # one walk: `nested` pulls each digit once, `tee` keeps the word
-        walk, word = tee(islice(qtilde.digits(s.q, x), max(s.rank, 0)))
-        left, length, denominator = 0, 1, 1
-        for left, length, denominator in qtilde.nested(s.q, walk):
-            pass
+        word = qtilde.expand(s.q, x, s.rank)
+        cyl = qtilde.cylinder(s.q, word)
         rows.append({"point": x, "digits": list(word),
-                     "left": Fraction(left, denominator),
-                     "right": Fraction(left + length, denominator)})
+                     "left": cyl.left, "right": cyl.right})
     return {"digit_table": rows}
 
 
