@@ -8,6 +8,7 @@ from .qtilde import (
     QMatrix,
     cylinder,
     expand,
+    locate,
 )
 from .measure import f_xi_cylinder, f_xi_point, mu_cylinder
 from .criteria import (

@@ -120,15 +120,6 @@ class CriterionReport:
     verdict: str
     tolerance: float
 
-    def csv_rows(self):
-        """Rows for the `k,h_partial,b_partial,li_ratio,B_partial,in_T` table."""
-        members = set(self.sparse_members)
-        for i in range(self.k_max):
-            k = i + 1
-            yield (k, self.h_partials[i], self.b_partials[i],
-                   self.ratio_partials[i], self.sparse_partials[i],
-                   int(k in members))
-
 
 def pdp_verdict(q: ColumnMatrix, p: ColumnMatrix, k_max: int,
                 measure_dim_tol: float = 0.05) -> CriterionReport:
@@ -165,16 +156,16 @@ def pdp_verdict(q: ColumnMatrix, p: ColumnMatrix, k_max: int,
     )
 
 
-def counterexample_spec(q: ColumnMatrix, p: ColumnMatrix, k_max: int) -> MoranSpec:
+def counterexample_spec(q: ColumnMatrix, p: ColumnMatrix, k_max: int,
+                        members) -> MoranSpec:
     """Digit restriction realizing the non-preservation witness set.
 
-    Columns flagged by sparse_column_stats are forced to their
-    minimal-probability digit (smallest index on ties); all other columns
-    are unrestricted.  The periodic tail allows every digit; the prefix
-    covers q's prefix and at least k_max columns, and ends on a period
-    boundary of q so that the two tails stay aligned.
+    The columns in `members`, the ones `sparse_column_stats(q, p, k_max)`
+    flags, are forced to their minimal-probability digit (smallest index on
+    ties); all other columns are unrestricted.  The periodic tail allows
+    every digit; the prefix covers q's prefix and at least k_max columns,
+    and ends on a period boundary of q so that the two tails stay aligned.
     """
-    members, _, _ = sparse_column_stats(q, p, k_max)
     flagged = set(members)
     m, r = len(q.prefix), len(q.period)
     prefix_len = m + r * -(-max(k_max - m, 0) // r)

@@ -7,10 +7,10 @@ import math
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
-from itertools import chain
+from itertools import count
 from pathlib import Path
 from typing import Optional
 
@@ -19,6 +19,7 @@ from . import dimension as dim
 from . import measure
 from . import qtilde
 from .errors import DimlabError, ParseError, SchemaError, ShapeMismatch
+from .jsontext import write_json
 from .qtilde import PMatrix, QMatrix, _exact, _int_lists, _rationals
 
 KINDS = ("expand", "transform", "dimension", "criteria",
@@ -165,9 +166,8 @@ class Report:
 def _run_expand(s: Scenario, budget: int) -> dict:
     rows = []
     for x in s.points:
-        word = qtilde.expand(s.q, x, s.rank)
-        cyl = qtilde.cylinder(s.q, word)
-        rows.append({"point": x, "digits": list(word),
+        cyl = qtilde.locate(s.q, x, s.rank)
+        rows.append({"point": x, "digits": list(cyl.word),
                      "left": cyl.left, "right": cyl.right})
     return {"digit_table": rows}
 
@@ -239,7 +239,7 @@ def _run_preservation(s: Scenario, budget: int) -> dict:
 def _run_counterexample(s: Scenario, budget: int) -> dict:
     k_max = s.k_max
     members, partials, b_estimate = crit.sparse_column_stats(s.q, s.p, k_max)
-    spec = crit.counterexample_spec(s.q, s.p, k_max)
+    spec = crit.counterexample_spec(s.q, s.p, k_max, members)
     ranks = sorted(s.ranks) or [m * m for m in range(2, int(k_max ** 0.5) + 1)]
     if s.q.is_digit_uniform():
         source = dim.moran_dim_oracle(spec, s.q, ranks[-1])
@@ -297,31 +297,6 @@ def run_scenario(s: Scenario, budget: int = dim.DEFAULT_ENUM_BUDGET) -> Report:
                   verdicts=verdicts, run_meta=run_meta, failed=failed)
 
 
-def jsonify(obj):
-    """Deterministic JSON form, one rule per type: floats through
-    `_json_float`, Fractions as strings, dicts and sequences element-wise,
-    and a dataclass as the dict of its fields."""
-    if isinstance(obj, float):
-        return _json_float(obj)
-    if obj is None or isinstance(obj, (str, int)):
-        return obj
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, dict):
-        return {str(k): jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonify(v) for v in obj]
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: jsonify(getattr(obj, f.name)) for f in fields(obj)}
-    return obj
-
-
-def _json_float(value: float):
-    """JSON has no inf or nan: a non-finite float becomes "inf", "-inf" or
-    "nan"."""
-    return value if math.isfinite(value) else str(value)
-
-
 @contextmanager
 def _unlimited_int_digits():
     """Lift CPython's int -> str digit limit (3.10.7+) while a scenario
@@ -343,49 +318,58 @@ def emit_report(report: Report, out_dir, fmt: str = "json") -> list:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with _unlimited_int_digits():
-        doc = {
-            "kind": report.kind,
-            "scenario": jsonify(report.scenario),
-            "results": jsonify(report.results),
-            "verdicts": jsonify(report.verdicts),
-            "failed": report.failed,
-            "run_meta": report.run_meta,
-        }
+        estimates = {key: value for key, value in report.results.items()
+                     if isinstance(value, dim.DimensionEstimate)}
+        # a deep sample's scale and count run to ~1000 digits: each is put
+        # in decimal once, for report.json and its scales CSV alike
+        decimals = {id(x): str(x) for value in estimates.values()
+                    for smp in value.samples for x in (smp.scale, smp.count)}
         master = out_dir / "report.json"
-        master.write_text(
-            json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
+        with open(master, "w") as fh:  # the Report's fields are its keys
+            write_json(report, fh.write, decimals)
+            fh.write("\n")
         written = [master]
         if fmt == "csv":
-            written.extend(_emit_csv_tables(report, out_dir))
+            written.extend(_emit_csv_tables(report, estimates, decimals,
+                                            out_dir))
     return written
 
 
-def _write_csv(path: Path, header: tuple, rows) -> None:
-    """A CSV table of names, ints and floats.  No such cell holds a comma,
-    quote or line break, so each line is its cells' str() joined by commas
-    and ended by \r\n: the bytes `csv.writer` writes, without its
-    per-character scan."""
+def _write_csv(path: Path, header: str, lines) -> None:
+    """A CSV table from its header and its lines, each ended by \\r\\n.
+    No cell holds a comma, quote or line break, so these are the bytes
+    `csv.writer` writes from the cells' str()."""
     with open(path, "w", newline="") as fh:
-        fh.writelines(",".join(map(str, row)) + "\r\n"
-                      for row in chain((header,), rows))
+        fh.write(header + "\r\n")
+        fh.writelines(lines)
 
 
-def _emit_csv_tables(report: Report, out_dir: Path) -> list:
+def _emit_csv_tables(report: Report, estimates: dict, decimals: dict,
+                     out_dir: Path) -> list:
     written = []
     crit_report = report.results.get("criteria")
     if isinstance(crit_report, crit.CriterionReport):
         path = out_dir / "criteria.csv"
-        _write_csv(path, ("k", "h_partial", "b_partial", "li_ratio",
-                          "B_partial", "in_T"), crit_report.csv_rows())
+        members = set(crit_report.sparse_members)
+        _write_csv(path, "k,h_partial,b_partial,li_ratio,B_partial,in_T", (
+            f"{k},{h},{b},{ratio},{density},{int(k in members)}\r\n"
+            for k, h, b, ratio, density in zip(
+                count(1), crit_report.h_partials, crit_report.b_partials,
+                crit_report.ratio_partials, crit_report.sparse_partials)))
         written.append(path)
-    for key, value in report.results.items():
-        if isinstance(value, dim.DimensionEstimate):
-            path = out_dir / f"{key}_scales.csv"
-            _write_csv(path, ("scale_num", "scale_den", "count", "log_ratio"),
-                       ((smp.scale.numerator, smp.scale.denominator,
-                         smp.count, smp.log_ratio) for smp in value.samples))
-            written.append(path)
+    for key, value in estimates.items():
+        path = out_dir / f"{key}_scales.csv"
+        _write_csv(path, "scale_num,scale_den,count,log_ratio",
+                   _scale_lines(value.samples, decimals))
+        written.append(path)
     return written
+
+
+def _scale_lines(samples, decimals: dict):
+    for smp in samples:
+        num, _, den = decimals[id(smp.scale)].partition("/")
+        yield (f"{num},{den or 1},{decimals[id(smp.count)]},"
+               f"{smp.log_ratio}\r\n")
 
 
 def emit_plot_data(report: Report, out_dir) -> list:

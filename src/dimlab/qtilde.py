@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, cycle, islice
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import (
@@ -226,7 +227,10 @@ class ColumnMatrix:
                     column = interned[key] = _column(col, f"{name}.{part}[{i}]")
                 parsed.append(column)
             parts.append(parsed)
-        return cls(*parts)
+        try:
+            return cls(*parts)
+        except NonPositiveEntry as exc:  # names the column's first position
+            raise SchemaError(f"{name}.{exc}") from None
 
 
 class QMatrix(ColumnMatrix):
@@ -236,12 +240,16 @@ class QMatrix(ColumnMatrix):
 
     def __post_init__(self):
         super().__post_init__()
+        columns = self.prefix + self.period
         for col in self.distinct:
             for e in col.entries:
                 if e <= 0 or e >= 1:
+                    i = next(i for i, c in enumerate(columns) if c is col)
+                    m = len(self.prefix)
+                    where = f"prefix[{i}]" if i < m else f"period[{i - m}]"
                     raise NonPositiveEntry(
-                        f"geometry entry {e} must lie strictly in (0, 1)"
-                    )
+                        f"{where}: geometry entry {e} must lie strictly in "
+                        f"(0, 1)")
 
 
 class PMatrix(ColumnMatrix):
@@ -273,23 +281,33 @@ class Cylinder:
 def digits(matrix: ColumnMatrix, x: RationalLike) -> Iterator[int]:
     """The digits of x under `matrix`, position by position, without end.
 
-    Walks in integer coordinates: x sits at r/w in the current cylinder, at
-    first r/w = x.  With the column's table (d, C, E) the digit is the last a
-    with C_a <= d*r/w; then r <- d*r - C_a*w, w <- w*E_a, with no gcd.
-    Cylinders are left-closed, so each rational in [0, 1) has one word per rank.
+    Cylinders are left-closed, so each rational in [0, 1) has one word per
+    rank.
     """
+    return map(itemgetter(0), _walk(matrix, _unit_point(x)))
+
+
+def _unit_point(x: RationalLike) -> Fraction:
     t = to_fraction(x)
     if not 0 <= t < 1:
         raise OutOfUnitInterval(f"{t} is not in [0, 1)")
+    return t
 
-    def walk(r: int, w: int) -> Iterator[int]:
-        for column in matrix.stream():
-            d, offsets, entries = column.scaled
-            a = bisect_right(offsets, d * r // w) - 1  # r < w, so a < n
-            yield a
-            r, w = d * r - offsets[a] * w, w * entries[a]
 
-    return walk(t.numerator, t.denominator)
+def _walk(matrix: ColumnMatrix, t: Fraction) -> Iterator[tuple]:
+    """(a, r, w, d) at each position: t's digit a there, t's place r/w
+    inside the cylinder it picks, and the lcm d of the column's entries.
+
+    Walks in integer coordinates: at first r/w = t.  With the column's table
+    (d, C, E) the digit is the last a with C_a <= d*r/w; then
+    r <- d*r - C_a*w, w <- w*E_a, with no gcd.
+    """
+    r, w = t.numerator, t.denominator
+    for column in matrix.stream():
+        d, offsets, entries = column.scaled
+        a = bisect_right(offsets, d * r // w) - 1  # r < w, so a < n
+        r, w = d * r - offsets[a] * w, w * entries[a]
+        yield a, r, w, d
 
 
 def nested(matrix: ColumnMatrix, word: Iterable[int]) -> Iterator[tuple]:
@@ -323,3 +341,22 @@ def expand(matrix: ColumnMatrix, x: RationalLike, rank: int) -> tuple:
     """The unique rank-`rank` digit word whose cylinder contains x
     (the empty word when rank <= 0)."""
     return tuple(islice(digits(matrix, x), max(rank, 0)))
+
+
+def locate(matrix: ColumnMatrix, x: RationalLike, rank: int) -> Cylinder:
+    """The rank-`rank` cylinder that contains x, from one digit walk
+    (`cylinder(matrix, expand(matrix, x, rank))`, without the second walk).
+
+    With x = p/q, the walk's last place r/w and D the product of the
+    columns' lcms d, w = q*Λ for the cylinder's scaled length Λ, so the
+    cylinder is [(p*D - r)/(q*D), (p*D - r + w)/(q*D)).
+    """
+    t = _unit_point(x)
+    word, r, w, denominator = [], t.numerator, t.denominator, 1
+    for a, r, w, d in islice(_walk(matrix, t), max(rank, 0)):
+        word.append(a)
+        denominator *= d
+    p, q = t.numerator, t.denominator
+    left = p * denominator - r
+    return Cylinder(tuple(word), Fraction(left, q * denominator),
+                    Fraction(left + w, q * denominator))

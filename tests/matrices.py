@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from dimlab.criteria import counterexample_spec, sparse_column_stats
 from dimlab.dimension import MoranSpec
 from dimlab.qtilde import PMatrix, ProbColumn, QMatrix
 
@@ -64,3 +65,9 @@ def sparse_spike_p(k_max: int = 400) -> PMatrix:
         else:
             columns.append(uniform)
     return PMatrix(tuple(columns), (uniform,))
+
+
+def witness_spec(q, p, k_max: int) -> MoranSpec:
+    """`counterexample_spec` over the columns `sparse_column_stats` flags."""
+    members, _, _ = sparse_column_stats(q, p, k_max)
+    return counterexample_spec(q, p, k_max, members)

@@ -12,7 +12,6 @@ import pytest
 from dimlab import (
     PMatrix,
     box_counts,
-    counterexample_spec,
     cylinder,
     dim_estimate,
     entropy_ratio,
@@ -159,7 +158,7 @@ def test_acceptance_5_criterion_engine():
 def test_acceptance_6_counterexample_pipeline():
     start = time.perf_counter()
     p = matrices.sparse_spike_p(400)
-    spec = counterexample_spec(QB, p, 144)
+    spec = matrices.witness_spec(QB, p, 144)
     source = moran_dim_oracle(spec, QB, 144)
     members, _, b_est = sparse_column_stats(QB, p, 400)
     # count formula: partial_k = 1 - |T_k|/k (3/4, 7/9, 13/16 at k=4, 9, 16)

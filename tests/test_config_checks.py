@@ -64,6 +64,8 @@ MALFORMED = [
     (config("criteria", P={"prefix": [["1/2", "abc"]],
                            "period": [["1/2", "1/2"]]}),
      "P.prefix[0][1]"),
+    (config("criteria", Q={"prefix": [["1/2", "1/2"]],
+                           "period": [["0", "1"]]}), "Q.period[0]"),
 ]
 
 
@@ -127,6 +129,12 @@ def test_infinite_tolerance_is_allowed(tmp_path, capsys):
      r"Q.prefix\[1\]: column sums to 2/3"),
     (PMatrix, {"prefix": [["1/2", "1/2"]], "period": [[True, 0], [True, 0]]},
      r"P.period\[0\]\[0\]"),
+    # a geometry entry 0 or 1, named at the column's first position
+    (QMatrix, {"prefix": [["1/2", "1/2"]], "period": [["0", "1"]]},
+     r"Q.period\[0\]: geometry entry 0 must lie strictly in \(0, 1\)"),
+    (QMatrix, {"prefix": [["1/2", "1/2"], ["1"], ["1/2", "1/2"], ["1"]],
+               "period": [["1"]]},
+     r"Q.prefix\[1\]: geometry entry 1 "),
 ])
 def test_matrix_from_dict_names_the_field(cls, doc, field):
     with pytest.raises(SchemaError, match=field):

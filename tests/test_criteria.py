@@ -143,13 +143,13 @@ class TestVerdict:
 
 class TestCounterexampleSpec:
     def test_identity_allows_everything(self):
-        spec = counterexample_spec(QB, QB, 16)
+        spec = matrices.witness_spec(QB, QB, 16)
         for j in range(1, 20):
             assert spec.allowed(j) == (0, 1)
 
     def test_sparse_spike_forcing(self):
         p = matrices.sparse_spike_p(400)
-        spec = counterexample_spec(QB, p, 16)
+        spec = matrices.witness_spec(QB, p, 16)
         for j in (4, 9, 16):
             assert spec.allowed(j) == (0,)
         for j in (1, 2, 3, 5, 8, 10, 15):
@@ -160,7 +160,7 @@ class TestCounterexampleSpec:
     def test_forced_density_matches_measured(self):
         p = matrices.sparse_spike_p(400)
         members, _, _ = sparse_column_stats(QB, p, 144)
-        spec = counterexample_spec(QB, p, 144)
+        spec = counterexample_spec(QB, p, 144, members)
         forced = [j for j in range(1, 145) if len(spec.allowed(j)) == 1]
         assert forced == members
 

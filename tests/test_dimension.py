@@ -8,7 +8,6 @@ import pytest
 
 from dimlab import (
     box_counts,
-    counterexample_spec,
     dim_estimate,
     enumerate_cylinders,
     family_dim,
@@ -53,7 +52,7 @@ class TestEnumerate:
         ]
 
     def test_counterexample_spec_pruned_count(self):
-        spec = counterexample_spec(QB, matrices.sparse_spike_p(400), 16)
+        spec = matrices.witness_spec(QB, matrices.sparse_spike_p(400), 16)
         assert len(enumerate_cylinders(spec, QB, 4)) == 8
 
     def test_budget(self):
@@ -237,7 +236,7 @@ class TestFamilyDim:
         assert est.estimate == pytest.approx(LN2_LN3, abs=1e-12)
 
     def test_sparse_spike_witness_partials(self):
-        spec = counterexample_spec(QB, matrices.sparse_spike_p(400), 16)
+        spec = matrices.witness_spec(QB, matrices.sparse_spike_p(400), 16)
         est = family_dim(spec, QB, [4, 9, 16])
         ratios = [s.log_ratio for s in est.samples]
         assert ratios[0] == pytest.approx(3 / 4, abs=1e-12)
@@ -257,7 +256,7 @@ class TestFamilyDim:
     def test_deep_ranks_without_enumeration(self):
         # counts are astronomically large; closed-form per-column products
         # keep this cheap
-        spec = counterexample_spec(QB, matrices.sparse_spike_p(400), 400)
+        spec = matrices.witness_spec(QB, matrices.sparse_spike_p(400), 400)
         est = family_dim(spec, QB, [m * m for m in range(2, 21)])
         assert 0.9 <= est.estimate <= 1.0
 
@@ -272,7 +271,7 @@ class TestMoranOracle:
         assert est.estimate == pytest.approx(1.0, abs=1e-12)
 
     def test_sparse_spike_witness(self):
-        spec = counterexample_spec(QB, matrices.sparse_spike_p(400), 400)
+        spec = matrices.witness_spec(QB, matrices.sparse_spike_p(400), 400)
         est = moran_dim_oracle(spec, QB, 400)
         members = [m * m for m in range(2, 21)]
         for k in (4, 9, 16):

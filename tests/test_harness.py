@@ -15,10 +15,10 @@ from dimlab import cylinder, expand
 from dimlab.cli import main
 from dimlab.dimension import DimensionEstimate
 from dimlab.errors import DigitOutOfRange, SchemaError, ShapeMismatch
+from dimlab.jsontext import write_json
 from dimlab.harness import (
     emit_plot_data,
     emit_report,
-    jsonify,
     load_scenario,
     parse_scenario,
     run_scenario,
@@ -194,8 +194,9 @@ class TestEmission:
         assert json.dumps(doc["a"], sort_keys=True) == json.dumps(doc["b"], sort_keys=True)
 
     def test_non_finite_floats_as_strings(self):
-        assert jsonify([math.inf, -math.inf, math.nan, 0.5]) == [
-            "inf", "-inf", "nan", 0.5]
+        buf = io.StringIO()
+        write_json([math.inf, -math.inf, math.nan, 0.5], buf.write, {})
+        assert strict_json(buf.getvalue()) == ["inf", "-inf", "nan", 0.5]
 
     def test_criteria_csv_header(self, fixture_path, tmp_path):
         s = load_scenario(fixture_path("sparse_spike_criteria.json"))
@@ -220,6 +221,11 @@ class TestEmission:
         {"kind": "criteria", "k_max": 12,
          "Q": {"prefix": [], "period": [["1/2", "1/2"]]},
          "P": {"prefix": [["0", "1"]], "period": [["1/3", "2/3"]]}},
+        # whole scales: their decimal has no "/den" part
+        {"kind": "dimension", "ranks": [2, 3, 4, 5],
+         "Q": {"prefix": [], "period": [["1/2", "1/2"]]},
+         "moran": {"allowed_prefix": [], "allowed_period": [[0, 1]]},
+         "scales": ["2", "1", "1/2", "1/4"]},
     ])
     def test_csv_tables_are_csv_writer_bytes(self, fixture_path, tmp_path,
                                              config):
@@ -231,9 +237,15 @@ class TestEmission:
         tables = {}
         crit_report = report.results.get("criteria")
         if crit_report is not None:
+            members = set(crit_report.sparse_members)
             tables["criteria.csv"] = (
                 ["k", "h_partial", "b_partial", "li_ratio", "B_partial",
-                 "in_T"], list(crit_report.csv_rows()))
+                 "in_T"],
+                [[k, h, b, ratio, density, int(k in members)]
+                 for k, h, b, ratio, density in zip(
+                     range(1, crit_report.k_max + 1), crit_report.h_partials,
+                     crit_report.b_partials, crit_report.ratio_partials,
+                     crit_report.sparse_partials, strict=True)])
         for key, value in report.results.items():
             if isinstance(value, DimensionEstimate):
                 tables[f"{key}_scales.csv"] = (
@@ -248,7 +260,7 @@ class TestEmission:
             writer.writerow(header)
             writer.writerows(rows)
             assert (tmp_path / name).read_bytes() == buf.getvalue().encode()
-        if isinstance(config, dict):
+        if isinstance(config, dict) and config["kind"] == "criteria":
             assert all(row[4] == math.inf for row in tables["criteria.csv"][1])
 
     def test_plot_data(self, fixture_path, tmp_path):

@@ -42,7 +42,7 @@ class TestValidation:
             QMatrix([["1/2", "1/2"]], [])
 
     def test_zero_entry_rejected_for_geometry(self):
-        with pytest.raises(NonPositiveEntry):
+        with pytest.raises(NonPositiveEntry, match=r"^period\[0\]: "):
             QMatrix([], [["0", "1"]])
 
     def test_ternary_q_min(self):

@@ -1,5 +1,6 @@
 """The report format, the fixed tail window and the failure rule."""
 
+import io
 import json
 import math
 from dataclasses import asdict, is_dataclass
@@ -8,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from dimlab import harness
-from dimlab.criteria import CriterionReport, counterexample_spec
+from dimlab.criteria import CriterionReport
 from dimlab.dimension import (
     DimensionEstimate,
     MoranSpec,
@@ -17,8 +18,12 @@ from dimlab.dimension import (
     tail_window_max,
 )
 from dimlab.errors import DegenerateDenominator
-from dimlab.harness import jsonify, load_scenario, parse_scenario, run_scenario
+from dimlab.cli import main
+from dimlab.harness import load_scenario, parse_scenario, run_scenario
+from dimlab.jsontext import write_json
 from dimlab.qtilde import PMatrix, QMatrix
+
+import matrices
 
 FIXTURES = ("cantor_dimension.json", "counterexample_sparse_spike.json",
             "expand_binary.json", "preservation_identity.json",
@@ -41,15 +46,15 @@ def per_type_jsonify(obj):
             "k_max": obj.k_max,
             "q_min": str(obj.q_min),
             "sparse_members": list(obj.sparse_members),
-            "sparse_partials": [harness._json_float(v)
+            "sparse_partials": [json_float(v)
                                 for v in obj.sparse_partials],
-            "sparse_estimate": harness._json_float(obj.sparse_estimate),
+            "sparse_estimate": json_float(obj.sparse_estimate),
             "h_partials": list(obj.h_partials),
             "b_partials": list(obj.b_partials),
             "ratio_partials": list(obj.ratio_partials),
             "ratio_estimate": obj.ratio_estimate,
             "verdict": obj.verdict,
-            "tolerance": harness._json_float(obj.tolerance),
+            "tolerance": json_float(obj.tolerance),
         }
     if isinstance(obj, MoranSpec):
         return {"allowed_prefix": [list(s) for s in obj.allowed_prefix],
@@ -61,39 +66,77 @@ def per_type_jsonify(obj):
     if isinstance(obj, (list, tuple)):
         return [per_type_jsonify(v) for v in obj]
     if isinstance(obj, float):
-        return harness._json_float(obj)
+        return json_float(obj)
     return obj
+
+
+def json_float(value):
+    return value if math.isfinite(value) else str(value)
 
 
 def dumps(doc):
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
 
 
+def written(obj):
+    """The text `emit_report` writes for obj."""
+    buf = io.StringIO()
+    write_json(obj, buf.write, {})
+    return buf.getvalue()
+
+
 class TestJsonify:
+    """The JSON form of report values, as `jsontext.write_json` writes it:
+    the text of `dumps` on the per-type oracle."""
+
     @pytest.mark.parametrize("name", FIXTURES)
     def test_matches_per_type_serialiser(self, fixture_path, name):
         report = run_scenario(load_scenario(fixture_path(name)))
         assert not report.failed
-        assert dumps(jsonify(report.results)) == dumps(
+        assert written(report.results) == dumps(
             per_type_jsonify(report.results))
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_cli_report_matches_per_type_serialiser(self, fixture_path,
+                                                    tmp_path, name):
+        config = fixture_path(name)
+        kind = json.loads(config.read_text())["kind"]
+        assert main([kind, "--config", str(config), "--out", str(tmp_path),
+                     "--format", "csv", "--plot-data"]) == 0
+        text = (tmp_path / "report.json").read_text()
+        report = run_scenario(load_scenario(config))
+        assert text == dumps({
+            "kind": kind,
+            "scenario": per_type_jsonify(report.scenario),
+            "results": per_type_jsonify(report.results),
+            "verdicts": report.verdicts,
+            "failed": False,
+            "run_meta": json.loads(text)["run_meta"],
+        }) + "\n"
 
     def test_non_finite_estimate_and_log_ratio(self):
         est = DimensionEstimate(
             (ScaleSample(Fraction(1, 2), 3, math.nan),
              ScaleSample(Fraction(1, 4), 5, -math.inf)),
             math.inf, "dyadic_box")
-        assert jsonify(est) == {
+        assert written(est) == dumps({
             "samples": [{"scale": "1/2", "count": 3, "log_ratio": "nan"},
                         {"scale": "1/4", "count": 5, "log_ratio": "-inf"}],
             "estimate": "inf",
             "method": "dyadic_box",
-        }
+        })
 
     def test_scalars(self):
-        assert jsonify([None, True, 3, "x", Fraction(-2, 6), (1.5,)]) == [
-            None, True, 3, "x", "-1/3", [1.5]]
-        assert jsonify({1: MoranSpec((), ((0, 1),))}) == {
-            "1": {"allowed_prefix": [], "allowed_period": [[0, 1]]}}
+        assert written([None, True, 3, "x", Fraction(-2, 6), (1.5,)]) == dumps(
+            [None, True, 3, "x", "-1/3", [1.5]])
+        assert written({1: MoranSpec((), ((0, 1),))}) == dumps(
+            {"1": {"allowed_prefix": [], "allowed_period": [[0, 1]]}})
+
+    @pytest.mark.parametrize("value", [object(), {1, 2}, b"x", ScaleSample,
+                                       [1, 2, object()]])
+    def test_other_types_are_type_errors(self, value):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            written(value)
 
 
 class TestTailWindow:
@@ -148,7 +191,7 @@ class TestCounterexampleSpecPadding:
                     [["1/3"] * 3] + [["1/2", "1/2"]] * (r - 1))
         p = PMatrix([["1/2", "1/2"]] * m,
                     [["1/10", "1/5", "7/10"]] + [["1/2", "1/2"]] * (r - 1))
-        spec = counterexample_spec(q, p, k_max)
+        spec = matrices.witness_spec(q, p, k_max)
         assert len(spec.allowed_prefix) == prefix_len
         assert spec.allowed_period == tuple(
             tuple(range(c.n)) for c in q.period)

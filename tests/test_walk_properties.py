@@ -16,7 +16,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dimlab import cylinder, enumerate_cylinders, expand, f_xi_point
+from dimlab import cylinder, enumerate_cylinders, expand, f_xi_point, locate
 from dimlab.dimension import MoranSpec
 from dimlab.errors import ToleranceNotReached
 from dimlab.qtilde import PMatrix, QMatrix
@@ -112,6 +112,22 @@ def test_left_endpoint_expands_to_its_word(pair, data):
     deeper = rank + data.draw(st.integers(0, 8))
     assert expand(q, c.left, deeper) == reference_walk(q, c.left, deeper)[0]
     assert expand(q, c.left, deeper)[:rank] == word
+
+
+@PROPERTY
+@given(matrices(), points(), st.booleans(), st.data())
+def test_locate_is_cylinder_of_expand(pair, x, use_p, data):
+    """One walk gives the cylinder that `expand` then `cylinder` give, at a
+    drawn point and at the left end of a drawn cylinder (a boundary; on P
+    a run of zero-length digits can put it at 1)."""
+    matrix = pair[use_p]
+    word = data.draw(words(matrix, data.draw(st.integers(0, 8))))
+    for point in (x, cylinder(matrix, word).left):
+        if point == 1:
+            continue
+        rank = data.draw(st.integers(-1, RANK))
+        assert locate(matrix, point, rank) == cylinder(
+            matrix, expand(matrix, point, rank))
 
 
 @PROPERTY
