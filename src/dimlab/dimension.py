@@ -2,10 +2,12 @@
 
 Provides cylinder enumeration for Moran-type sets (exact integer endpoints
 over one common denominator, in left-to-right order), exact grid box counts
-(one integer sweep per scale), tail-window limsup dimension estimates, a
-family-restricted (cylinder packing) estimator, a closed-form oracle for
-digit-uniform matrices, and finite-scale packing premeasure lower bounds
-(centered and uncentered) by weighted interval scheduling over balls.
+(one integer sweep per scale that steps from occupied cell to occupied cell,
+bisecting past the cylinders that start in the same cell), tail-window
+limsup dimension estimates, a family-restricted (cylinder packing)
+estimator, a closed-form oracle for digit-uniform matrices, and finite-scale
+packing premeasure lower bounds (centered and uncentered) by weighted
+interval scheduling over balls.
 
 Every limsup here, and in `criteria`, is estimated by `tail_window_max`:
 the maximum over the tail half (`WINDOW_FRACTION`) of the partial values.
@@ -15,11 +17,11 @@ The window is fixed; no function takes it as a parameter.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, cycle, islice, product
+from itertools import accumulate, chain, cycle, islice, product
 
 from .errors import (
     BudgetExceeded,
@@ -31,6 +33,7 @@ from .errors import (
     PremeasureOrderingViolated,
     SchemaError,
     TooFewScales,
+    magnitude,
 )
 from .qtilde import (ColumnMatrix, Cylinder, ln, _int_lists,
                      _periodic_item, to_fraction)
@@ -80,10 +83,8 @@ class MoranSpec:
                     )
 
     def count(self, rank: int) -> int:
-        c = 1
-        for j in range(1, rank + 1):
-            c *= len(self.allowed(j))
-        return c
+        """prod_{j<=rank} |allowed(j)|: how many words of length `rank`."""
+        return math.prod(map(len, islice(self.stream(), rank)))
 
     @classmethod
     def from_dict(cls, doc: dict) -> "MoranSpec":
@@ -171,9 +172,10 @@ def enumerate_cylinders(spec: MoranSpec, matrix: ColumnMatrix, rank: int,
     points, which are dimension-null.
     """
     spec.validate_against(matrix, rank)
-    if spec.count(rank) > budget:
+    count = spec.count(rank)
+    if count > budget:
         raise BudgetExceeded(
-            f"{spec.count(rank)} cylinders at rank {rank} exceed budget {budget}"
+            f"{magnitude(count)} cylinders at rank {rank} exceed budget {budget}"
         )
     choices = []
     denominator = 1
@@ -186,21 +188,27 @@ def enumerate_cylinders(spec: MoranSpec, matrix: ColumnMatrix, rank: int,
         lengths = [length * entries[a] for length in lengths for a in digits]
         choices.append(tuple(digits))
         denominator *= d
-    rights = [left + length for left, length in zip(lefts, lengths)]
-    return Cylinders(tuple(choices), denominator, lefts, rights)
+    # each length becomes its right end in place, so that the ends never
+    # take three lists at once
+    for i, left in enumerate(lefts):
+        lengths[i] += left
+    return Cylinders(tuple(choices), denominator, lefts, lengths)
 
 
 def _integer_ends(cylinders: Iterable[Cylinder]) -> tuple:
-    """(D, lefts, rights): the ends as integers over one denominator D, in
-    ascending (left, right) order."""
+    """(D, lefts, reach): the ends as integers over one denominator D, in
+    ascending (left, right) order; reach[i] is the largest right end among
+    the first i + 1."""
     if isinstance(cylinders, Cylinders):
+        # disjoint and ascending, so each right end is the largest so far
         return cylinders.denominator, cylinders.lefts, cylinders.rights
     ends = [(to_fraction(c.left), to_fraction(c.right)) for c in cylinders]
     d = math.lcm(*(x.denominator for pair in ends for x in pair))
     pairs = sorted((left.numerator * (d // left.denominator),
                     right.numerator * (d // right.denominator))
                    for left, right in ends)
-    return d, [left for left, _ in pairs], [right for _, right in pairs]
+    return (d, [left for left, _ in pairs],
+            list(accumulate((right for _, right in pairs), max)))
 
 
 def box_counts(cylinders: Iterable[Cylinder],
@@ -210,8 +218,14 @@ def box_counts(cylinders: Iterable[Cylinder],
     An enumeration's integer ends are used as they are, already in order;
     other cylinders are put over the lcm of their endpoint denominators and
     sorted.  With ends L/D and delta = a/b, L lies in cell (L*b) // (D*a).
+    The sweep steps from cell to cell.  A cylinder that reaches past its
+    own cell is one step.  One that ends in its cell is one step together
+    with all later cylinders that start in that cell, found by bisection on
+    the left ends: between them they cover the cell through the cell of the
+    largest right end so far.
     """
-    denominator, lefts, rights = _integer_ends(cylinders)
+    denominator, lefts, reach = _integer_ends(cylinders)
+    n = len(lefts)
     samples = []
     for delta in scales:
         delta = to_fraction(delta)
@@ -223,11 +237,23 @@ def box_counts(cylinders: Iterable[Cylinder],
         # `last` starts one cell left of the first, as ends may be negative
         count = 0
         last = lefts[0] * b // width - 1 if lefts else 0
-        for left, right in zip(lefts, rights):
-            lo = left * b // width
-            hi = -(-right * b // width) - 1 if right > left else lo
-            if lo <= last:
-                lo = last + 1
+        i = 0  # the next cylinder to read
+        while i < n:
+            cell = lefts[i] * b // width
+            hi = -(-reach[i] * b // width) - 1
+            i += 1
+            if hi <= cell:
+                # bound: the least left end in a later cell.  The next
+                # cylinder is compared first, so that where each cylinder
+                # fills its own cell no bisection is made.
+                bound = -(-(cell + 1) * width // b)
+                if i < n and lefts[i] < bound:
+                    i = bisect_left(lefts, bound, i + 1)
+                    hi = -(-reach[i - 1] * b // width) - 1
+                # a single point on the cell's left edge still counts it
+                if hi < cell:
+                    hi = cell
+            lo = cell if cell > last else last + 1
             if hi >= lo:
                 count += hi - lo + 1
                 last = hi

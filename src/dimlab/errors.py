@@ -4,6 +4,21 @@ Everything raised on purpose derives from DimlabError so the CLI can catch
 one base class and emit a failure-annotated report.
 """
 
+import math
+from fractions import Fraction
+
+
+def magnitude(x) -> str:
+    """A positive int or Fraction for an error text: exact while its terms
+    fit 64 bits, else four digits and a power of ten, so that an exact
+    value of any size costs the text a few bytes."""
+    x = Fraction(x)
+    if max(x.numerator.bit_length(), x.denominator.bit_length()) <= 64:
+        return str(x)
+    exponent = math.log10(x.numerator) - math.log10(x.denominator)
+    power = math.floor(exponent)
+    return f"{10 ** (exponent - power):.3f}e{power:+d}"
+
 
 class DimlabError(Exception):
     pass

@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Sequence
 
-from .errors import ShapeMismatch, ToleranceNotReached
+from .errors import ShapeMismatch, ToleranceNotReached, magnitude
 from .qtilde import (
     ColumnMatrix,
     Cylinder,
@@ -66,6 +66,7 @@ def f_xi_point(q: ColumnMatrix, p: ColumnMatrix, x: RationalLike,
         if length * tol.denominator <= tol.numerator * denominator:
             return (Fraction(left, denominator),
                     Fraction(left + length, denominator))
-    raise ToleranceNotReached(f"image interval still {Fraction(length, denominator)}"
-                              f" wide after rank {max_rank}")
+    raise ToleranceNotReached(
+        f"image interval still {magnitude(Fraction(length, denominator))}"
+        f" wide after rank {max_rank}")
 

@@ -5,6 +5,8 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dimlab import (
     box_counts,
@@ -56,8 +58,15 @@ class TestEnumerate:
         assert len(enumerate_cylinders(spec, QB, 4)) == 8
 
     def test_budget(self):
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded) as info:
             enumerate_cylinders(matrices.full_spec(2), QB, 10, budget=512)
+        assert str(info.value) == "1024 cylinders at rank 10 exceed budget 512"
+
+    def test_budget_message_states_a_huge_count_by_size(self):
+        with pytest.raises(BudgetExceeded) as info:
+            enumerate_cylinders(CANTOR, Q3, 15000, budget=512)
+        assert str(info.value) == (
+            "2.818e+4515 cylinders at rank 15000 exceed budget 512")
 
 
 PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
@@ -158,6 +167,73 @@ def brute_force_cells(cylinders, delta):
                for c in cylinders):
             count += 1
     return count
+
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
+                    database=None)
+
+
+@st.composite
+def small_enumerations(draw):
+    """The rank-0..3 cylinders of a drawn spec on a measure matrix of 1-3
+    columns, 2 or 3 digits each over a denominator up to 5; entries may be
+    0, so zero-length cylinders are dropped."""
+    columns, allowed = [], []
+    for n in draw(st.lists(st.integers(2, 3), min_size=1, max_size=3)):
+        den = draw(st.integers(1, 5))
+        cuts = sorted(draw(st.lists(st.integers(0, den), min_size=n - 1,
+                                    max_size=n - 1)))
+        ends = [0, *cuts, den]
+        columns.append([Fraction(b - a, den) for a, b in zip(ends, ends[1:])])
+        allowed.append(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    split = draw(st.integers(0, len(columns) - 1))
+    matrix = PMatrix(columns[:split], columns[split:])
+    spec = MoranSpec(allowed[:split], allowed[split:])
+    return enumerate_cylinders(spec, matrix, draw(st.integers(0, 3)))
+
+
+@st.composite
+def interval_lists(draw):
+    """1-8 intervals on grids 1/1 .. 1/24, so that many ends fall on cell
+    edges: single points, overlaps, nesting and ends left of 0."""
+    cyls = []
+    for _ in range(draw(st.integers(1, 8))):
+        den = draw(st.sampled_from((1, 2, 3, 4, 6, 8, 12, 24)))
+        left = Fraction(draw(st.integers(-den, 2 * den)), den)
+        width = Fraction(draw(st.one_of(st.just(0), st.integers(1, den))),
+                         den)
+        cyls.append(Cylinder((), left, left + width))
+    return cyls
+
+
+def drawn_scales(draw, cylinders):
+    """A scale coarser than 1/2, one from a grid that shares the ends'
+    edges, and one finer than the shortest proper cylinder."""
+    lengths = [c.length for c in cylinders if c.length > 0] or [Fraction(1)]
+    return [Fraction(draw(st.integers(51, 99)), 100),
+            Fraction(1, draw(st.sampled_from((2, 3, 4, 5, 6, 8, 12, 16, 24)))),
+            min(lengths) * Fraction(draw(st.integers(1, 2)),
+                                    draw(st.integers(3, 4)))]
+
+
+class TestBoxCountsProperties:
+    """The cell-wise sweep against the cell-by-cell oracle."""
+
+    @PROPERTY
+    @given(small_enumerations(), st.data())
+    def test_enumeration(self, cyls, data):
+        assume(len(cyls) > 0)
+        scales = drawn_scales(data.draw, cyls)
+        samples = box_counts(cyls, scales)
+        assert samples == box_counts(list(cyls), scales)
+        for smp in samples:
+            assert smp.count == brute_force_cells(cyls, smp.scale)
+
+    @PROPERTY
+    @given(interval_lists(), st.data())
+    def test_generic_lists(self, cyls, data):
+        for smp in box_counts(cyls, drawn_scales(data.draw, cyls)):
+            assert smp.count == brute_force_cells(cyls, smp.scale)
 
 
 class TestBoxCounts:

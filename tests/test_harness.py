@@ -401,8 +401,9 @@ class TestCli:
     ])
     def test_error_stating_a_huge_integer(self, fixture_path, tmp_path,
                                           capsys, kind, error):
-        # the error messages state 2^15000 cylinders and an image width
-        # over 10^6000, past CPython's 4300-digit int -> str limit
+        # 2^15000 cylinders and an image width with terms over 10^6000,
+        # past CPython's 4300-digit int -> str limit: the error line states
+        # each by its size
         if kind == "dimension":
             doc = json.loads(fixture_path("cantor_dimension.json").read_text())
             doc["ranks"] = [8, 9, 10, 11, 15000]
@@ -422,6 +423,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {error}")
         assert "Traceback" not in err
+        assert len(err.encode()) < 200
         assert json.loads((out / "report.json").read_text())["failed"] is True
         assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 

@@ -94,6 +94,10 @@ class TestPointEvaluation:
         (matrices.uniform_ternary(),
          PMatrix([["1/6", "1/3", "1/2"]], [["1", "0", "0"]]),
          Fraction(2, 3), 200, "1/2"),
+        # (1 - 10^-30)^200 has 6000-digit terms: the width is stated by
+        # its size
+        (QB, PMatrix([], [[f"{10 ** 30 - 1}/{10 ** 30}", f"1/{10 ** 30}"]]),
+         0, 200, "1.000e+0"),
     ])
     def test_tolerance_message(self, q, p, x, max_rank, width):
         with pytest.raises(ToleranceNotReached) as info:

@@ -8,6 +8,7 @@ denominators, and P columns may carry zero (and unit) entries.
 
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import pytest
 
@@ -177,3 +178,34 @@ def test_enumeration_matches_cylinder(pair, data):
     assert [c.word for c in cylinders] == expected
     for i, c in enumerate(cylinders):
         assert c == cylinder(matrix, c.word) == cylinders[i]
+
+
+@PROPERTY
+@given(matrices(), st.booleans(), st.data())
+def test_enumeration_tiles_nests_and_keeps_the_length_product(pair, use_p,
+                                                              data):
+    """Exact identities: with every digit allowed the cylinders tile [0, 1);
+    on any spec each rank-k cylinder lies in its rank-(k-1) parent, and the
+    lengths sum to prod_j sum_{a in A_j} q_aj.  On P a zero entry drops
+    zero-length cylinders, which changes none of these."""
+    matrix = pair[use_p]
+    rank = data.draw(st.integers(0, 5))
+    sizes = [matrix.column(j).n for j in range(1, rank + 1)]
+    full = enumerate_cylinders(MoranSpec([range(n) for n in sizes], [(0,)]),
+                               matrix, rank)
+    assert full.lefts[0] == 0 and full.rights[-1] == full.denominator
+    assert full.rights[:-1] == full.lefts[1:]
+
+    spec = MoranSpec([data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+                      for n in sizes], [(0,)])
+    parents = {(): (0, 1)}
+    for k in range(rank + 1):
+        level = enumerate_cylinders(spec, matrix, k)
+        for c in level:
+            left, right = parents[c.word[:-1]]
+            assert left <= c.left < c.right <= right
+        parents = {c.word: (c.left, c.right) for c in level}
+    total = sum(right - left for left, right in zip(level.lefts, level.rights))
+    assert Fraction(total, level.denominator) == prod(
+        sum(matrix.column(j).entries[a] for a in spec.allowed(j))
+        for j in range(1, rank + 1))
