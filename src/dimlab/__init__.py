@@ -15,7 +15,6 @@ from .criteria import (
     CriterionReport,
     counterexample_spec,
     entropy_ratio,
-    entropy_terms,
     pdp_verdict,
     sparse_column_stats,
 )

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dimension import MoranSpec, tail_window_max
-from .errors import DegenerateDenominator, ShapeMismatch
-from .qtilde import ColumnMatrix, ProbColumn, ln
+from .errors import DegenerateDenominator
+from .qtilde import ColumnMatrix, ProbColumn, _check_digit_counts, ln
 
 # Verdict labels (fixed report vocabulary)
 PDP = "PDP"
@@ -24,20 +24,12 @@ NOT_PDP_MEASURE_DIM = "NotPDP_MeasureDim"
 INCONCLUSIVE = "Inconclusive"
 
 
-def entropy_terms(q: ColumnMatrix, p: ColumnMatrix, j: int):
-    """Column entropy h = -sum p ln p and cross term b = -sum p ln q.
+def _column_entropy(qcol: ProbColumn, pcol: ProbColumn):
+    """Column entropy h = -sum p ln p and cross term b = -sum p ln q, from
+    the entry logs cached on each column.
 
     Uses the convention 0 * ln 0 = 0, so zero-probability digits drop out.
     """
-    return _column_entropy(q.column(j), p.column(j), j)
-
-
-def _column_entropy(qcol: ProbColumn, pcol: ProbColumn, j: int):
-    """`entropy_terms` of column j, from the entry logs cached on each column."""
-    if qcol.n != pcol.n:
-        raise ShapeMismatch(
-            f"column {j}: digit counts differ ({qcol.n} vs {pcol.n})"
-        )
     h = 0.0
     b = 0.0
     for pterm, qterm in zip(pcol.logs, qcol.logs):
@@ -57,13 +49,14 @@ def entropy_ratio(q: ColumnMatrix, p: ColumnMatrix, k_max: int):
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    _check_digit_counts(q, p, k_max)
     h_partials = []
     b_partials = []
     ratios = []
     h_sum = 0.0
     b_sum = 0.0
     for j, qcol, pcol in zip(range(1, k_max + 1), q.stream(), p.stream()):
-        h, b = _column_entropy(qcol, pcol, j)
+        h, b = _column_entropy(qcol, pcol)
         h_sum += h
         b_sum += b
         if b_sum == 0.0:

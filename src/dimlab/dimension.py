@@ -35,8 +35,7 @@ from .errors import (
     TooFewScales,
     magnitude,
 )
-from .qtilde import (ColumnMatrix, Cylinder, ln, _int_lists,
-                     _periodic_item, to_fraction)
+from .qtilde import ColumnMatrix, Cylinder, ln, _int_lists, to_fraction
 
 DEFAULT_ENUM_BUDGET = 2 ** 22
 WINDOW_FRACTION = 0.5
@@ -47,8 +46,8 @@ class MoranSpec:
     """Per-column allowed digit subsets: finite prefix + periodic tail.
 
     Defines the set of points whose digit at every position j lies in
-    allowed(j).  The rank-k piece of the set is a union of
-    prod_{j<=k} |allowed(j)| cylinders.
+    column j's allowed set A_j.  The rank-k piece of the set is a union of
+    prod_{j<=k} |A_j| cylinders.
     """
 
     allowed_prefix: tuple  # tuple[tuple[int, ...], ...]
@@ -65,11 +64,8 @@ class MoranSpec:
             if () in sets:
                 raise SchemaError(f"{name}[{sets.index(())}]: allowed-digit set is empty")
 
-    def allowed(self, j: int) -> tuple:
-        return _periodic_item(self.allowed_prefix, self.allowed_period, j)
-
     def stream(self) -> Iterator[tuple]:
-        """allowed(1), allowed(2), ... in order, without end."""
+        """The allowed sets of columns 1, 2, ... in order, without end."""
         return chain(self.allowed_prefix, cycle(self.allowed_period))
 
     def validate_against(self, matrix: ColumnMatrix, upto: int) -> None:
@@ -83,7 +79,7 @@ class MoranSpec:
                     )
 
     def count(self, rank: int) -> int:
-        """prod_{j<=rank} |allowed(j)|: how many words of length `rank`."""
+        """prod_{j<=rank} |A_j|: how many words of length `rank`."""
         return math.prod(map(len, islice(self.stream(), rank)))
 
     @classmethod
@@ -180,12 +176,18 @@ def enumerate_cylinders(spec: MoranSpec, matrix: ColumnMatrix, rank: int,
     choices = []
     denominator = 1
     lefts, lengths = [0], [1]
-    for allowed, column in islice(zip(spec.stream(), matrix.stream()), rank):
+    columns = zip(spec.stream(), matrix.stream())
+    for j, (allowed, column) in enumerate(islice(columns, rank), start=1):
         d, offsets, entries = column.scaled
         digits = [a for a in allowed if entries[a]]
         lefts = [left * d + offsets[a] * length
                  for left, length in zip(lefts, lengths) for a in digits]
         lengths = [length * entries[a] for length in lengths for a in digits]
+        if j == rank - 1:
+            # the last column reads these lengths while its two lists grow;
+            # equal lengths then share one int, so that they take little
+            shared = {}
+            lengths = [shared.setdefault(x, x) for x in lengths]
         choices.append(tuple(digits))
         denominator *= d
     # each length becomes its right end in place, so that the ends never
@@ -213,7 +215,8 @@ def _integer_ends(cylinders: Iterable[Cylinder]) -> tuple:
 
 def box_counts(cylinders: Iterable[Cylinder],
                scales: Iterable[Fraction]) -> list:
-    """Exact grid counts: cells [i*delta, (i+1)*delta) meeting the union.
+    """Exact grid counts: cells [i*delta, (i+1)*delta) meeting the union,
+    at each scale 0 < delta < 1 (at delta >= 1 the log ratio has no meaning).
 
     An enumeration's integer ends are used as they are, already in order;
     other cylinders are put over the lcm of their endpoint denominators and
@@ -229,8 +232,8 @@ def box_counts(cylinders: Iterable[Cylinder],
     samples = []
     for delta in scales:
         delta = to_fraction(delta)
-        if delta <= 0:
-            raise ValueError("scale must be positive")
+        if not 0 < delta < 1:
+            raise ValueError(f"scale {delta} is not in (0, 1)")
         b = delta.denominator
         width = denominator * delta.numerator
         # left ends ascend, so only cells past the last one counted are new;
@@ -312,7 +315,7 @@ def moran_dim_oracle(spec: MoranSpec, matrix: ColumnMatrix,
                      k_max: int) -> DimensionEstimate:
     """Independent ground truth for digit-uniform matrices.
 
-    partial_k = sum_{j<=k} ln|allowed(j)| / sum_{j<=k} ln(1/q_j) where q_j
+    partial_k = sum_{j<=k} ln|A_j| / sum_{j<=k} ln(1/q_j) where q_j
     is the common entry of column j.  Requires every column to be uniform.
     """
     spec.validate_against(matrix, k_max)

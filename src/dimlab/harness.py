@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import math
 import sys
 import time
 from contextlib import contextmanager
@@ -18,12 +17,10 @@ from . import criteria as crit
 from . import dimension as dim
 from . import measure
 from . import qtilde
-from .errors import DimlabError, ParseError, SchemaError, ShapeMismatch
+from .errors import DimlabError, ParseError, SchemaError
 from .jsontext import write_json
-from .qtilde import PMatrix, QMatrix, _exact, _int_lists, _rationals
-
-KINDS = ("expand", "transform", "dimension", "criteria",
-         "preservation", "counterexample")
+from .qtilde import (PMatrix, QMatrix, _check_digit_counts, _exact,
+                     _int_lists, _joint_horizon, _rationals)
 
 DEFAULT_TOLERANCES = {
     "dimension": 0.03,
@@ -50,33 +47,22 @@ class Scenario:
     raw: dict = field(default_factory=dict)
 
 
-_REQUIRED = {
-    "expand": ("Q", "points"),
-    "transform": ("Q", "P"),
-    "dimension": ("Q", "moran", "ranks"),
-    "criteria": ("Q", "P"),
-    "preservation": ("Q", "P", "moran", "ranks"),
-    "counterexample": ("Q", "P"),
-}
-
-
 def parse_scenario(doc: dict) -> Scenario:
     kind = doc.get("kind")
-    if kind not in KINDS:
+    if kind not in KINDS:  # a tuple: an unhashable kind is refused too
         raise SchemaError(f"unknown or missing scenario kind: {kind!r}")
-    for key in _REQUIRED[kind]:
+    for key in _KINDS[kind][1]:
         if key not in doc:
             raise SchemaError(f"{kind} scenario requires field {key!r}")
     q = QMatrix.from_dict(doc["Q"])
     p = PMatrix.from_dict(doc["P"]) if "P" in doc else None
-    if p is not None and not p.shape_matches(q):
-        raise ShapeMismatch("digit counts differ from the paired matrix")
+    if p is not None:
+        _check_digit_counts(q, p, _joint_horizon((q.prefix, q.period),
+                                                 (p.prefix, p.period)))
     moran = dim.MoranSpec.from_dict(doc["moran"]) if "moran" in doc else None
     if moran is not None:
-        # both are eventually periodic: one joint period covers every column
-        horizon = (max(len(q.prefix), len(moran.allowed_prefix))
-                   + math.lcm(len(q.period), len(moran.allowed_period)))
-        moran.validate_against(q, horizon)
+        moran.validate_against(q, _joint_horizon(
+            (q.prefix, q.period), (moran.allowed_prefix, moran.allowed_period)))
     k_max = _integer(doc, "k_max", 400, minimum=1)
     if kind == "counterexample" and "ranks" not in doc and k_max < 4:
         # the default ranks are the squares m*m <= k_max with m >= 2
@@ -90,13 +76,13 @@ def parse_scenario(doc: dict) -> Scenario:
         q=q,
         p=p,
         moran=moran,
-        points=tuple(_rationals(doc.get("points", []), "points")),
-        words=_int_lists(doc.get("words", []), "words"),
+        points=_unit_rationals(doc.get("points", []), "points", zero=True),
+        words=_words(doc.get("words", []), q),
         rank=_integer(doc, "rank", 8),
         ranks=_positive_ranks(doc["ranks"]) if "ranks" in doc else (),
         k_max=k_max,
         tol=tol,
-        scales=_positive_scales(doc.get("scales", [])),
+        scales=_unit_rationals(doc.get("scales", []), "scales", zero=False),
         tolerances=_tolerances(doc.get("tolerances", {})),
         name=str(doc.get("name", "scenario")),
         raw=doc,
@@ -119,13 +105,28 @@ def _positive_ranks(ranks) -> tuple:
     return tuple(ranks)
 
 
-def _positive_scales(values) -> tuple:
-    scales = _rationals(values, "scales")
-    for i, scale in enumerate(scales):
-        if scale <= 0:
+def _unit_rationals(values, name: str, zero: bool) -> tuple:
+    """A config list of rationals in [0, 1), or in (0, 1) unless `zero`; a
+    `SchemaError` names the first element outside it."""
+    numbers = _rationals(values, name)
+    for i, x in enumerate(numbers):
+        if not (0 <= x < 1 and (zero or x)):
+            interval = "[0, 1)" if zero else "(0, 1)"
             raise SchemaError(
-                f"scales[{i}] must be positive, got {values[i]!r}")
-    return tuple(scales)
+                f"{name}[{i}] must lie in {interval}, got {values[i]!r}")
+    return tuple(numbers)
+
+
+def _words(values, q: QMatrix) -> tuple:
+    """A config list of digit words; a `SchemaError` names the first word
+    with a digit out of range for its column of q."""
+    words = _int_lists(values, "words")
+    for i, word in enumerate(words):
+        for j, (a, column) in enumerate(zip(word, q.stream()), start=1):
+            if not 0 <= a < column.n:
+                raise SchemaError(f"words[{i}]: digit {a} out of range for "
+                                  f"column {j} (n={column.n})")
+    return words
 
 
 def _tolerances(values) -> dict:
@@ -146,7 +147,7 @@ def load_scenario(path) -> Scenario:
             doc = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an integer too long to convert
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("scenario document must be a JSON object")
@@ -259,14 +260,16 @@ def _run_counterexample(s: Scenario, budget: int) -> dict:
     }
 
 
-_RUNNERS = {
-    "expand": _run_expand,
-    "transform": _run_transform,
-    "dimension": _run_dimension,
-    "criteria": _run_criteria,
-    "preservation": _run_preservation,
-    "counterexample": _run_counterexample,
+# each kind's runner, and the fields its config must set
+_KINDS = {
+    "expand": (_run_expand, ("Q", "points")),
+    "transform": (_run_transform, ("Q", "P")),
+    "dimension": (_run_dimension, ("Q", "moran", "ranks")),
+    "criteria": (_run_criteria, ("Q", "P")),
+    "preservation": (_run_preservation, ("Q", "P", "moran", "ranks")),
+    "counterexample": (_run_counterexample, ("Q", "P")),
 }
+KINDS = tuple(_KINDS)
 
 
 def run_scenario(s: Scenario, budget: int = dim.DEFAULT_ENUM_BUDGET) -> Report:
@@ -275,7 +278,7 @@ def run_scenario(s: Scenario, budget: int = dim.DEFAULT_ENUM_BUDGET) -> Report:
     verdicts = {}
     with _unlimited_int_digits():  # error messages may state huge integers
         try:
-            results = _RUNNERS[s.kind](s, budget)
+            results = _KINDS[s.kind][0](s, budget)
         except DimlabError as exc:  # partial report; any other error is a bug
             results = {"error": f"{type(exc).__name__}: {exc}"}
             failed = True

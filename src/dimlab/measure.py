@@ -12,11 +12,12 @@ from fractions import Fraction
 from itertools import islice
 from typing import Sequence
 
-from .errors import ShapeMismatch, ToleranceNotReached, magnitude
+from .errors import ToleranceNotReached, magnitude
 from .qtilde import (
     ColumnMatrix,
     Cylinder,
     RationalLike,
+    _check_digit_counts,
     cylinder,
     digits,
     nested,
@@ -40,11 +41,7 @@ def f_xi_cylinder(q: ColumnMatrix, p: ColumnMatrix, word: Sequence[int]) -> Cyli
     Digit structure is preserved; only the interval is re-measured under p,
     so the image length equals mu_cylinder(p, word) exactly.
     """
-    for j, qcol, pcol in zip(range(1, len(word) + 1), q.stream(), p.stream()):
-        if qcol.n != pcol.n:
-            raise ShapeMismatch(
-                f"column {j}: digit counts differ ({qcol.n} vs {pcol.n})"
-            )
+    _check_digit_counts(q, p, len(word))
     return cylinder(p, word)
 
 

@@ -26,6 +26,7 @@ from .errors import (
     NonPositiveEntry,
     OutOfUnitInterval,
     SchemaError,
+    ShapeMismatch,
 )
 
 RationalLike = Union[Fraction, int, str]
@@ -88,16 +89,6 @@ def ln(value: Fraction) -> float:
     if value <= 0:
         raise ValueError(f"ln of non-positive rational {value}")
     return math.log(value.numerator) - math.log(value.denominator)
-
-
-def _periodic_item(prefix: Sequence, period: Sequence, j: int):
-    """Item j (1-indexed) of prefix followed by period repeated forever."""
-    if j < 1:
-        raise DigitOutOfRange(f"column index {j} must be >= 1")
-    m = len(prefix)
-    if j <= m:
-        return prefix[j - 1]
-    return period[(j - m - 1) % len(period)]
 
 
 @dataclass(frozen=True)
@@ -167,9 +158,6 @@ class ColumnMatrix:
         if not self.period:
             raise EmptyPeriod("periodic tail must contain at least one column")
 
-    def column(self, j: int) -> ProbColumn:
-        return _periodic_item(self.prefix, self.period, j)
-
     def stream(self) -> Iterator[ProbColumn]:
         """Columns 1, 2, ... in order, without end."""
         return chain(self.prefix, cycle(self.period))
@@ -182,12 +170,6 @@ class ColumnMatrix:
 
     def min_entry(self) -> Fraction:
         return min(c.min_entry for c in self.distinct)
-
-    def shape_matches(self, other: "ColumnMatrix") -> bool:
-        lcm = math.lcm(len(self.period), len(other.period))
-        horizon = max(len(self.prefix), len(other.prefix)) + lcm
-        return all(a.n == b.n for a, b in
-                   islice(zip(self.stream(), other.stream()), horizon))
 
     def is_digit_uniform(self) -> bool:
         """True when every column has all-equal entries."""
@@ -256,6 +238,24 @@ class PMatrix(ColumnMatrix):
     """Measure matrix: zero (and hence unit) entries are permitted."""
 
     CONFIG_KEY = "P"
+
+
+def _joint_horizon(*parts) -> int:
+    """How many columns eventually periodic sequences, each given as its
+    (prefix, period), take to repeat together: the longest prefix plus the
+    lcm of the period lengths.  A check over these columns covers all."""
+    return (max(len(prefix) for prefix, _ in parts)
+            + math.lcm(*(len(period) for _, period in parts)))
+
+
+def _check_digit_counts(q: ColumnMatrix, p: ColumnMatrix, upto: int) -> None:
+    """Raise `ShapeMismatch` at the first of columns 1..`upto` where q and
+    p differ in digit count."""
+    for j, qcol, pcol in zip(range(1, upto + 1), q.stream(), p.stream()):
+        if qcol.n != pcol.n:
+            raise ShapeMismatch(
+                f"column {j}: digit counts differ ({qcol.n} vs {pcol.n})")
+
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from dimlab.criteria import counterexample_spec, sparse_column_stats
+from dimlab.criteria import (counterexample_spec, entropy_ratio,
+                             sparse_column_stats)
 from dimlab.dimension import MoranSpec
 from dimlab.qtilde import PMatrix, ProbColumn, QMatrix
 
@@ -71,3 +72,10 @@ def witness_spec(q, p, k_max: int) -> MoranSpec:
     """`counterexample_spec` over the columns `sparse_column_stats` flags."""
     members, _, _ = sparse_column_stats(q, p, k_max)
     return counterexample_spec(q, p, k_max, members)
+
+
+def column_terms(qcol: ProbColumn, pcol: ProbColumn) -> tuple:
+    """Entropy h and cross term b of one column pair: the first partials of
+    `entropy_ratio` on the one-column matrices."""
+    h, b, _, _ = entropy_ratio(QMatrix((), (qcol,)), PMatrix((), (pcol,)), 1)
+    return h[0], b[0]

@@ -3,6 +3,7 @@
 import copy
 import json
 import random
+import sys
 
 import pytest
 
@@ -36,6 +37,11 @@ MALFORMED = [
     (config("transform", words=[[0], 1]), "words[1]"),
     (config("transform", words=[[False]]), "words[0]"),
     (config("transform", words=3), "words"),
+    # a digit out of range for its column of Q, or a point outside [0, 1)
+    (config("transform", words=[[1, 1], [0, 5]]),
+     "words[1]: digit 5 out of range for column 2"),
+    (config("expand", points=["1/3", "3/2"]), "points[1] must lie in [0, 1)"),
+    (config("transform", points=["-1/2"]), "points[0] must lie in [0, 1)"),
     (config("expand", rank="x"), "rank"),
     (config("expand", rank=True), "rank"),
     (config("expand", rank=2.0), "rank"),
@@ -85,6 +91,24 @@ def test_malformed_field_is_an_error_line(tmp_path, capsys, doc, field,
     assert field in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_integer_too_long_to_convert_is_an_error_line(tmp_path, capsys):
+    """json refuses an integer literal past the interpreter's digit limit
+    with a plain ValueError; it is a ParseError, not a traceback."""
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(config("expand"))[:-1] + ', "rank": '
+                    + "1" * 5000 + "}")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        rc = main(["validate", "--config", str(path)])
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "huge.json" in err
+    assert "Traceback" not in err
 
 
 def test_counterexample_with_ranks_allows_small_k_max(tmp_path):

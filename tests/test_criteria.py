@@ -1,11 +1,11 @@
 import math
+from itertools import islice
 
 import pytest
 
 from dimlab import (
     counterexample_spec,
     entropy_ratio,
-    entropy_terms,
     moran_dim_oracle,
     pdp_verdict,
     sparse_column_stats,
@@ -18,7 +18,7 @@ from dimlab.criteria import (
 )
 from dimlab.dimension import MoranSpec, tail_window_max
 from dimlab.errors import ShapeMismatch
-from dimlab.qtilde import PMatrix, QMatrix, ln
+from dimlab.qtilde import PMatrix, ProbColumn, QMatrix, ln
 
 import matrices
 
@@ -28,27 +28,36 @@ LN2 = math.log(2)
 
 
 class TestEntropyTerms:
+    """Per-column entropy h and cross term b, read as the first partials
+    of `entropy_ratio` on one-column matrices."""
+
     def test_uniform(self):
-        h, b = entropy_terms(QB, QB, 1)
+        h, b = matrices.column_terms(QB.period[0], QB.period[0])
         assert h == pytest.approx(LN2)
         assert b == pytest.approx(LN2)
 
     def test_onethird(self):
-        h, b = entropy_terms(QB, P13, 1)
+        h, b = matrices.column_terms(QB.period[0], P13.period[0])
         assert h == pytest.approx(math.log(3) - (2 / 3) * LN2, abs=1e-12)
         assert b == pytest.approx(LN2, abs=1e-12)
 
     def test_degenerate_column(self):
-        p = PMatrix([], [["0", "1"]])
-        q = QMatrix([], [["1/4", "3/4"]])
-        h, b = entropy_terms(q, p, 1)
+        h, b = matrices.column_terms(ProbColumn(["1/4", "3/4"]),
+                                     ProbColumn(["0", "1"]))
         assert h == 0.0
         assert b == pytest.approx(-math.log(3 / 4), abs=1e-12)
 
     def test_digit_count_mismatch(self):
         p3 = PMatrix([], [["1/3", "1/3", "1/3"]])
-        with pytest.raises(ShapeMismatch, match="column 1"):
-            entropy_terms(QB, p3, 1)
+        with pytest.raises(ShapeMismatch, match=r"column 1: digit counts "
+                                                r"differ \(2 vs 3\)"):
+            entropy_ratio(QB, p3, 1)
+
+    def test_digit_count_mismatch_names_the_column(self):
+        p = PMatrix([["1/2", "1/2"]] * 4, [["1/3", "1/3", "1/3"]])
+        assert entropy_ratio(QB, p, 4)[2] == [1.0] * 4
+        with pytest.raises(ShapeMismatch, match="column 5: "):
+            entropy_ratio(QB, p, 5)
 
     def test_gibbs_inequality_per_column(self):
         pairs = [
@@ -58,9 +67,9 @@ class TestEntropyTerms:
              PMatrix([["1/5", "4/5"]], [["1/3", "2/3"]])),
         ]
         for q, p in pairs:
-            for j in range(1, 30):
-                h, b = entropy_terms(q, p, j)
-                if p.column(j).entries == q.column(j).entries:
+            for qcol, pcol in islice(zip(q.stream(), p.stream()), 29):
+                h, b = matrices.column_terms(qcol, pcol)
+                if pcol.entries == qcol.entries:
                     assert h == b
                 else:
                     assert h < b
@@ -144,16 +153,16 @@ class TestVerdict:
 class TestCounterexampleSpec:
     def test_identity_allows_everything(self):
         spec = matrices.witness_spec(QB, QB, 16)
-        for j in range(1, 20):
-            assert spec.allowed(j) == (0, 1)
+        assert list(islice(spec.stream(), 19)) == [(0, 1)] * 19
 
     def test_sparse_spike_forcing(self):
         p = matrices.sparse_spike_p(400)
         spec = matrices.witness_spec(QB, p, 16)
+        allowed = [None, *islice(spec.stream(), 16)]  # allowed[j]: column j
         for j in (4, 9, 16):
-            assert spec.allowed(j) == (0,)
+            assert allowed[j] == (0,)
         for j in (1, 2, 3, 5, 8, 10, 15):
-            assert spec.allowed(j) == (0, 1)
+            assert allowed[j] == (0, 1)
         assert spec.count(9) == 128
         assert spec.count(16) == 2 ** 13
 
@@ -161,7 +170,8 @@ class TestCounterexampleSpec:
         p = matrices.sparse_spike_p(400)
         members, _, _ = sparse_column_stats(QB, p, 144)
         spec = counterexample_spec(QB, p, 144, members)
-        forced = [j for j in range(1, 145) if len(spec.allowed(j)) == 1]
+        forced = [j for j, allowed in enumerate(islice(spec.stream(), 144),
+                                                start=1) if len(allowed) == 1]
         assert forced == members
 
 
@@ -171,12 +181,12 @@ HALF_RAW, THIRD_RAW = ["1/2", "1/2"], ["1/3", "1/3", "1/3"]
 
 
 def reference_entropy_ratio(q, p, k_max):
-    """Column by column through column(j), with ln and float on each entry."""
+    """Column by column, with ln and float on each entry."""
     h_partials, b_partials, ratios = [], [], []
     h_sum = b_sum = 0.0
-    for j in range(1, k_max + 1):
+    for qcol, pcol in islice(zip(q.stream(), p.stream()), k_max):
         h = b = 0.0
-        for pe, qe in zip(p.column(j).entries, q.column(j).entries):
+        for pe, qe in zip(pcol.entries, qcol.entries):
             if pe == 0:
                 continue
             h -= float(pe) * ln(pe) if pe != 1 else 0.0
@@ -193,8 +203,8 @@ def reference_sparse_stats(q, p, k_max):
     threshold = min(min(c.entries) for c in q.prefix + q.period) / 2
     members, partials = [], []
     log_sum, has_zero = 0.0, False
-    for k in range(1, k_max + 1):
-        pk = min(p.column(k).entries)
+    for k, pcol in enumerate(islice(p.stream(), k_max), start=1):
+        pk = min(pcol.entries)
         if pk < threshold:
             members.append(k)
             if pk == 0:
@@ -209,9 +219,9 @@ def reference_sparse_stats(q, p, k_max):
 def reference_oracle(spec, q, k_max):
     num = den = 0.0
     samples = []
-    for j in range(1, k_max + 1):
-        entry = q.column(j).entries[0]
-        num += math.log(len(spec.allowed(j)))
+    for allowed, col in islice(zip(spec.stream(), q.stream()), k_max):
+        entry = col.entries[0]
+        num += math.log(len(allowed))
         den += -ln(entry)
         samples.append(num / den)
     return samples, tail_window_max(samples)

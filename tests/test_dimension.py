@@ -94,7 +94,7 @@ def random_system(rng, zeros=False):
 def reference_cylinders(spec, matrix, rank):
     """Every allowed word in product order, one digit walk each, with the
     zero-length cylinders dropped."""
-    words = itertools.product(*(spec.allowed(j) for j in range(1, rank + 1)))
+    words = itertools.product(*itertools.islice(spec.stream(), rank))
     return [c for c in (cylinder(matrix, w) for w in words) if c.length > 0]
 
 
@@ -153,6 +153,21 @@ class TestIntegerKernel:
             tracemalloc.stop()
         # 2**16 integer ends would take megabytes
         assert peak < 64 * 1024
+
+    def test_peak_is_the_result_and_little_more(self):
+        # non-uniform columns: each length is a distinct int, and while the
+        # last column's lists grow, the lengths before it are shared
+        q = QMatrix([], [["5/17", "12/17"], ["4/19", "7/19", "8/19"]])
+        spec = MoranSpec([], [(0, 1), (0, 1, 2)])
+        tracemalloc.start()
+        try:
+            cyls = enumerate_cylinders(spec, q, 12)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(cyls) == 6 ** 6
+        # a distinct int per old length would add about 12 bytes a cylinder
+        assert peak - current < 6 * len(cyls)
 
 
 def brute_force_cells(cylinders, delta):
@@ -270,6 +285,16 @@ class TestBoxCounts:
             scales = [Fraction(1, rng.randrange(2, 20)), Fraction(2, 7)]
             for smp in box_counts(cyls, scales):
                 assert smp.count == brute_force_cells(cyls, smp.scale)
+
+    @pytest.mark.parametrize("scale", [Fraction(0), Fraction(-1, 4),
+                                       Fraction(1), Fraction(3, 2)])
+    def test_scale_must_lie_in_the_unit_interval(self, scale):
+        # at scale 1 these meet two unit cells, and log 2 / -ln 1 would
+        # divide by zero; at 3/2 the log ratio would be negative
+        cyls = [Cylinder((), Fraction(0), Fraction(3, 2)),
+                Cylinder((), Fraction(0), Fraction(0))]
+        with pytest.raises(ValueError, match=r"is not in \(0, 1\)"):
+            box_counts(cyls, [Fraction(1, 4), scale])
 
     def test_grid_count_equals_cylinder_count_on_full_tiling(self):
         for k in (3, 5, 7):

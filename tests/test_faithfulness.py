@@ -14,6 +14,7 @@ margins were measured, and smaller ones break the ladder (see each case).
 import math
 from fractions import Fraction
 from functools import cache
+from itertools import islice
 
 import pytest
 
@@ -48,8 +49,9 @@ def case(name):
 
 def moran_root(q, spec) -> float:
     """Bisection root of sum_j ln sum_{a in A_j} q_aj^s = 0 over one period."""
-    columns = [[float(q.column(j).entries[a]) for a in spec.allowed(j)]
-               for j in range(1, len(spec.allowed_period) + 1)]
+    columns = [[float(col.entries[a]) for a in allowed]
+               for allowed, col in islice(zip(spec.stream(), q.stream()),
+                                          len(spec.allowed_period))]
 
     def excess(s):
         return sum(math.log(sum(e ** s for e in col)) for col in columns)

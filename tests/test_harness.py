@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -46,7 +47,8 @@ class TestLoading:
                             "Q": {"prefix": [], "period": [["1/2", "1/2"]]}})
 
     def test_p_digit_counts_differ_from_q(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ShapeMismatch,
+                           match=r"column 2: digit counts differ \(2 vs 3\)"):
             parse_scenario({"kind": "criteria",
                             "Q": {"prefix": [], "period": [["1/2", "1/2"]]},
                             "P": {"prefix": [["1/2", "1/2"]],
@@ -60,7 +62,8 @@ class TestLoading:
         s = load_scenario(fixture_path("sparse_spike_criteria.json"))
         assert s.kind == "criteria"
         assert s.q.min_entry() == Fraction(1, 2)
-        assert s.p.column(4).min_entry < Fraction(1, 4)
+        column_4 = next(islice(s.p.stream(), 3, None))
+        assert column_4.min_entry < Fraction(1, 4)
 
 
 def dimension_doc(**fields):
@@ -101,6 +104,8 @@ class TestParseChecks:
 
     @pytest.mark.parametrize("scales,index", [
         (["0"], 0), (["-1/4"], 0), (["1/4", "1/0"], 1), (["1/4", "x"], 1),
+        # at a scale of 1 or more the log ratio has no meaning
+        (["1"], 0), (["1/2", "3/2"], 1),
     ])
     def test_scales_must_be_positive_rationals(self, scales, index):
         with pytest.raises(SchemaError, match=rf"scales\[{index}\]"):
@@ -221,11 +226,13 @@ class TestEmission:
         {"kind": "criteria", "k_max": 12,
          "Q": {"prefix": [], "period": [["1/2", "1/2"]]},
          "P": {"prefix": [["0", "1"]], "period": [["1/3", "2/3"]]}},
-        # whole scales: their decimal has no "/den" part
-        {"kind": "dimension", "ranks": [2, 3, 4, 5],
+        # a whole scale has no "/den" part in its decimal: the image spec's
+        # largest cylinder keeps length 1 over P's unit columns
+        {"kind": "preservation", "ranks": [1, 2, 3, 4],
          "Q": {"prefix": [], "period": [["1/2", "1/2"]]},
-         "moran": {"allowed_prefix": [], "allowed_period": [[0, 1]]},
-         "scales": ["2", "1", "1/2", "1/4"]},
+         "P": {"prefix": [["0", "1"], ["0", "1"]],
+               "period": [["1/2", "1/2"]]},
+         "moran": {"allowed_prefix": [], "allowed_period": [[0, 1]]}},
     ])
     def test_csv_tables_are_csv_writer_bytes(self, fixture_path, tmp_path,
                                              config):

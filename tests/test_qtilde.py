@@ -21,7 +21,7 @@ HALF = Fraction(1, 2)
 
 
 def random_word(matrix, rank, rng):
-    return tuple(rng.randrange(matrix.column(j).n) for j in range(1, rank + 1))
+    return tuple(rng.randrange(col.n) for col in islice(matrix.stream(), rank))
 
 
 class TestValidation:
@@ -107,8 +107,8 @@ def test_tiling_and_disjointness(matrix):
     # rank-k cylinders tile [0, 1) exactly, in digit order
     for rank in range(1, 6):
         words = [()]
-        for j in range(1, rank + 1):
-            words = [w + (a,) for w in words for a in range(matrix.column(j).n)]
+        for col in islice(matrix.stream(), rank):
+            words = [w + (a,) for w in words for a in range(col.n)]
         cyls = [cylinder(matrix, w) for w in words]
         assert cyls[0].left == 0
         assert cyls[-1].right == 1
@@ -123,8 +123,8 @@ def test_length_product_law(matrix):
         w = random_word(matrix, rng.randrange(1, 12), rng)
         c = cylinder(matrix, w)
         product = Fraction(1)
-        for j, a in enumerate(w, start=1):
-            product *= matrix.column(j).entries[a]
+        for a, col in zip(w, matrix.stream()):
+            product *= col.entries[a]
         assert c.length == product
 
 
@@ -134,7 +134,7 @@ def test_nesting(matrix):
     for _ in range(200):
         w = random_word(matrix, rng.randrange(0, 8), rng)
         parent = cylinder(matrix, w)
-        for a in range(matrix.column(len(w) + 1).n):
+        for a in range(next(islice(matrix.stream(), len(w), None)).n):
             child = cylinder(matrix, w + (a,))
             assert parent.left <= child.left < child.right <= parent.right
 
@@ -166,8 +166,8 @@ def reference_walk(matrix, x, rank):
     """Digits and cylinder of x by the absolute-coordinate walk: digit a is
     the last one whose left endpoint left + c_a * length is <= x."""
     word, left, length = [], Fraction(0), Fraction(1)
-    for j in range(1, rank + 1):
-        entries = matrix.column(j).entries
+    for col in islice(matrix.stream(), rank):
+        entries = col.entries
         a, offset = 0, Fraction(0)
         while x >= left + (offset + entries[a]) * length:
             offset += entries[a]
@@ -215,12 +215,13 @@ def test_stream_is_column_by_index(matrix):
     horizon = len(matrix.prefix) + 3 * len(matrix.period)
     streamed = list(islice(matrix.stream(), horizon))
     assert len(streamed) == horizon
-    assert all(col is matrix.column(j)
-               for j, col in enumerate(streamed, start=1))
+    # the prefix, then the period repeated: the same column objects
+    expected = matrix.prefix + matrix.period * 3
+    assert all(col is want for col, want in zip(streamed, expected))
 
 
 def test_spec_stream_is_allowed_by_index():
     spec = MoranSpec(((0,), (1, 2), (0,)), ((0, 1), (2,)))
     horizon = 3 + 3 * 2
-    assert list(islice(spec.stream(), horizon)) == [
-        spec.allowed(j) for j in range(1, horizon + 1)]
+    assert list(islice(spec.stream(), horizon)) == list(
+        spec.allowed_prefix + spec.allowed_period * 3)

@@ -5,6 +5,7 @@ import json
 import math
 from dataclasses import asdict, is_dataclass
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -169,8 +170,8 @@ class TestDimensionScales:
         # uniform columns whose common entry changes along the prefix
         q = QMatrix([["1/2", "1/2"], ["1/5"] * 5], [["1/3"] * 3])
         lengths, length = [], Fraction(1)
-        for j in range(1, 8):
-            length *= q.column(j).entries[0]
+        for col in islice(q.stream(), 7):
+            length *= col.entries[0]
             lengths.append(length)
         assert self.scales(q, [7, 2, 4, 5]) == [
             lengths[k - 1] for k in (2, 4, 5, 7)]
@@ -195,12 +196,12 @@ class TestCounterexampleSpecPadding:
         assert len(spec.allowed_prefix) == prefix_len
         assert spec.allowed_period == tuple(
             tuple(range(c.n)) for c in q.period)
-        for j in range(1, prefix_len + 3 * r):
-            col = p.column(j)
+        for j, col, allowed in zip(range(1, prefix_len + 3 * r), p.stream(),
+                                   spec.stream()):
             flagged = j <= k_max and col.min_entry < q.min_entry() / 2
             expected = ((col.entries.index(col.min_entry),) if flagged
                         else tuple(range(col.n)))
-            assert spec.allowed(j) == expected
+            assert allowed == expected
 
 
 class TestFailures:
@@ -223,7 +224,8 @@ class TestFailures:
     def test_other_exceptions_propagate(self, fixture_path, monkeypatch):
         def broken(s, budget):
             raise RuntimeError("a bug, not a domain failure")
-        monkeypatch.setitem(harness._RUNNERS, "expand", broken)
+        monkeypatch.setitem(harness._KINDS, "expand",
+                            (broken, harness._KINDS["expand"][1]))
         s = load_scenario(fixture_path("expand_binary.json"))
         with pytest.raises(RuntimeError, match="a bug"):
             run_scenario(s)

@@ -7,7 +7,7 @@ denominators, and P columns may carry zero (and unit) entries.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from math import prod
 
 import pytest
@@ -33,9 +33,9 @@ def reference_walk(matrix, x, rank):
     """(word, left, right) of the rank-`rank` cylinder holding x, found in
     absolute coordinates: the digit is the first whose right end passes x."""
     left, length, word = Fraction(0), Fraction(1), []
-    for j in range(1, rank + 1):
+    for col in islice(matrix.stream(), rank):
         offset = Fraction(0)
-        for a, entry in enumerate(matrix.column(j).entries):
+        for a, entry in enumerate(col.entries):
             if x < left + length * (offset + entry):
                 break
             offset += entry
@@ -48,8 +48,8 @@ def reference_walk(matrix, x, rank):
 def reference_cylinder(matrix, word):
     """(left, right) of the word's cylinder in absolute coordinates."""
     left, length = Fraction(0), Fraction(1)
-    for j, a in enumerate(word, start=1):
-        entries = matrix.column(j).entries
+    for a, col in zip(word, matrix.stream()):
+        entries = col.entries
         left += length * sum(entries[:a], Fraction(0))
         length *= entries[a]
     return left, left + length
@@ -87,8 +87,8 @@ def points(draw):
 
 
 def words(matrix, rank):
-    return st.tuples(*(st.integers(0, matrix.column(j).n - 1)
-                       for j in range(1, rank + 1)))
+    return st.tuples(*(st.integers(0, col.n - 1)
+                       for col in islice(matrix.stream(), rank)))
 
 
 @PROPERTY
@@ -173,7 +173,7 @@ def test_enumeration_matches_cylinder(pair, data):
     spec = MoranSpec((), tuple(data.draw(st.lists(subsets, min_size=1,
                                                   max_size=3))))
     cylinders = enumerate_cylinders(spec, matrix, rank)
-    expected = [w for w in product(*(spec.allowed(j) for j in range(1, rank + 1)))
+    expected = [w for w in product(*islice(spec.stream(), rank))
                 if cylinder(matrix, w).length > 0]
     assert [c.word for c in cylinders] == expected
     for i, c in enumerate(cylinders):
@@ -190,7 +190,7 @@ def test_enumeration_tiles_nests_and_keeps_the_length_product(pair, use_p,
     zero-length cylinders, which changes none of these."""
     matrix = pair[use_p]
     rank = data.draw(st.integers(0, 5))
-    sizes = [matrix.column(j).n for j in range(1, rank + 1)]
+    sizes = [col.n for col in islice(matrix.stream(), rank)]
     full = enumerate_cylinders(MoranSpec([range(n) for n in sizes], [(0,)]),
                                matrix, rank)
     assert full.lefts[0] == 0 and full.rights[-1] == full.denominator
@@ -207,5 +207,6 @@ def test_enumeration_tiles_nests_and_keeps_the_length_product(pair, use_p,
         parents = {c.word: (c.left, c.right) for c in level}
     total = sum(right - left for left, right in zip(level.lefts, level.rights))
     assert Fraction(total, level.denominator) == prod(
-        sum(matrix.column(j).entries[a] for a in spec.allowed(j))
-        for j in range(1, rank + 1))
+        sum(col.entries[a] for a in allowed)
+        for allowed, col in islice(zip(spec.stream(), matrix.stream()),
+                                      rank))
