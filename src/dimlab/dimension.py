@@ -7,7 +7,8 @@ bisecting past the cylinders that start in the same cell), tail-window
 limsup dimension estimates, a family-restricted (cylinder packing)
 estimator, a closed-form oracle for digit-uniform matrices, and finite-scale
 packing premeasure lower bounds (centered and uncentered) by weighted
-interval scheduling over balls.
+interval scheduling over balls, in integer coordinates over one denominator
+(the same floats, in the same order, as in exact rationals).
 
 Every limsup here, and in `criteria`, is estimated by `tail_window_max`:
 the maximum over the tail half (`WINDOW_FRACTION`) of the partial values.
@@ -197,6 +198,14 @@ def enumerate_cylinders(spec: MoranSpec, matrix: ColumnMatrix, rank: int,
     return Cylinders(tuple(choices), denominator, lefts, lengths)
 
 
+def _over_one_denominator(values: Iterable, base: int = 1) -> tuple:
+    """(d, ints): d is the lcm of `base` and the values' denominators, and
+    ints[i] = values[i] * d, exactly, in the given order."""
+    values = [to_fraction(x) for x in values]
+    d = math.lcm(base, *{x.denominator for x in values})
+    return d, [x.numerator * (d // x.denominator) for x in values]
+
+
 def _integer_ends(cylinders: Iterable[Cylinder]) -> tuple:
     """(D, lefts, reach): the ends as integers over one denominator D, in
     ascending (left, right) order; reach[i] is the largest right end among
@@ -204,11 +213,9 @@ def _integer_ends(cylinders: Iterable[Cylinder]) -> tuple:
     if isinstance(cylinders, Cylinders):
         # disjoint and ascending, so each right end is the largest so far
         return cylinders.denominator, cylinders.lefts, cylinders.rights
-    ends = [(to_fraction(c.left), to_fraction(c.right)) for c in cylinders]
-    d = math.lcm(*(x.denominator for pair in ends for x in pair))
-    pairs = sorted((left.numerator * (d // left.denominator),
-                    right.numerator * (d // right.denominator))
-                   for left, right in ends)
+    d, ends = _over_one_denominator(
+        x for c in cylinders for x in (c.left, c.right))
+    pairs = sorted(zip(ends[::2], ends[1::2]))
     return (d, [left for left, _ in pairs],
             list(accumulate((right for _, right in pairs), max)))
 
@@ -350,6 +357,12 @@ def packing_premeasure(points: Iterable, alpha: float, eps,
     ball meets the set.  The result is a certified lower bound of the true
     supremum, found as a weighted interval schedule: balls sorted by right
     end, each one's predecessors found by bisection, with a prefix max.
+
+    The schedule runs in integer coordinates: over the denominator 2d, with
+    d the lcm of eps.denominator * 2^(t_max+1) and the points' denominators,
+    every point, radius eps/2^(t+1) and midpoint is an exact integer.
+    Scaling by 2d > 0 keeps every comparison and tie, so the DP adds the
+    same floats |ball|^alpha in the same order as it would in rationals.
     """
     eps = to_fraction(eps)
     if eps <= 0:
@@ -358,13 +371,15 @@ def packing_premeasure(points: Iterable, alpha: float, eps,
         raise GridTooCoarse("t_max must be >= 0")
     if mode not in ("centered", "uncentered"):
         raise ValueError(f"unknown mode {mode!r}")
-    pts = sorted({to_fraction(p) for p in points})
-    radii = [eps / 2 ** (t + 1) for t in range(t_max + 1)]
-    sizes = [(r, float(2 * r) ** alpha) for r in radii]
+    d, scaled = _over_one_denominator(points, eps.denominator << (t_max + 1))
+    pts = sorted({2 * x for x in scaled})
+    # (radius eps/2^(t+1) over 2d, float diameter^alpha) for each t
+    sizes = [(eps.numerator * d // (eps.denominator << t),
+              float(eps / 2 ** t) ** alpha) for t in range(t_max + 1)]
     centers = [(c, sizes) for c in pts]
     if mode == "uncentered":
         # a ball centred between neighbours a < b meets the set iff b - a < d
-        centers += [((a + b) / 2, [(r, w) for r, w in sizes if b - a < 2 * r])
+        centers += [((a + b) // 2, [(r, w) for r, w in sizes if b - a < 2 * r])
                     for a, b in zip(pts, pts[1:])]
     balls = sorted((c + r, c - r, w) for c, rs in centers for r, w in rs)
     rights = [right for right, _, _ in balls]

@@ -17,10 +17,14 @@ from . import criteria as crit
 from . import dimension as dim
 from . import measure
 from . import qtilde
-from .errors import DimlabError, ParseError, SchemaError
+from .errors import DimlabError, ParseError, SchemaError, magnitude
 from .jsontext import write_json
 from .qtilde import (PMatrix, QMatrix, _check_digit_counts, _exact,
                      _int_lists, _joint_horizon, _rationals)
+
+# the most columns a config may ask to read (`k_max`, `rank`, `ranks`): a
+# criteria run holds about 0.3 KiB a column, so about 0.3 GiB at the bound
+MAX_COLUMNS = 2 ** 20
 
 DEFAULT_TOLERANCES = {
     "dimension": 0.03,
@@ -57,12 +61,15 @@ def parse_scenario(doc: dict) -> Scenario:
     q = QMatrix.from_dict(doc["Q"])
     p = PMatrix.from_dict(doc["P"]) if "P" in doc else None
     if p is not None:
-        _check_digit_counts(q, p, _joint_horizon((q.prefix, q.period),
-                                                 (p.prefix, p.period)))
+        with _field("P"):
+            _check_digit_counts(q, p, _joint_horizon((q.prefix, q.period),
+                                                     (p.prefix, p.period)))
     moran = dim.MoranSpec.from_dict(doc["moran"]) if "moran" in doc else None
     if moran is not None:
-        moran.validate_against(q, _joint_horizon(
-            (q.prefix, q.period), (moran.allowed_prefix, moran.allowed_period)))
+        with _field("moran"):
+            moran.validate_against(q, _joint_horizon(
+                (q.prefix, q.period),
+                (moran.allowed_prefix, moran.allowed_period)))
     k_max = _integer(doc, "k_max", 400, minimum=1)
     if kind == "counterexample" and "ranks" not in doc and k_max < 4:
         # the default ranks are the squares m*m <= k_max with m >= 2
@@ -89,12 +96,29 @@ def parse_scenario(doc: dict) -> Scenario:
     )
 
 
+@contextmanager
+def _field(name: str):
+    """Prefix the text of an error raised inside with the config field."""
+    try:
+        yield
+    except DimlabError as exc:
+        raise type(exc)(f"{name}: {exc}") from None
+
+
+def _columns(name: str, value: int) -> int:
+    """A column count from the config, refused above `MAX_COLUMNS`."""
+    if value > MAX_COLUMNS:
+        raise SchemaError(f"{name} must be at most {MAX_COLUMNS} columns, "
+                          f"got {magnitude(value)}")
+    return value
+
+
 def _integer(doc: dict, key: str, default: int, minimum=None) -> int:
     value = doc.get(key, default)
     if type(value) is not int or (minimum is not None and value < minimum):
         bound = "" if minimum is None else f" >= {minimum}"
         raise SchemaError(f"{key} must be an integer{bound}, got {value!r}")
-    return value
+    return _columns(key, value)
 
 
 def _positive_ranks(ranks) -> tuple:
@@ -102,7 +126,7 @@ def _positive_ranks(ranks) -> tuple:
             type(r) is int and r >= 1 for r in ranks)):
         raise SchemaError(f"ranks must be a nonempty list of positive "
                           f"integers, got {ranks!r}")
-    return tuple(ranks)
+    return tuple(_columns(f"ranks[{i}]", r) for i, r in enumerate(ranks))
 
 
 def _unit_rationals(values, name: str, zero: bool) -> tuple:

@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import math
 import random
@@ -428,6 +429,69 @@ def brute_force_premeasure(points, alpha, eps, mode, t_max):
         return value
 
     return best(0, [])
+
+
+def fraction_premeasure(points, alpha, eps, mode, t_max):
+    """The packing DP in exact rationals: the same schedule as
+    `packing_premeasure`, with every point, radius and ball end a Fraction."""
+    eps = Fraction(eps)
+    pts = sorted({Fraction(p) for p in points})
+    radii = [eps / 2 ** (t + 1) for t in range(t_max + 1)]
+    sizes = [(r, float(2 * r) ** alpha) for r in radii]
+    centers = [(c, sizes) for c in pts]
+    if mode == "uncentered":
+        centers += [((a + b) / 2, [(r, w) for r, w in sizes if b - a < 2 * r])
+                    for a, b in zip(pts, pts[1:])]
+    balls = sorted((c + r, c - r, w) for c, rs in centers for r, w in rs)
+    rights = [right for right, _, _ in balls]
+    best = [0.0]
+    for _, left, weight in balls:
+        best.append(max(best[-1], weight + best[bisect.bisect_right(rights, left)]))
+    return best[-1]
+
+
+@st.composite
+def premeasure_points(draw, eps, t_max):
+    """Up to 8 points, some repeated, mostly in [-1, 2), each an int, a
+    "num/den" string or a Fraction, over denominators that may share no
+    factor.  A point may also sit eps/2^t past the one before it, t <=
+    t_max, so that gaps equal to a ball's diameter are drawn too."""
+    points = []
+    for _ in range(draw(st.integers(0, 8))):
+        if points and draw(st.booleans()):
+            x = Fraction(points[-1]) + eps / 2 ** draw(st.integers(0, t_max))
+        else:
+            den = draw(st.sampled_from((1, 2, 3, 4, 5, 7, 16, 27)))
+            x = Fraction(draw(st.integers(-den, 2 * den - 1)), den)
+        form = draw(st.sampled_from(("int", "str", "Fraction")))
+        if form == "int" and x.denominator == 1:
+            x = int(x)
+        elif form == "str":
+            x = str(x)
+        points.append(x)
+    return points + draw(st.lists(st.sampled_from(points), max_size=3)
+                         if points else st.just([]))
+
+
+class TestPackingPremeasureProperties:
+    @PROPERTY
+    @given(st.builds(Fraction, st.integers(1, 8),
+                     st.sampled_from((1, 2, 3, 4, 5, 12, 64))),
+           st.sampled_from((0, 0.5, 0.63, 1, 2)),
+           st.sampled_from(("centered", "uncentered")),
+           st.integers(0, 5), st.data())
+    def test_equals_the_fraction_dp(self, eps, alpha, mode, t_max, data):
+        """The integer-coordinate DP returns the very float of the exact
+        rational one: scaling by one positive denominator keeps every
+        comparison, tie and bisection index.
+
+        The lcm of unrelated denominators can grow like their product, as
+        it may here.  On the library's own inputs it does not: the cylinder
+        midpoints of one matrix at rank k all have denominators dividing
+        2 * D_k."""
+        points = data.draw(premeasure_points(eps, t_max))
+        value = packing_premeasure(points, alpha, eps, mode, t_max)
+        assert value == fraction_premeasure(points, alpha, eps, mode, t_max)
 
 
 class TestPackingPremeasure:

@@ -18,6 +18,7 @@ from dimlab.dimension import DimensionEstimate
 from dimlab.errors import DigitOutOfRange, SchemaError, ShapeMismatch
 from dimlab.jsontext import write_json
 from dimlab.harness import (
+    MAX_COLUMNS,
     emit_plot_data,
     emit_report,
     load_scenario,
@@ -115,6 +116,36 @@ class TestParseChecks:
     def test_ranks_must_be_positive_integers(self, ranks):
         with pytest.raises(SchemaError, match="ranks"):
             parse_scenario(dimension_doc(ranks=ranks))
+
+    @pytest.mark.parametrize("doc,line", [
+        ({"kind": "criteria",
+          "Q": {"prefix": [], "period": [["1/2", "1/2"]]},
+          "P": {"prefix": [["1/2", "1/2"]], "period": [["1/3", "1/3", "1/3"]]}},
+         "error: P: column 2: digit counts differ (2 vs 3)\n"),
+        (dimension_doc(moran={"allowed_prefix": [], "allowed_period": [[5]]}),
+         "error: moran: allowed digit 5 out of range for column 1 (n=2)\n"),
+    ])
+    def test_pair_checks_name_the_field(self, tmp_path, capsys, doc, line):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == line
+
+    @pytest.mark.parametrize("fields,field", [
+        ({"k_max": MAX_COLUMNS + 1}, "k_max"),
+        ({"k_max": 10 ** 8}, "k_max"),
+        ({"rank": MAX_COLUMNS + 1}, "rank"),
+        ({"ranks": [2, MAX_COLUMNS + 1]}, r"ranks\[1\]"),
+    ])
+    def test_column_counts_are_bounded(self, fields, field):
+        with pytest.raises(SchemaError, match=rf"^{field} must be at most "
+                                              rf"{MAX_COLUMNS} columns, got"):
+            parse_scenario(dimension_doc(**fields))
+
+    def test_column_count_bound_is_inclusive(self):
+        s = parse_scenario(dimension_doc(k_max=MAX_COLUMNS, rank=MAX_COLUMNS,
+                                         ranks=[MAX_COLUMNS]))
+        assert s.k_max == s.rank == s.ranks[0] == MAX_COLUMNS
 
     def test_valid_fields_still_parse(self):
         s = parse_scenario(dimension_doc(scales=["1/4", "2/7"], ranks=[3, 1]))
