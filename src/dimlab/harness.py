@@ -18,7 +18,7 @@ from . import dimension as dim
 from . import measure
 from . import qtilde
 from .errors import DimlabError, ParseError, SchemaError, magnitude
-from .jsontext import write_json
+from .jsontext import column_blocks, keep_decimals, write_json
 from .qtilde import (PMatrix, QMatrix, _check_digit_counts, _exact,
                      _int_lists, _joint_horizon, _rationals)
 
@@ -344,22 +344,45 @@ def emit_report(report: Report, out_dir, fmt: str = "json") -> list:
     """Write the master JSON document, plus per-table CSVs when fmt=csv."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    master = out_dir / "report.json"
+    written = [master]
     with _unlimited_int_digits():
         estimates = {key: value for key, value in report.results.items()
                      if isinstance(value, dim.DimensionEstimate)}
-        # a deep sample's scale and count run to ~1000 digits: each is put
-        # in decimal once, for report.json and its scales CSV alike
-        decimals = {id(x): str(x) for value in estimates.values()
-                    for smp in value.samples for x in (smp.scale, smp.count)}
-        master = out_dir / "report.json"
+        # every text that two outputs share is made once, here
+        decimals = {}
+        for value in estimates.values():
+            keep_decimals([smp.scale for smp in value.samples], decimals)
+            keep_decimals([smp.count for smp in value.samples], decimals)
+        crit_report = report.results.get("criteria")
+        if fmt == "csv" and isinstance(crit_report, crit.CriterionReport):
+            path = out_dir / "criteria.csv"
+            _criteria_csv(crit_report, decimals, path)
+            written.append(path)
         with open(master, "w") as fh:  # the Report's fields are its keys
             write_json(report, fh.write, decimals)
             fh.write("\n")
-        written = [master]
         if fmt == "csv":
-            written.extend(_emit_csv_tables(report, estimates, decimals,
-                                            out_dir))
+            for key, value in estimates.items():
+                path = out_dir / f"{key}_scales.csv"
+                _write_csv(path, "scale_num,scale_den,count,log_ratio",
+                           _scale_lines(value.samples, decimals))
+                written.append(path)
     return written
+
+
+def _criteria_csv(report: crit.CriterionReport, decimals: dict,
+                  path: Path) -> None:
+    """Write criteria.csv from the partials' texts, which `column_blocks`
+    makes once for it and report.json."""
+    members = set(report.sparse_members)
+    rows = count(1)  # last in each zip, so a short block does not skip one
+    columns = (report.h_partials, report.b_partials, report.ratio_partials,
+               report.sparse_partials)
+    _write_csv(path, "k,h_partial,b_partial,li_ratio,B_partial,in_T", (
+        "".join(f"{k},{h},{b},{ratio},{density},{int(k in members)}\r\n"
+                for h, b, ratio, density, k in zip(*texts, rows))
+        for texts in column_blocks(columns, decimals)))
 
 
 def _write_csv(path: Path, header: str, lines) -> None:
@@ -369,27 +392,6 @@ def _write_csv(path: Path, header: str, lines) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(header + "\r\n")
         fh.writelines(lines)
-
-
-def _emit_csv_tables(report: Report, estimates: dict, decimals: dict,
-                     out_dir: Path) -> list:
-    written = []
-    crit_report = report.results.get("criteria")
-    if isinstance(crit_report, crit.CriterionReport):
-        path = out_dir / "criteria.csv"
-        members = set(crit_report.sparse_members)
-        _write_csv(path, "k,h_partial,b_partial,li_ratio,B_partial,in_T", (
-            f"{k},{h},{b},{ratio},{density},{int(k in members)}\r\n"
-            for k, h, b, ratio, density in zip(
-                count(1), crit_report.h_partials, crit_report.b_partials,
-                crit_report.ratio_partials, crit_report.sparse_partials)))
-        written.append(path)
-    for key, value in estimates.items():
-        path = out_dir / f"{key}_scales.csv"
-        _write_csv(path, "scale_num,scale_den,count,log_ratio",
-                   _scale_lines(value.samples, decimals))
-        written.append(path)
-    return written
 
 
 def _scale_lines(samples, decimals: dict):
@@ -409,14 +411,14 @@ def emit_plot_data(report: Report, out_dir) -> list:
         if isinstance(value, dim.DimensionEstimate):
             path = out_dir / f"{key}_logratio.dat"
             with open(path, "w") as fh:
-                for smp in value.samples:
-                    fh.write(f"{-qtilde.ln(smp.scale)} {smp.log_ratio}\n")
+                fh.writelines(f"{-qtilde.ln(smp.scale)} {smp.log_ratio}\n"
+                              for smp in value.samples)
             written.append(path)
     crit_report = report.results.get("criteria")
     if isinstance(crit_report, crit.CriterionReport):
         path = out_dir / "sparse_density.dat"
         with open(path, "w") as fh:
-            for k, value in enumerate(crit_report.sparse_partials, start=1):
-                fh.write(f"{k} {value}\n")
+            fh.writelines(f"{k} {value}\n" for k, value in
+                          enumerate(crit_report.sparse_partials, start=1))
         written.append(path)
     return written

@@ -86,7 +86,7 @@ def _int_lists(value, name: str) -> tuple:
 
 def ln(value: Fraction) -> float:
     """Natural log of a positive rational, safe for huge numerators/denominators."""
-    if value <= 0:
+    if value.numerator <= 0:  # a Fraction's denominator is positive
         raise ValueError(f"ln of non-positive rational {value}")
     return math.log(value.numerator) - math.log(value.denominator)
 

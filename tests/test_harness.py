@@ -12,11 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from dimlab import cylinder, expand
+from dimlab import cylinder, expand, qtilde
 from dimlab.cli import main
 from dimlab.dimension import DimensionEstimate
 from dimlab.errors import DigitOutOfRange, SchemaError, ShapeMismatch
-from dimlab.jsontext import write_json
+from dimlab.jsontext import BLOCK_ROWS, write_json
 from dimlab.harness import (
     MAX_COLUMNS,
     emit_plot_data,
@@ -27,6 +27,58 @@ from dimlab.harness import (
 )
 
 import matrices
+from test_report_format import FIXTURES, report_text
+
+# a flagged column with a zero minimum: every B_partial is inf
+INF_CRITERIA = {"kind": "criteria", "k_max": 12,
+                "Q": {"prefix": [], "period": [["1/2", "1/2"]]},
+                "P": {"prefix": [["0", "1"]], "period": [["1/3", "2/3"]]}}
+
+# a whole scale has no "/den" part in its decimal: the image spec's largest
+# cylinder keeps length 1 over P's unit columns, so ln(1/scale) is -0.0
+UNIT_COLUMNS = {"kind": "preservation", "ranks": [1, 2, 3, 4],
+                "Q": {"prefix": [], "period": [["1/2", "1/2"]]},
+                "P": {"prefix": [["0", "1"], ["0", "1"]],
+                      "period": [["1/2", "1/2"]]},
+                "moran": {"allowed_prefix": [], "allowed_period": [[0, 1]]}}
+
+
+def scenario(fixture_path, config):
+    """A fixture's scenario by file name, or a config's."""
+    if isinstance(config, dict):
+        return parse_scenario(config)
+    return load_scenario(fixture_path(config))
+
+
+def csv_tables(report) -> dict:
+    """Each CSV table the report has, by file name: header and rows, as
+    `csv.writer` takes them."""
+    tables = {}
+    crit_report = report.results.get("criteria")
+    if crit_report is not None:
+        members = set(crit_report.sparse_members)
+        tables["criteria.csv"] = (
+            ["k", "h_partial", "b_partial", "li_ratio", "B_partial", "in_T"],
+            [[k, h, b, ratio, density, int(k in members)]
+             for k, h, b, ratio, density in zip(
+                 range(1, crit_report.k_max + 1), crit_report.h_partials,
+                 crit_report.b_partials, crit_report.ratio_partials,
+                 crit_report.sparse_partials, strict=True)])
+    for key, value in report.results.items():
+        if isinstance(value, DimensionEstimate):
+            tables[f"{key}_scales.csv"] = (
+                ["scale_num", "scale_den", "count", "log_ratio"],
+                [[smp.scale.numerator, smp.scale.denominator, smp.count,
+                  smp.log_ratio] for smp in value.samples])
+    return tables
+
+
+def csv_bytes(header, rows) -> bytes:
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode()
 
 
 def strict_json(text):
@@ -252,54 +304,42 @@ class TestEmission:
 
     @pytest.mark.parametrize("config", [
         "sparse_spike_criteria.json", "counterexample_sparse_spike.json",
-        "cantor_dimension.json", "preservation_identity.json",
-        # a flagged column with a zero minimum: every B_partial is inf
-        {"kind": "criteria", "k_max": 12,
-         "Q": {"prefix": [], "period": [["1/2", "1/2"]]},
-         "P": {"prefix": [["0", "1"]], "period": [["1/3", "2/3"]]}},
-        # a whole scale has no "/den" part in its decimal: the image spec's
-        # largest cylinder keeps length 1 over P's unit columns
-        {"kind": "preservation", "ranks": [1, 2, 3, 4],
-         "Q": {"prefix": [], "period": [["1/2", "1/2"]]},
-         "P": {"prefix": [["0", "1"], ["0", "1"]],
-               "period": [["1/2", "1/2"]]},
-         "moran": {"allowed_prefix": [], "allowed_period": [[0, 1]]}},
-    ])
+        "cantor_dimension.json", "preservation_identity.json", INF_CRITERIA,
+        UNIT_COLUMNS])
     def test_csv_tables_are_csv_writer_bytes(self, fixture_path, tmp_path,
                                              config):
-        if isinstance(config, dict):
-            s = parse_scenario(config)
-        else:
-            s = load_scenario(fixture_path(config))
-        report = run_scenario(s)
-        tables = {}
-        crit_report = report.results.get("criteria")
-        if crit_report is not None:
-            members = set(crit_report.sparse_members)
-            tables["criteria.csv"] = (
-                ["k", "h_partial", "b_partial", "li_ratio", "B_partial",
-                 "in_T"],
-                [[k, h, b, ratio, density, int(k in members)]
-                 for k, h, b, ratio, density in zip(
-                     range(1, crit_report.k_max + 1), crit_report.h_partials,
-                     crit_report.b_partials, crit_report.ratio_partials,
-                     crit_report.sparse_partials, strict=True)])
-        for key, value in report.results.items():
-            if isinstance(value, DimensionEstimate):
-                tables[f"{key}_scales.csv"] = (
-                    ["scale_num", "scale_den", "count", "log_ratio"],
-                    [[smp.scale.numerator, smp.scale.denominator, smp.count,
-                      smp.log_ratio] for smp in value.samples])
+        report = run_scenario(scenario(fixture_path, config))
+        tables = csv_tables(report)
         written = emit_report(report, tmp_path, fmt="csv")
         assert sorted(p.name for p in written[1:]) == sorted(tables)
         for name, (header, rows) in tables.items():
-            buf = io.StringIO(newline="")
-            writer = csv.writer(buf)
-            writer.writerow(header)
-            writer.writerows(rows)
-            assert (tmp_path / name).read_bytes() == buf.getvalue().encode()
-        if isinstance(config, dict) and config["kind"] == "criteria":
+            assert (tmp_path / name).read_bytes() == csv_bytes(header, rows)
+        if config is INF_CRITERIA:
             assert all(row[4] == math.inf for row in tables["criteria.csv"][1])
+
+    # criteria.csv and report.json put the partials in decimal per block of
+    # rows: one row short of a block, a block, a row past it, two past it
+    @pytest.mark.parametrize("k_max", [
+        1, BLOCK_ROWS - 1, BLOCK_ROWS,
+        BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("spike", [["1/10", "9/10"], ["0", "1"]],
+                             ids=["finite", "inf"])
+    def test_criteria_bytes_at_block_edges(self, tmp_path, k_max, spike):
+        report = run_scenario(parse_scenario({
+            "kind": "criteria", "k_max": k_max,
+            "Q": {"prefix": [], "period": [["1/2", "1/2"]]},
+            "P": {"prefix": [spike], "period": [["1/3", "2/3"]]}}))
+        density = report.results["criteria"].sparse_partials
+        assert len(density) == k_max
+        assert all(map(math.isinf if spike[0] == "0" else math.isfinite,
+                       density))
+        for fmt in ("json", "csv"):
+            written = emit_report(report, tmp_path / fmt, fmt=fmt)
+            text = written[0].read_text()
+            assert text == report_text(report, json.loads(text)["run_meta"])
+        ((header, rows),) = csv_tables(report).values()
+        assert [p.name for p in written] == ["report.json", "criteria.csv"]
+        assert written[1].read_bytes() == csv_bytes(header, rows)
 
     def test_plot_data(self, fixture_path, tmp_path):
         s = load_scenario(fixture_path("cantor_dimension.json"))
@@ -308,6 +348,29 @@ class TestEmission:
         series = written[0].read_text().splitlines()
         assert len(series) == 5
         assert all(len(line.split()) == 2 for line in series)
+
+    @pytest.mark.parametrize("config", FIXTURES + (UNIT_COLUMNS,))
+    def test_plot_data_lines(self, fixture_path, tmp_path, config):
+        report = run_scenario(scenario(fixture_path, config))
+        series = {}
+        for key, value in report.results.items():
+            if isinstance(value, DimensionEstimate):
+                series[f"{key}_logratio.dat"] = [
+                    f"{-qtilde.ln(smp.scale)} {smp.log_ratio}"
+                    for smp in value.samples]
+        crit_report = report.results.get("criteria")
+        if crit_report is not None:
+            series["sparse_density.dat"] = [
+                f"{k} {value}" for k, value in
+                enumerate(crit_report.sparse_partials, start=1)]
+        written = emit_plot_data(report, tmp_path)
+        assert [p.name for p in written] == list(series)
+        for name, lines in series.items():
+            assert (tmp_path / name).read_bytes() == "".join(
+                line + "\n" for line in lines).encode()
+        if config is UNIT_COLUMNS:
+            image = (tmp_path / "image_dim_logratio.dat").read_text()
+            assert image.startswith("-0.0 0.0\n-0.0 0.0\n")
 
 
 class TestCli:
