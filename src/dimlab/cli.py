@@ -9,7 +9,7 @@ import sys
 
 from .dimension import DEFAULT_ENUM_BUDGET
 from .errors import DimlabError, ParseError
-from .harness import KINDS, emit_plot_data, emit_report, load_scenario, run_scenario
+from .harness import KINDS, emit_report, load_scenario, run_scenario
 
 ENV_BUDGET = "DIMLAB_RANK_BUDGET"
 
@@ -70,9 +70,8 @@ def main(argv=None) -> int:
         return 1
 
     report = run_scenario(scenario, budget=budget)
-    written = emit_report(report, args.out, fmt=args.format)
-    if args.plot_data:
-        written.extend(emit_plot_data(report, args.out))
+    written = emit_report(report, args.out, fmt=args.format,
+                          plot_data=args.plot_data)
     for path in written:
         print(path)
     if report.failed:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -75,6 +75,9 @@ def parse_scenario(doc: dict) -> Scenario:
         # the default ranks are the squares m*m <= k_max with m >= 2
         raise SchemaError(f"k_max must be >= 4 for a counterexample without "
                           f"ranks, got {k_max}")
+    name = doc.get("name", "scenario")
+    if not isinstance(name, str):
+        raise SchemaError(f"name must be a string, got {name!r}")
     tol = _exact(doc.get("tol", "1/1024"), "tol")
     if tol <= 0:
         raise SchemaError(f"tol must be positive, got {tol}")
@@ -85,13 +88,13 @@ def parse_scenario(doc: dict) -> Scenario:
         moran=moran,
         points=_unit_rationals(doc.get("points", []), "points", zero=True),
         words=_words(doc.get("words", []), q),
-        rank=_integer(doc, "rank", 8),
+        rank=_integer(doc, "rank", 8, minimum=0),
         ranks=_positive_ranks(doc["ranks"]) if "ranks" in doc else (),
         k_max=k_max,
         tol=tol,
         scales=_unit_rationals(doc.get("scales", []), "scales", zero=False),
         tolerances=_tolerances(doc.get("tolerances", {})),
-        name=str(doc.get("name", "scenario")),
+        name=name,
         raw=doc,
     )
 
@@ -154,11 +157,14 @@ def _words(values, q: QMatrix) -> tuple:
 
 
 def _tolerances(values) -> dict:
-    """The default tolerances, overridden by the config's; each must be a
-    number >= 0 (Infinity included, NaN and bools refused)."""
+    """The default tolerances, overridden by the config's; each must be one
+    of them and a number >= 0 (Infinity included, NaN and bools refused)."""
     if not isinstance(values, dict):
         raise SchemaError(f"tolerances must be an object, got {values!r}")
     for key, value in values.items():
+        if key not in DEFAULT_TOLERANCES:
+            raise SchemaError(f"tolerances.{key} is not one of "
+                              f"{', '.join(DEFAULT_TOLERANCES)}")
         if not (type(value) in (int, float) and value >= 0):
             raise SchemaError(
                 f"tolerances.{key} must be a number >= 0, got {value!r}")
@@ -310,12 +316,11 @@ def run_scenario(s: Scenario, budget: int = dim.DEFAULT_ENUM_BUDGET) -> Report:
     report_obj = results.get("criteria")
     if report_obj is not None:
         verdicts["pdp"] = report_obj.verdict
-    if "bound_holds" in results:
-        verdicts["counterexample_bound"] = bool(results["bound_holds"])
-    if "oracle_agreement" in results:
-        verdicts["oracle_agreement"] = bool(results["oracle_agreement"])
-    if "dims_agree" in results:
-        verdicts["dims_agree"] = bool(results["dims_agree"])
+    for key, verdict in (("bound_holds", "counterexample_bound"),
+                         ("oracle_agreement", "oracle_agreement"),
+                         ("dims_agree", "dims_agree")):
+        if key in results:
+            verdicts[verdict] = bool(results[key])
     run_meta = {
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "timings": {"run_seconds": elapsed},
@@ -340,85 +345,76 @@ def _unlimited_int_digits():
         sys.set_int_max_str_digits(old)
 
 
-def emit_report(report: Report, out_dir, fmt: str = "json") -> list:
-    """Write the master JSON document, plus per-table CSVs when fmt=csv."""
+def emit_report(report: Report, out_dir, fmt: str = "json",
+                plot_data: bool = False) -> list:
+    """Write report.json; with fmt=csv, the CSV tables of the criteria
+    partials and of each estimate's samples; with plot_data, their
+    two-column series: sparse log-mass density vs k, log_ratio vs
+    ln(1/scale).  Returns report.json's path, the CSVs', then the series'.
+    No CSV cell holds a comma, quote or line break, so a CSV has the bytes
+    `csv.writer` writes from the cells' str()."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     master = out_dir / "report.json"
-    written = [master]
+    wanted = (fmt == "csv", plot_data)
     with _unlimited_int_digits():
-        estimates = {key: value for key, value in report.results.items()
-                     if isinstance(value, dim.DimensionEstimate)}
-        # every text that two outputs share is made once, here
-        decimals = {}
-        for value in estimates.values():
-            keep_decimals([smp.scale for smp in value.samples], decimals)
-            keep_decimals([smp.count for smp in value.samples], decimals)
-        crit_report = report.results.get("criteria")
-        if fmt == "csv" and isinstance(crit_report, crit.CriterionReport):
-            path = out_dir / "criteria.csv"
-            _criteria_csv(crit_report, decimals, path)
-            written.append(path)
+        decimals = {}  # every text that two outputs share is made once
+        estimates = []  # (CSV path, series path, writer, its data) of each
+        for key, value in report.results.items():
+            if isinstance(value, dim.DimensionEstimate):
+                keep_decimals([smp.scale for smp in value.samples], decimals)
+                keep_decimals([smp.count for smp in value.samples], decimals)
+                estimates.append((out_dir / f"{key}_scales.csv",
+                                  out_dir / f"{key}_logratio.dat",
+                                  _write_samples, value.samples))
+        criteria = []  # the same of the criteria partials, if any
+        if "criteria" in report.results:
+            criteria.append((out_dir / "criteria.csv",
+                             out_dir / "sparse_density.dat",
+                             _write_criteria, report.results["criteria"]))
+        for *paths, write, data in (criteria + estimates if any(wanted)
+                                    else ()):
+            with ExitStack() as stack:  # a table's files, in one pass
+                write(data, decimals, *(
+                    stack.enter_context(open(path, "w", newline=""))
+                    if on else None for path, on in zip(paths, wanted)))
         with open(master, "w") as fh:  # the Report's fields are its keys
             write_json(report, fh.write, decimals)
             fh.write("\n")
-        if fmt == "csv":
-            for key, value in estimates.items():
-                path = out_dir / f"{key}_scales.csv"
-                _write_csv(path, "scale_num,scale_den,count,log_ratio",
-                           _scale_lines(value.samples, decimals))
-                written.append(path)
-    return written
+    return [master, *(table[0] for table in criteria + estimates if wanted[0]),
+            *(table[1] for table in estimates + criteria if wanted[1])]
 
 
-def _criteria_csv(report: crit.CriterionReport, decimals: dict,
-                  path: Path) -> None:
-    """Write criteria.csv from the partials' texts, which `column_blocks`
-    makes once for it and report.json."""
+def _write_criteria(report: crit.CriterionReport, decimals: dict, csv,
+                    series) -> None:
+    """Write criteria.csv and sparse_density.dat (each unless None) block by
+    block, from the texts that `column_blocks` also keeps for report.json."""
+    if csv:
+        csv.write("k,h_partial,b_partial,li_ratio,B_partial,in_T\r\n")
     members = set(report.sparse_members)
-    rows = count(1)  # last in each zip, so a short block does not skip one
     columns = (report.h_partials, report.b_partials, report.ratio_partials,
                report.sparse_partials)
-    _write_csv(path, "k,h_partial,b_partial,li_ratio,B_partial,in_T", (
-        "".join(f"{k},{h},{b},{ratio},{density},{int(k in members)}\r\n"
-                for h, b, ratio, density, k in zip(*texts, rows))
-        for texts in column_blocks(columns, decimals)))
+    for start, (h, b, ratio, density) in column_blocks(columns, decimals):
+        if csv:
+            csv.write("".join(
+                f"{k},{hk},{bk},{rk},{dk},{int(k in members)}\r\n"
+                for k, hk, bk, rk, dk in zip(count(start + 1), h, b, ratio,
+                                             density)))
+        if series:
+            series.write("".join(f"{k} {dk}\n" for k, dk in
+                                 zip(count(start + 1), density)))
 
 
-def _write_csv(path: Path, header: str, lines) -> None:
-    """A CSV table from its header and its lines, each ended by \\r\\n.
-    No cell holds a comma, quote or line break, so these are the bytes
-    `csv.writer` writes from the cells' str()."""
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\r\n")
-        fh.writelines(lines)
-
-
-def _scale_lines(samples, decimals: dict):
+def _write_samples(samples, decimals: dict, csv, series) -> None:
+    """Write `<key>_scales.csv` and `<key>_logratio.dat` (each unless None)
+    row by row, each log_ratio put in decimal once, no row's text kept."""
+    if csv:
+        csv.write("scale_num,scale_den,count,log_ratio\r\n")
     for smp in samples:
-        num, _, den = decimals[id(smp.scale)].partition("/")
-        yield (f"{num},{den or 1},{decimals[id(smp.count)]},"
-               f"{smp.log_ratio}\r\n")
-
-
-def emit_plot_data(report: Report, out_dir) -> list:
-    """Two-column whitespace series: log_ratio vs ln(1/scale), and the
-    sparse log-mass density vs k when a criteria report is present."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for key, value in report.results.items():
-        if isinstance(value, dim.DimensionEstimate):
-            path = out_dir / f"{key}_logratio.dat"
-            with open(path, "w") as fh:
-                fh.writelines(f"{-qtilde.ln(smp.scale)} {smp.log_ratio}\n"
-                              for smp in value.samples)
-            written.append(path)
-    crit_report = report.results.get("criteria")
-    if isinstance(crit_report, crit.CriterionReport):
-        path = out_dir / "sparse_density.dat"
-        with open(path, "w") as fh:
-            fh.writelines(f"{k} {value}\n" for k, value in
-                          enumerate(crit_report.sparse_partials, start=1))
-        written.append(path)
-    return written
+        ratio = str(smp.log_ratio)
+        if csv:
+            num, _, den = decimals[id(smp.scale)].partition("/")
+            csv.write(f"{num},{den or 1},{decimals[id(smp.count)]},"
+                      f"{ratio}\r\n")
+        if series:
+            series.write(f"{-qtilde.ln(smp.scale)} {ratio}\n")

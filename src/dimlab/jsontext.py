@@ -244,9 +244,9 @@ BLOCK_ROWS = 1024
 
 
 def column_blocks(columns, decimals: dict):
-    """Yield the str() texts of the items of `columns`, block by block of
-    `BLOCK_ROWS` rows, one list a column.  Each all-float column also keeps
-    its blocks' JSON texts in `decimals`, by its id, for `write_json`."""
+    """Yield each block of `BLOCK_ROWS` rows: its first row's index and the
+    str() texts of its items, one list a column.  Each all-float column also
+    keeps its blocks' JSON texts in `decimals`, by its id, for `write_json`."""
     held = [decimals.setdefault(id(c), []) if set(map(type, c)) == {float}
             else None for c in columns]
     for start in range(0, max(map(len, columns), default=0), BLOCK_ROWS):
@@ -259,4 +259,4 @@ def column_blocks(columns, decimals: dict):
                 block_texts = [text if math.isfinite(x) else f'"{text}"'
                                for x, text in zip(block, block_texts)]
             keep.append("\n".join(block_texts))
-        yield texts
+        yield start, texts

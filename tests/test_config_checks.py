@@ -45,6 +45,8 @@ MALFORMED = [
     (config("expand", rank="x"), "rank"),
     (config("expand", rank=True), "rank"),
     (config("expand", rank=2.0), "rank"),
+    (config("expand", rank=-4), "rank must be an integer >= 0"),
+    (config("expand", name=["a", 1]), "name must be a string"),
     (config("criteria", k_max=0), "k_max"),
     (config("criteria", k_max="5"), "k_max"),
     (config("criteria", k_max=False), "k_max"),
@@ -59,6 +61,8 @@ MALFORMED = [
     (config("criteria", tolerances={"verdict_band": float("nan")}),
      "verdict_band"),
     (config("criteria", tolerances=[0.1]), "tolerances"),
+    (config("criteria", tolerances={"verdict_bnad": 0.5}),
+     "tolerances.verdict_bnad"),
     (config("criteria", Q=[["1/2", "1/2"]]), "Q"),
     (config("criteria", P="1/2"), "P"),
     (config("criteria", Q={"prefix": 3, "period": [["1/2", "1/2"]]}),

@@ -7,7 +7,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 from pathlib import Path
 
 import pytest
@@ -19,7 +19,6 @@ from dimlab.errors import DigitOutOfRange, SchemaError, ShapeMismatch
 from dimlab.jsontext import BLOCK_ROWS, write_json
 from dimlab.harness import (
     MAX_COLUMNS,
-    emit_plot_data,
     emit_report,
     load_scenario,
     parse_scenario,
@@ -71,6 +70,26 @@ def csv_tables(report) -> dict:
                 [[smp.scale.numerator, smp.scale.denominator, smp.count,
                   smp.log_ratio] for smp in value.samples])
     return tables
+
+
+def series_lines(report) -> dict:
+    """Each plot series the report has, by file name: its lines."""
+    series = {}
+    for key, value in report.results.items():
+        if isinstance(value, DimensionEstimate):
+            series[f"{key}_logratio.dat"] = [
+                f"{-qtilde.ln(smp.scale)} {smp.log_ratio}"
+                for smp in value.samples]
+    crit_report = report.results.get("criteria")
+    if crit_report is not None:
+        series["sparse_density.dat"] = [
+            f"{k} {value}" for k, value in
+            enumerate(crit_report.sparse_partials, start=1)]
+    return series
+
+
+def series_bytes(lines) -> bytes:
+    return "".join(line + "\n" for line in lines).encode()
 
 
 def csv_bytes(header, rows) -> bytes:
@@ -219,7 +238,7 @@ class TestRunners:
                "Q": {"prefix": [["1/4", "3/4"]],
                      "period": [["1/3", "1/3", "1/3"], ["2/5", "3/5"]]},
                "points": ["0", "1/4", "5/7", "999/1000"]}
-        for rank in (-1, 0, 1, 9):
+        for rank in (0, 1, 9):
             s = parse_scenario({**doc, "rank": rank})
             rows = run_scenario(s).results["digit_table"]
             for x, row in zip(s.points, rows):
@@ -227,6 +246,9 @@ class TestRunners:
                 cyl = cylinder(s.q, word)
                 assert row == {"point": x, "digits": list(word),
                                "left": cyl.left, "right": cyl.right}
+        # a negative rank would quietly give the rank-0 cylinder [0, 1)
+        with pytest.raises(SchemaError, match=r"rank must be an integer >= 0"):
+            parse_scenario({**doc, "rank": -1})
 
     def test_transform(self, fixture_path):
         report = run_scenario(load_scenario(fixture_path("transform_onethird.json")))
@@ -333,44 +355,62 @@ class TestEmission:
         assert len(density) == k_max
         assert all(map(math.isinf if spike[0] == "0" else math.isfinite,
                        density))
-        for fmt in ("json", "csv"):
-            written = emit_report(report, tmp_path / fmt, fmt=fmt)
+        ((header, rows),) = csv_tables(report).values()
+        (lines,) = series_lines(report).values()
+        for fmt, plot_data in product(("json", "csv"), (False, True)):
+            out = tmp_path / f"{fmt}-{plot_data}"
+            written = emit_report(report, out, fmt=fmt, plot_data=plot_data)
             text = written[0].read_text()
             assert text == report_text(report, json.loads(text)["run_meta"])
-        ((header, rows),) = csv_tables(report).values()
-        assert [p.name for p in written] == ["report.json", "criteria.csv"]
-        assert written[1].read_bytes() == csv_bytes(header, rows)
+            assert [p.name for p in written[1:]] == (
+                ["criteria.csv"] * (fmt == "csv")
+                + ["sparse_density.dat"] * plot_data)
+            if fmt == "csv":
+                assert written[1].read_bytes() == csv_bytes(header, rows)
+            if plot_data:
+                assert written[-1].read_bytes() == series_bytes(lines)
 
     def test_plot_data(self, fixture_path, tmp_path):
         s = load_scenario(fixture_path("cantor_dimension.json"))
         report = run_scenario(s)
-        written = emit_plot_data(report, tmp_path)
-        series = written[0].read_text().splitlines()
+        written = emit_report(report, tmp_path, plot_data=True)
+        assert [p.name for p in written] == ["report.json",
+                                             "box_logratio.dat",
+                                             "family_logratio.dat",
+                                             "oracle_logratio.dat"]
+        series = written[1].read_text().splitlines()
         assert len(series) == 5
         assert all(len(line.split()) == 2 for line in series)
 
-    @pytest.mark.parametrize("config", FIXTURES + (UNIT_COLUMNS,))
+    # each fmt x plot_data case of one emit_report call: report.json, then
+    # the CSVs, then the series, each with its oracle's bytes; json with
+    # plot data is where the criteria's block pass runs without a CSV
+    @pytest.mark.parametrize("config", FIXTURES + (UNIT_COLUMNS,
+                                                   INF_CRITERIA))
     def test_plot_data_lines(self, fixture_path, tmp_path, config):
         report = run_scenario(scenario(fixture_path, config))
-        series = {}
-        for key, value in report.results.items():
-            if isinstance(value, DimensionEstimate):
-                series[f"{key}_logratio.dat"] = [
-                    f"{-qtilde.ln(smp.scale)} {smp.log_ratio}"
-                    for smp in value.samples]
-        crit_report = report.results.get("criteria")
-        if crit_report is not None:
-            series["sparse_density.dat"] = [
-                f"{k} {value}" for k, value in
-                enumerate(crit_report.sparse_partials, start=1)]
-        written = emit_plot_data(report, tmp_path)
-        assert [p.name for p in written] == list(series)
-        for name, lines in series.items():
-            assert (tmp_path / name).read_bytes() == "".join(
-                line + "\n" for line in lines).encode()
+        tables, series = csv_tables(report), series_lines(report)
+        for fmt, plot_data in product(("json", "csv"), (False, True)):
+            out = tmp_path / f"{fmt}-{plot_data}"
+            written = emit_report(report, out, fmt=fmt, plot_data=plot_data)
+            names = (["report.json"] + list(tables) * (fmt == "csv")
+                     + list(series) * plot_data)
+            assert [p.name for p in written] == names, (fmt, plot_data)
+            assert sorted(p.name for p in out.iterdir()) == sorted(names)
+            text = written[0].read_text()
+            assert text == report_text(report, json.loads(text)["run_meta"])
+            for name, (header, rows) in tables.items():
+                if fmt == "csv":
+                    assert (out / name).read_bytes() == csv_bytes(header, rows)
+            for name, lines in series.items():
+                if plot_data:
+                    assert (out / name).read_bytes() == series_bytes(lines)
         if config is UNIT_COLUMNS:
-            image = (tmp_path / "image_dim_logratio.dat").read_text()
+            image = (out / "image_dim_logratio.dat").read_text()
             assert image.startswith("-0.0 0.0\n-0.0 0.0\n")
+        if config is INF_CRITERIA:
+            assert (out / "sparse_density.dat").read_text().startswith(
+                "1 inf\n2 inf\n")
 
 
 class TestCli:
