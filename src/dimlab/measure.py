@@ -9,7 +9,6 @@ measure, `f_xi_cylinder` the image, and `f_xi_point` brackets F at a point.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
 from typing import Sequence
 
 from .errors import ToleranceNotReached, magnitude
@@ -18,8 +17,9 @@ from .qtilde import (
     Cylinder,
     RationalLike,
     _check_digit_counts,
+    _unit_point,
+    _walk,
     cylinder,
-    digits,
     nested,
     to_fraction,
 )
@@ -54,16 +54,30 @@ def f_xi_point(q: ColumnMatrix, p: ColumnMatrix, x: RationalLike,
     cylinder image).  A zero-probability digit collapses the image to an
     exact point.  Returns (lo, hi) as exact rationals; the walk and the
     tolerance test stay in integers until then.
+
+    One loop walks q a step at a time (its tail a `ColumnMatrix.block` at a
+    time) and nests the image under p column by column over each step's
+    digits, raising `ShapeMismatch` at a column whose digit counts differ.
     """
     tol = to_fraction(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    length, denominator = 1, 1
-    for left, length, denominator in nested(p, islice(digits(q, x), max_rank)):
-        if length * tol.denominator <= tol.numerator * denominator:
-            return (Fraction(left, denominator),
-                    Fraction(left + length, denominator))
+    if max_rank < 0:
+        raise ValueError(f"max_rank must be >= 0, got {max_rank}")
+    num, den = tol.numerator, tol.denominator
+    left, length, denominator = 0, 1, 1
+    qcols, pcols = q.stream(), p.stream()
+    for word, _, _, _ in _walk(q, _unit_point(x), max_rank):
+        for a, qcol, pcol in zip(word, qcols, pcols):
+            d, offsets, entries = pcol.scaled
+            if len(entries) != len(qcol.entries):
+                _check_digit_counts(q, p, max_rank)  # raises at this column
+            left = left * d + offsets[a] * length
+            length *= entries[a]
+            denominator *= d
+            if length * den <= num * denominator:
+                return (Fraction(left, denominator),
+                        Fraction(left + length, denominator))
     raise ToleranceNotReached(
         f"image interval still {magnitude(Fraction(length, denominator))}"
         f" wide after rank {max_rank}")
-

@@ -6,6 +6,12 @@ subintervals whose relative lengths are the column entries.  Endpoints are
 integers over the product of the column denominators (`ProbColumn.scaled`),
 and a `Fraction` is built only when one is returned, so cylinder identities
 (tiling, nesting, length products) hold exactly at any rank.
+
+The digit walk behind `digits`, `expand`, `locate` and `f_xi_point` reads
+the periodic tail through one table per matrix, built on its first walk
+(`ColumnMatrix.block`: m periods as one column over at most `BLOCK_WORDS`
+digit words).  Prefix columns, a period with more words, and the columns
+after the last whole block are walked one column a step.
 """
 
 from __future__ import annotations
@@ -15,9 +21,9 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain, cycle, islice
-from operator import itemgetter
-from typing import Iterable, Iterator, Sequence, Union
+from itertools import accumulate, chain, cycle, islice, repeat
+from operator import attrgetter, itemgetter
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import (
     ColumnNotStochastic,
@@ -30,6 +36,9 @@ from .errors import (
 )
 
 RationalLike = Union[Fraction, int, str]
+
+# the most digit words one step of the digit walk reads (`ColumnMatrix.block`)
+BLOCK_WORDS = 256
 
 
 def to_fraction(value: RationalLike) -> Fraction:
@@ -126,6 +135,11 @@ class ProbColumn:
         return d, (0, *accumulate(entries)), entries
 
     @cached_property
+    def step(self) -> tuple:
+        """`scaled` plus each digit as a one-digit word: one walk step."""
+        return (*self.scaled, tuple((a,) for a in range(self.n)))
+
+    @cached_property
     def min_entry(self) -> Fraction:
         return min(self.entries)
 
@@ -161,6 +175,29 @@ class ColumnMatrix:
     def stream(self) -> Iterator[ProbColumn]:
         """Columns 1, 2, ... in order, without end."""
         return chain(self.prefix, cycle(self.period))
+
+    @cached_property
+    def block(self) -> Optional[tuple]:
+        """The period unrolled m >= 1 times, m as large as keeps at most
+        `BLOCK_WORDS` words, as one walk step over its words in left-to-right
+        order; None when one period has more words, or only one.
+
+        (d_B, C_B, E_B, words): d_B = prod d, E_B = prod E over each word,
+        and C_B their running sum, so C_B(a1, a2) = d2*C1[a1] + E1[a1]*C2[a2].
+        """
+        size = math.prod(column.n for column in self.period)
+        if not 1 < size <= BLOCK_WORDS:
+            return None
+        m = 1
+        while size ** (m + 1) <= BLOCK_WORDS:
+            m += 1
+        d, entries, words = 1, (1,), ((),)
+        for column in self.period * m:
+            cd, _, ce = column.scaled
+            d *= cd
+            entries = tuple(e * f for e in entries for f in ce)
+            words = tuple(w + (a,) for w in words for a in range(column.n))
+        return d, (0, *accumulate(entries)), entries, words
 
     @cached_property
     def distinct(self) -> tuple:
@@ -284,7 +321,8 @@ def digits(matrix: ColumnMatrix, x: RationalLike) -> Iterator[int]:
     Cylinders are left-closed, so each rational in [0, 1) has one word per
     rank.
     """
-    return map(itemgetter(0), _walk(matrix, _unit_point(x)))
+    steps = _walk(matrix, _unit_point(x))
+    return chain.from_iterable(map(itemgetter(0), steps))
 
 
 def _unit_point(x: RationalLike) -> Fraction:
@@ -294,20 +332,34 @@ def _unit_point(x: RationalLike) -> Fraction:
     return t
 
 
-def _walk(matrix: ColumnMatrix, t: Fraction) -> Iterator[tuple]:
-    """(a, r, w, d) at each position: t's digit a there, t's place r/w
-    inside the cylinder it picks, and the lcm d of the column's entries.
+def _walk(matrix: ColumnMatrix, t: Fraction,
+          rank: Optional[int] = None) -> Iterator[tuple]:
+    """(word, r, w, d) at each step over columns 1..`rank` (without end when
+    `rank` is None): the digits of t that the step reads, t's place r/w
+    inside the cylinder they pick, and the step's denominator d.
 
-    Walks in integer coordinates: at first r/w = t.  With the column's table
-    (d, C, E) the digit is the last a with C_a <= d*r/w; then
-    r <- d*r - C_a*w, w <- w*E_a, with no gcd.
+    The tail is read by its `block` while a whole block fits, every other
+    column on its own.  Walks in integer coordinates: at first r/w = t.
+    With the step's table (d, C, E, words) the word is the last i with
+    C_i <= d*r/w; then r <- d*r - C_i*w, w <- w*E_i, with no gcd, which
+    after a block are the integers its columns would leave.
     """
+    block, step = matrix.block, attrgetter("step")
+    if block is None:
+        steps = map(step, islice(matrix.stream(), rank))
+    elif rank is None:
+        steps = chain(map(step, matrix.prefix), repeat(block))
+    else:
+        blocks, rest = divmod(max(rank - len(matrix.prefix), 0),
+                              len(block[3][0]))
+        steps = chain(map(step, islice(matrix.prefix, rank)),
+                      repeat(block, blocks),
+                      map(step, islice(cycle(matrix.period), rest)))
     r, w = t.numerator, t.denominator
-    for column in matrix.stream():
-        d, offsets, entries = column.scaled
-        a = bisect_right(offsets, d * r // w) - 1  # r < w, so a < n
-        r, w = d * r - offsets[a] * w, w * entries[a]
-        yield a, r, w, d
+    for d, offsets, entries, words in steps:
+        i = bisect_right(offsets, d * r // w) - 1  # r < w, so i < len(words)
+        r, w = d * r - offsets[i] * w, w * entries[i]
+        yield words[i], r, w, d
 
 
 def nested(matrix: ColumnMatrix, word: Iterable[int]) -> Iterator[tuple]:
@@ -347,14 +399,16 @@ def locate(matrix: ColumnMatrix, x: RationalLike, rank: int) -> Cylinder:
     """The rank-`rank` cylinder that contains x, from one digit walk
     (`cylinder(matrix, expand(matrix, x, rank))`, without the second walk).
 
-    With x = p/q, the walk's last place r/w and D the product of the
-    columns' lcms d, w = q*Λ for the cylinder's scaled length Λ, so the
-    cylinder is [(p*D - r)/(q*D), (p*D - r + w)/(q*D)).
+    The walk reads whole blocks of the tail while they fit in `rank`, and
+    finishes a partial last block column by column.  With x = p/q, the
+    walk's last place r/w and D the product of the steps' denominators d,
+    w = q*Λ for the cylinder's scaled length Λ, so the cylinder is
+    [(p*D - r)/(q*D), (p*D - r + w)/(q*D)).
     """
     t = _unit_point(x)
     word, r, w, denominator = [], t.numerator, t.denominator, 1
-    for a, r, w, d in islice(_walk(matrix, t), max(rank, 0)):
-        word.append(a)
+    for letters, r, w, d in _walk(matrix, t, max(rank, 0)):
+        word += letters
         denominator *= d
     p, q = t.numerator, t.denominator
     left = p * denominator - r

@@ -81,6 +81,42 @@ class TestPointEvaluation:
         lo, hi = f_xi_point(QB, p0, Fraction(1, 4), Fraction(1, 10))
         assert lo == hi == 0
 
+    def test_digit_count_mismatch(self):
+        # refused at the first column read, as f_xi_cylinder refuses the
+        # word, and not bracketed under p's wider columns
+        p3 = PMatrix([], [["1/3", "1/3", "1/3"]])
+        with pytest.raises(ShapeMismatch, match=r"^column 1: digit counts "
+                                                r"differ \(2 vs 3\)$"):
+            f_xi_point(QB, p3, Fraction(1, 3), Fraction(1, 100))
+        # a mismatch inside Q's first block, behind three equal columns; a
+        # bracket found before it is read is still returned
+        p = PMatrix([["1/2", "1/2"]] * 3, [["1/3", "1/3", "1/3"]])
+        with pytest.raises(ShapeMismatch, match="^column 4: "):
+            f_xi_point(QB, p, Fraction(1, 3), Fraction(1, 100))
+        assert f_xi_point(QB, p, Fraction(1, 3), Fraction(1, 8)) == (
+            Fraction(1, 4), Fraction(3, 8))
+
+    @pytest.mark.parametrize("max_rank", [-1, -200])
+    def test_negative_max_rank_refused(self, max_rank):
+        with pytest.raises(ValueError,
+                           match=f"^max_rank must be >= 0, got {max_rank}$"):
+            f_xi_point(QB, P13, Fraction(1, 3), Fraction(1, 100), max_rank)
+
+    @pytest.mark.parametrize("tol", [Fraction(1, 100), Fraction(1, 10 ** 9)])
+    def test_max_rank_is_the_deepest_rank_walked(self, tol):
+        # the bracket needs exactly `rank` columns (past QB's 8-column
+        # block at 1e-9): max_rank = rank finds it, one less does not
+        x = Fraction(1, 3)
+        rank = 1
+        while cylinder(P13, expand(QB, x, rank)).length > tol:
+            rank += 1
+        img = cylinder(P13, expand(QB, x, rank))
+        assert f_xi_point(QB, P13, x, tol, rank) == (img.left, img.right)
+        for short in (rank - 1, 0):
+            with pytest.raises(ToleranceNotReached,
+                               match=f"after rank {short}$"):
+                f_xi_point(QB, P13, x, tol, short)
+
     def test_tolerance_not_reached(self):
         # a unit-probability digit never shrinks the image
         p1 = PMatrix([], [["1", "0"]])

@@ -4,8 +4,13 @@ Each one is checked against `reference_walk`, which follows a point through
 absolute `Fraction` coordinates, one digit at a time.  Denominators share
 factors (6, 10, 15, 30), so a column's lcm is not the product of its entry
 denominators, and P columns may carry zero (and unit) entries.
+
+The walk reads the periodic tail a block of m periods at a time
+(`ColumnMatrix.block`), so ranks just before, at and just after a block
+edge are checked on their own, as is a period too wide to block.
 """
 
+import json
 from fractions import Fraction
 from itertools import islice, product
 from math import prod
@@ -20,7 +25,8 @@ from hypothesis import strategies as st
 from dimlab import cylinder, enumerate_cylinders, expand, f_xi_point, locate
 from dimlab.dimension import MoranSpec
 from dimlab.errors import ToleranceNotReached
-from dimlab.qtilde import PMatrix, QMatrix
+from dimlab.harness import load_scenario, run_scenario
+from dimlab.qtilde import BLOCK_WORDS, PMatrix, QMatrix, digits
 
 DENOMINATORS = (6, 10, 15, 30)
 RANK = 64
@@ -144,9 +150,10 @@ def test_p_cylinder_matches_reference(pair, data):
 @given(matrices(), points(), st.data())
 def test_f_xi_point_is_image_at_first_rank_within_tol(pair, x, data):
     q, p = pair
-    max_rank = 48
+    max_rank = data.draw(st.integers(0, 48))  # ends inside a block, too
     word = reference_walk(q, x, max_rank)[0]
-    lengths = [cylinder(p, word[:r]).length for r in range(1, max_rank + 1)]
+    images = [reference_cylinder(p, word[:r]) for r in range(1, max_rank + 1)]
+    lengths = [right - left for left, right in images]
     if data.draw(st.booleans()):
         # exactly an image length: the <= boundary of the tolerance test
         positive = [length for length in lengths if length > 0]
@@ -160,8 +167,7 @@ def test_f_xi_point_is_image_at_first_rank_within_tol(pair, x, data):
         with pytest.raises(ToleranceNotReached):
             f_xi_point(q, p, x, tol, max_rank)
         return
-    image = cylinder(p, expand(q, x, first))
-    assert f_xi_point(q, p, x, tol, max_rank) == (image.left, image.right)
+    assert f_xi_point(q, p, x, tol, max_rank) == images[first - 1]
 
 
 @PROPERTY
@@ -210,3 +216,139 @@ def test_enumeration_tiles_nests_and_keeps_the_length_product(pair, use_p,
         sum(col.entries[a] for a in allowed)
         for allowed, col in islice(zip(spec.stream(), matrix.stream()),
                                       rank))
+
+
+def composed(columns):
+    """(d, C, E, words) of `columns` read as one column, composed one column
+    at a time: the offset of word w followed by digit a is
+    d_a*C[w] + E[w]*C_a[a], and its entry E[w]*E_a[a]."""
+    d, offsets, entries, words = 1, [0], [1], [()]
+    for col in columns:
+        cd, co, ce = col.scaled
+        offsets = [cd * c + e * co[a] for c, e in zip(offsets, entries)
+                   for a in range(col.n)]
+        entries = [e * f for e in entries for f in ce]
+        words = [w + (a,) for w in words for a in range(col.n)]
+        d *= cd
+    return d, (*offsets, d), tuple(entries), tuple(words)
+
+
+def block_edges(matrix):
+    """Ranks m*L - 1, m*L and m*L + 1 past the prefix, for one and two
+    blocks of width m*L."""
+    head, width = len(matrix.prefix), len(matrix.block[3][0])
+    return sorted({head + k * width + e for k in (1, 2) for e in (-1, 0, 1)})
+
+
+def assert_walks_match_reference(matrix, x, rank):
+    word, left, right = reference_walk(matrix, x, rank)
+    assert expand(matrix, x, rank) == word
+    assert tuple(islice(digits(matrix, x), rank)) == word
+    c = locate(matrix, x, rank)
+    assert (c.word, c.left, c.right) == (word, left, right)
+
+
+@PROPERTY
+@given(matrices(), st.booleans())
+def test_block_is_the_period_composed_column_by_column(pair, use_p):
+    """The block table is m periods composed one column at a time, with m
+    as large as keeps at most BLOCK_WORDS words."""
+    matrix = pair[use_p]
+    d, offsets, entries, words = matrix.block
+    width = len(words[0])
+    m, rest = divmod(width, len(matrix.period))
+    assert m >= 1 and rest == 0
+    assert (d, offsets, entries, words) == composed(matrix.period * m)
+    assert len(words) <= BLOCK_WORDS < len(words) * prod(
+        col.n for col in matrix.period)
+
+
+@PROPERTY
+@given(matrices(), points(), st.booleans(), st.data())
+def test_walk_matches_reference_at_block_edges(pair, x, use_p, data):
+    """Before, at and after a block edge, behind a prefix of 0-3 columns,
+    at a drawn point and at the left end of a drawn cylinder that ends
+    inside or at the end of a block (on P a run of zero-length digits can
+    put it at 1)."""
+    matrix = pair[use_p]
+    ranks = block_edges(matrix)
+    word = data.draw(words(matrix, data.draw(st.integers(0, ranks[-1]))))
+    for point in (x, cylinder(matrix, word).left):
+        if point == 1:
+            continue
+        for rank in ranks:
+            assert_walks_match_reference(matrix, point, rank)
+
+
+@PROPERTY
+@given(matrices(), points(), st.booleans())
+def test_rank_zero_is_the_unit_interval(pair, x, use_p):
+    matrix = pair[use_p]
+    for rank in (0, -1):
+        assert expand(matrix, x, rank) == ()
+        c = locate(matrix, x, rank)
+        assert (c.word, c.left, c.right) == ((), 0, 1)
+
+
+@PROPERTY
+@given(matrices(), points(), st.integers(0, RANK))
+def test_p_digits_match_reference(pair, x, rank):
+    """Zero entries give zero-length words in P's block table; the walk
+    never picks them, as it never picks a zero-length digit."""
+    p = pair[1]
+    assert tuple(islice(digits(p, x), rank)) == reference_walk(p, x, rank)[0]
+
+
+NINE_COLUMNS = ([[Fraction(1, 3), Fraction(2, 3)]] * 4
+                + [[Fraction(1, 2)] * 2] * 5)
+
+
+@pytest.mark.parametrize("x", [Fraction(0), Fraction(1, 3),
+                               Fraction(123456789, 10 ** 9 + 7),
+                               Fraction(3, 4) - Fraction(1, 2 ** 40)])
+def test_period_of_512_words_walks_column_by_column(x):
+    """Nine binary columns make 512 words, more than one block holds: the
+    tail is walked one column a step, behind a prefix and without one."""
+    for prefix in ([], [[Fraction(1, 5), Fraction(4, 5)]]):
+        q = QMatrix(prefix, NINE_COLUMNS)
+        p = PMatrix(prefix, [[Fraction(0), Fraction(1)]] + NINE_COLUMNS[1:])
+        assert q.block is None and p.block is None
+        for rank in (0, 1, 8, 9, 10, 18, 19, 40):
+            assert_walks_match_reference(q, x, rank)
+            assert_walks_match_reference(p, x, rank)
+        tol = Fraction(1, 10 ** 6)
+        word = reference_walk(q, x, 200)[0]
+        image = next(c for c in (reference_cylinder(p, word[:r])
+                                 for r in range(1, 201)) if c[1] - c[0] <= tol)
+        assert f_xi_point(q, p, x, tol) == image
+
+
+def test_one_word_period_walks_column_by_column():
+    """A period of one-digit columns has one word, which no m bounds: it is
+    not blocked.  A one-digit column beside a binary one is."""
+    p = PMatrix([[Fraction(1, 2)] * 2], [[Fraction(1)]])
+    assert p.block is None
+    mixed = PMatrix([], [[Fraction(1)], [Fraction(1, 3), Fraction(2, 3)]])
+    assert (len(mixed.block[3]), len(mixed.block[3][0])) == (256, 16)
+    for matrix in (p, mixed):
+        for rank in (0, 1, 2, 15, 16, 17, 300):
+            assert_walks_match_reference(matrix, Fraction(2, 3), rank)
+
+
+def test_prefix_period_fixture_rows_match_reference(fixture_path):
+    """The expand fixture with a two-column prefix and a (2, 3, 2) period:
+    rank 37 ends inside the sixth 6-column block, and some points are
+    cylinder left ends.  Parsing builds no block table."""
+    config = fixture_path("expand_prefix_period.json")
+    s = load_scenario(config)
+    assert "block" not in vars(s.q)
+    assert (len(s.q.prefix), [c.n for c in s.q.period], s.rank) == (
+        2, [2, 3, 2], 37)
+    assert (s.rank - len(s.q.prefix)) % len(s.q.block[3][0]) != 0
+    rows = run_scenario(s).results["digit_table"]
+    assert [row["point"] for row in rows] == [
+        Fraction(x) for x in json.loads(config.read_text())["points"]]
+    for row in rows:
+        word, left, right = reference_walk(s.q, row["point"], s.rank)
+        assert row == {"point": row["point"], "digits": list(word),
+                       "left": left, "right": right}
