@@ -36,10 +36,21 @@ from .errors import (
     TooFewScales,
     magnitude,
 )
-from .qtilde import ColumnMatrix, Cylinder, ln, _int_lists, to_fraction
+from .qtilde import ColumnMatrix, Cylinder, _intern, ln, to_fraction
 
 DEFAULT_ENUM_BUDGET = 2 ** 22
 WINDOW_FRACTION = 0.5
+
+
+def _digit_set(allowed, where: str) -> tuple:
+    """A nonempty set of int digits as its sorted tuple; a `SchemaError`
+    names `where`."""
+    if not (isinstance(allowed, (list, tuple, range, set))
+            and all(type(a) is int for a in allowed)):
+        raise SchemaError(f"{where} must be a list of integer digits")
+    if not allowed:
+        raise SchemaError(f"{where}: allowed-digit set is empty")
+    return tuple(sorted(set(allowed)))
 
 
 @dataclass(frozen=True)
@@ -48,22 +59,19 @@ class MoranSpec:
 
     Defines the set of points whose digit at every position j lies in
     column j's allowed set A_j.  The rank-k piece of the set is a union of
-    prod_{j<=k} |A_j| cylinders.
+    prod_{j<=k} |A_j| cylinders.  Each set is a nonempty list, tuple, range
+    or set of ints (no bools), interned like a matrix's columns, and an
+    error names the first position that is not (`allowed_prefix[0]: ...`).
     """
 
     allowed_prefix: tuple  # tuple[tuple[int, ...], ...]
     allowed_period: tuple  # tuple[tuple[int, ...], ...], nonempty
 
     def __post_init__(self):
-        pre = tuple(tuple(sorted(set(s))) for s in self.allowed_prefix)
-        per = tuple(tuple(sorted(set(s))) for s in self.allowed_period)
-        object.__setattr__(self, "allowed_prefix", pre)
-        object.__setattr__(self, "allowed_period", per)
-        if not per:
+        _intern(self, ("allowed_prefix", "allowed_period"), _digit_set,
+                "digit lists")
+        if not self.allowed_period:
             raise EmptyPeriod("allowed_period must be nonempty")
-        for name, sets in (("allowed_prefix", pre), ("allowed_period", per)):
-            if () in sets:
-                raise SchemaError(f"{name}[{sets.index(())}]: allowed-digit set is empty")
 
     def stream(self) -> Iterator[tuple]:
         """The allowed sets of columns 1, 2, ... in order, without end."""
@@ -82,15 +90,6 @@ class MoranSpec:
     def count(self, rank: int) -> int:
         """prod_{j<=rank} |A_j|: how many words of length `rank`."""
         return math.prod(map(len, islice(self.stream(), rank)))
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "MoranSpec":
-        """Spec from its JSON form; each field must be a list of lists of
-        integer digits (a `SchemaError` names the field and index)."""
-        if not isinstance(doc, dict):
-            raise SchemaError("moran must be an object")
-        return cls(*(_int_lists(doc.get(name, []), f"moran.{name}")
-                     for name in ("allowed_prefix", "allowed_period")))
 
 
 @dataclass(frozen=True)

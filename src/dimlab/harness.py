@@ -6,7 +6,7 @@ import json
 import sys
 import time
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from fractions import Fraction
 from itertools import count
@@ -20,7 +20,7 @@ from . import qtilde
 from .errors import DimlabError, ParseError, SchemaError, magnitude
 from .jsontext import column_blocks, keep_decimals, write_json
 from .qtilde import (PMatrix, QMatrix, _check_digit_counts, _exact,
-                     _int_lists, _joint_horizon, _rationals)
+                     _joint_horizon)
 
 # the most columns a config may ask to read (`k_max`, `rank`, `ranks`): a
 # criteria run holds about 0.3 KiB a column, so about 0.3 GiB at the bound
@@ -58,13 +58,13 @@ def parse_scenario(doc: dict) -> Scenario:
     for key in _KINDS[kind][1]:
         if key not in doc:
             raise SchemaError(f"{kind} scenario requires field {key!r}")
-    q = QMatrix.from_dict(doc["Q"])
-    p = PMatrix.from_dict(doc["P"]) if "P" in doc else None
+    q = _built(QMatrix, doc, "Q")
+    p = _built(PMatrix, doc, "P") if "P" in doc else None
     if p is not None:
         with _field("P"):
             _check_digit_counts(q, p, _joint_horizon((q.prefix, q.period),
                                                      (p.prefix, p.period)))
-    moran = dim.MoranSpec.from_dict(doc["moran"]) if "moran" in doc else None
+    moran = _built(dim.MoranSpec, doc, "moran") if "moran" in doc else None
     if moran is not None:
         with _field("moran"):
             moran.validate_against(q, _joint_horizon(
@@ -97,6 +97,23 @@ def parse_scenario(doc: dict) -> Scenario:
         name=name,
         raw=doc,
     )
+
+
+def _built(cls, doc: dict, name: str):
+    """The config object `doc[name]` built by `cls`, whose fields are its
+    keys (a missing one is []); an unknown key, or any error `cls` raises,
+    is a `SchemaError` that names the field."""
+    value = doc[name]
+    if not isinstance(value, dict):
+        raise SchemaError(f"{name} must be an object")
+    keys = [f.name for f in fields(cls)]
+    for key in value:
+        if key not in keys:
+            raise SchemaError(f"{name}.{key} is not one of {', '.join(keys)}")
+    try:
+        return cls(*(value.get(key, []) for key in keys))
+    except DimlabError as exc:
+        raise SchemaError(f"{name}.{exc}") from None
 
 
 @contextmanager
@@ -133,27 +150,32 @@ def _positive_ranks(ranks) -> tuple:
 
 
 def _unit_rationals(values, name: str, zero: bool) -> tuple:
-    """A config list of rationals in [0, 1), or in (0, 1) unless `zero`; a
-    `SchemaError` names the first element outside it."""
-    numbers = _rationals(values, name)
+    """A config list of exact rationals in [0, 1), or in (0, 1) unless
+    `zero`; a `SchemaError` names the field, or its first bad element."""
+    if not isinstance(values, list):
+        raise SchemaError(f"{name} must be a list of rationals, got {values!r}")
+    numbers = tuple(_exact(x, f"{name}[{i}]") for i, x in enumerate(values))
     for i, x in enumerate(numbers):
         if not (0 <= x < 1 and (zero or x)):
             interval = "[0, 1)" if zero else "(0, 1)"
             raise SchemaError(
                 f"{name}[{i}] must lie in {interval}, got {values[i]!r}")
-    return tuple(numbers)
+    return numbers
 
 
 def _words(values, q: QMatrix) -> tuple:
-    """A config list of digit words; a `SchemaError` names the first word
-    with a digit out of range for its column of q."""
-    words = _int_lists(values, "words")
-    for i, word in enumerate(words):
+    """A config list of digit words; a `SchemaError` names the field, or
+    the first word that is not a list of digits in range for q."""
+    if not isinstance(values, list):
+        raise SchemaError("words must be a list of digit lists")
+    for i, word in enumerate(values):
+        if not (isinstance(word, list) and all(type(a) is int for a in word)):
+            raise SchemaError(f"words[{i}] must be a list of integer digits")
         for j, (a, column) in enumerate(zip(word, q.stream()), start=1):
             if not 0 <= a < column.n:
                 raise SchemaError(f"words[{i}]: digit {a} out of range for "
                                   f"column {j} (n={column.n})")
-    return words
+    return tuple(map(tuple, values))
 
 
 def _tolerances(values) -> dict:

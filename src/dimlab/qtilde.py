@@ -40,11 +40,21 @@ RationalLike = Union[Fraction, int, str]
 # the most digit words one step of the digit walk reads (`ColumnMatrix.block`)
 BLOCK_WORDS = 256
 
+# the largest decimal exponent a string may carry ("1e4300"): `Fraction`
+# builds 10**exponent, so "1e999999999" would not return; CPython's default
+# int-to-string digit limit is the same figure
+MAX_EXPONENT = 4300
+
 
 def to_fraction(value: RationalLike) -> Fraction:
-    """Convert an int, "num/den" string, or Fraction to an exact Fraction."""
+    """Convert an int, "num/den" string, or Fraction to an exact Fraction;
+    a string whose exponent exceeds `MAX_EXPONENT` is a ValueError."""
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, str):
+        _, e, exponent = value.lower().partition("e")
+        if e and abs(int(exponent)) > MAX_EXPONENT:
+            raise ValueError(f"exponent of {value!r} exceeds {MAX_EXPONENT}")
     if isinstance(value, (int, str)):
         return Fraction(value)
     if isinstance(value, float):
@@ -55,7 +65,8 @@ def to_fraction(value: RationalLike) -> Fraction:
 
 def _exact(value, name: str) -> Fraction:
     """A config value as an exact Fraction; anything else (a bool, "1/0",
-    "abc", a non-finite float) is a `SchemaError` naming the field."""
+    "abc", "1e999999", a non-finite float) is a `SchemaError` naming the
+    field."""
     if not isinstance(value, bool):
         try:
             return to_fraction(value)
@@ -64,33 +75,30 @@ def _exact(value, name: str) -> Fraction:
     raise SchemaError(f"{name} is not an exact rational: {value!r}")
 
 
-def _rationals(values, name: str) -> list:
-    """A config list of exact rationals as Fractions; a `SchemaError` names
-    the field, or the index of the first element that is not one."""
-    if not isinstance(values, list):
-        raise SchemaError(f"{name} must be a list of rationals, got {values!r}")
-    return [_exact(value, f"{name}[{i}]") for i, value in enumerate(values)]
-
-
-def _column(values, name: str) -> "ProbColumn":
-    """A config column as a ProbColumn; a `SchemaError` names the field, or
-    the index of its first bad entry."""
-    entries = _rationals(values, name)
-    try:
-        return ProbColumn(entries)
-    except (ColumnNotStochastic, NonPositiveEntry) as exc:
-        raise SchemaError(f"{name}: {exc}") from None
-
-
-def _int_lists(value, name: str) -> tuple:
-    """A config list of integer lists (digit words or digit sets) as a tuple
-    of tuples; a `SchemaError` names the field and the first bad index."""
-    if not isinstance(value, list):
-        raise SchemaError(f"{name} must be a list of digit lists")
-    for i, item in enumerate(value):
-        if not (isinstance(item, list) and all(type(a) is int for a in item)):
-            raise SchemaError(f"{name}[{i}] must be a list of integer digits")
-    return tuple(tuple(item) for item in value)
+def _intern(obj, names: tuple, convert, what: str) -> dict:
+    """Set each field in `names` of the frozen dataclass `obj`, a list of
+    items, to their tuple through `convert(item, where)`; return the table
+    of results in order of first position.  Equal list or tuple items are
+    converted once, at the first position (`where`: "prefix[3]") holding
+    them; the key keeps each value's type, so `True` never passes for a
+    `1` seen before.  Any other item is keyed by identity."""
+    table = {}
+    for name in names:
+        items = getattr(obj, name)
+        if not isinstance(items, (list, tuple)):
+            raise SchemaError(f"{name} must be a list of {what}")
+        converted = []
+        for i, item in enumerate(items):
+            key = ((*map(type, item), *item)
+                   if isinstance(item, (list, tuple)) else id(item))
+            try:
+                value = table[key]
+            except (KeyError, TypeError):  # new, or unhashable (a list)
+                # convert raises on a bad item: only good ones are kept
+                value = table[key] = convert(item, f"{name}[{i}]")
+            converted.append(value)
+        object.__setattr__(obj, name, tuple(converted))
+    return table
 
 
 def ln(value: Fraction) -> float:
@@ -156,21 +164,38 @@ class ProbColumn:
 
 @dataclass(frozen=True)
 class ColumnMatrix:
-    """Finite prefix + periodic tail of probability columns, 1-indexed;
-    raw entry sequences are validated into ProbColumns."""
+    """Finite prefix + periodic tail of probability columns, 1-indexed.
+
+    Each column is a `ProbColumn` or a list or tuple of exact rationals.
+    Equal raw columns share one `ProbColumn` (`_intern`), converted and
+    checked at the first position that holds them, and an error names that
+    position (`prefix[1]: column sums to 3/2, expected 1`).  `distinct`
+    holds each column object once, in order of first position.
+    """
 
     prefix: tuple  # tuple[ProbColumn, ...]
     period: tuple  # tuple[ProbColumn, ...], nonempty
 
-    CONFIG_KEY = "matrix"  # the config field that from_dict reads, for errors
-
     def __post_init__(self):
-        for name in ("prefix", "period"):
-            columns = tuple(c if isinstance(c, ProbColumn) else ProbColumn(c)
-                            for c in getattr(self, name))
-            object.__setattr__(self, name, columns)
+        interned = _intern(self, ("prefix", "period"), self._column, "columns")
         if not self.period:
-            raise EmptyPeriod("periodic tail must contain at least one column")
+            raise EmptyPeriod(
+                "period: periodic tail must contain at least one column")
+        object.__setattr__(self, "distinct", tuple(interned.values()))
+
+    def _column(self, col, where: str) -> ProbColumn:
+        """`col` as a checked `ProbColumn`; an error names `where`, or the
+        index of its first entry that is not an exact rational."""
+        if isinstance(col, ProbColumn):
+            return col
+        if not isinstance(col, (list, tuple)):
+            raise SchemaError(
+                f"{where} must be a list of rationals, got {col!r}")
+        try:
+            return ProbColumn(tuple(_exact(v, f"{where}[{j}]")
+                                    for j, v in enumerate(col)))
+        except (ColumnNotStochastic, NonPositiveEntry) as exc:
+            raise type(exc)(f"{where}: {exc}") from None
 
     def stream(self) -> Iterator[ProbColumn]:
         """Columns 1, 2, ... in order, without end."""
@@ -199,12 +224,6 @@ class ColumnMatrix:
             words = tuple(w + (a,) for w in words for a in range(column.n))
         return d, (0, *accumulate(entries)), entries, words
 
-    @cached_property
-    def distinct(self) -> tuple:
-        """Each column object once, in order of first position: a column
-        interned by `from_dict` is checked and summarised once."""
-        return tuple({id(c): c for c in self.prefix + self.period}.values())
-
     def min_entry(self) -> Fraction:
         return min(c.min_entry for c in self.distinct)
 
@@ -212,69 +231,21 @@ class ColumnMatrix:
         """True when every column has all-equal entries."""
         return all(c.uniform for c in self.distinct)
 
-    def to_dict(self) -> dict:
-        return {
-            "prefix": [[str(e) for e in c.entries] for c in self.prefix],
-            "period": [[str(e) for e in c.entries] for c in self.period],
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ColumnMatrix":
-        """Matrix from its JSON form: "prefix" and "period" are lists of
-        columns of exact rationals (a `SchemaError` names the field).
-
-        Equal raw columns share one `ProbColumn`, parsed and checked at the
-        first position that holds them.  The key keeps each value's type,
-        so `true` never passes for a `1` seen before."""
-        name = cls.CONFIG_KEY
-        if not isinstance(doc, dict):
-            raise SchemaError(f"{name} must be an object")
-        interned = {}
-        parts = []
-        for part in ("prefix", "period"):
-            columns = doc.get(part, [])
-            if not isinstance(columns, list):
-                raise SchemaError(f"{name}.{part} must be a list of columns")
-            parsed = []
-            for i, col in enumerate(columns):
-                key = (tuple((type(v), v) for v in col)
-                       if isinstance(col, list) else None)
-                try:
-                    column = interned[key]
-                except (KeyError, TypeError):  # new, or unhashable (a list)
-                    # _column raises on a bad column: only good ones are kept
-                    column = interned[key] = _column(col, f"{name}.{part}[{i}]")
-                parsed.append(column)
-            parts.append(parsed)
-        try:
-            return cls(*parts)
-        except NonPositiveEntry as exc:  # names the column's first position
-            raise SchemaError(f"{name}.{exc}") from None
-
 
 class QMatrix(ColumnMatrix):
     """Geometry matrix: every entry strictly inside (0, 1)."""
 
-    CONFIG_KEY = "Q"
-
-    def __post_init__(self):
-        super().__post_init__()
-        columns = self.prefix + self.period
-        for col in self.distinct:
-            for e in col.entries:
-                if e <= 0 or e >= 1:
-                    i = next(i for i, c in enumerate(columns) if c is col)
-                    m = len(self.prefix)
-                    where = f"prefix[{i}]" if i < m else f"period[{i - m}]"
-                    raise NonPositiveEntry(
-                        f"{where}: geometry entry {e} must lie strictly in "
-                        f"(0, 1)")
+    def _column(self, col, where: str) -> ProbColumn:
+        column = super()._column(col, where)
+        for e in column.entries:
+            if not 0 < e < 1:
+                raise NonPositiveEntry(f"{where}: geometry entry {e} must lie "
+                                       f"strictly in (0, 1)")
+        return column
 
 
 class PMatrix(ColumnMatrix):
     """Measure matrix: zero (and hence unit) entries are permitted."""
-
-    CONFIG_KEY = "P"
 
 
 def _joint_horizon(*parts) -> int:

@@ -49,6 +49,17 @@ def spike_probability(m: int) -> Fraction:
     return Fraction(*math.exp(-m).as_integer_ratio())
 
 
+def sparse_spike_config(k_max: int = 400) -> dict:
+    """The `"P"` config object of `sparse_spike_p(k_max)`: raw columns of
+    "num/den" strings."""
+    half = ["1/2", "1/2"]
+    prefix = [half] * k_max
+    for m in range(1, math.isqrt(k_max) + 1):
+        p = spike_probability(m)
+        prefix[m * m - 1] = [str(p), str(1 - p)]
+    return {"prefix": prefix, "period": [half]}
+
+
 def sparse_spike_p(k_max: int = 400) -> PMatrix:
     """Measure matrix spiked at square positions over a uniform binary tail.
 
@@ -56,16 +67,7 @@ def sparse_spike_p(k_max: int = 400) -> PMatrix:
     is (1/2, 1/2).  Spikes exist only up to k_max (the matrix must stay
     finitely describable), which is all the finite-horizon criteria see.
     """
-    uniform = ProbColumn((HALF, HALF))
-    columns = []
-    squares = {m * m: m for m in range(1, int(math.isqrt(k_max)) + 1)}
-    for j in range(1, k_max + 1):
-        if j in squares:
-            p = spike_probability(squares[j])
-            columns.append(ProbColumn((p, 1 - p)))
-        else:
-            columns.append(uniform)
-    return PMatrix(tuple(columns), (uniform,))
+    return PMatrix(**sparse_spike_config(k_max))
 
 
 def witness_spec(q, p, k_max: int) -> MoranSpec:

@@ -8,10 +8,13 @@ import sys
 import pytest
 
 from dimlab.cli import main
-from dimlab.errors import SchemaError
+from dimlab.dimension import MoranSpec
+from dimlab.errors import DimlabError, SchemaError
+from dimlab.harness import parse_scenario
 from dimlab.qtilde import PMatrix, QMatrix
 
 BINARY = {"prefix": [], "period": [["1/2", "1/2"]]}
+FIELD = {QMatrix: "Q", PMatrix: "P"}
 
 
 def config(kind, **fields):
@@ -76,6 +79,29 @@ MALFORMED = [
      "P.prefix[0][1]"),
     (config("criteria", Q={"prefix": [["1/2", "1/2"]],
                            "period": [["0", "1"]]}), "Q.period[0]"),
+    # an exponent string would have Fraction build 10**exponent
+    (config("criteria", Q={"prefix": [], "period": [["1e999999999", "1/2"]]}),
+     "Q.period[0][0] is not an exact rational: '1e999999999'"),
+    (config("expand", points=["1e-999999999"]),
+     "points[0] is not an exact rational"),
+    (config("transform", tol="1E999999999"), "tol is not an exact rational"),
+    (config("criteria", Q={"prefix": [], "period": []}),
+     "Q.period: periodic tail must contain at least one column"),
+    (config("criteria", P={"prefix": [["1/2", "1/2"]]}),
+     "P.period: periodic tail must contain at least one column"),
+    (config("dimension", moran={"allowed_prefix": [], "allowed_period": []}),
+     "moran.allowed_period must be nonempty"),
+    (config("dimension", moran={"allowed_prefix": [[]],
+                                "allowed_period": [[0]]}),
+     "moran.allowed_prefix[0]: allowed-digit set is empty"),
+    # an unknown key beside valid ones
+    (config("criteria", Q={**BINARY, "perod": [["1/3", "2/3"]]}),
+     "Q.perod is not one of prefix, period"),
+    (config("criteria", P={**BINARY, "prefx": []}),
+     "P.prefx is not one of prefix, period"),
+    (config("dimension", moran={"allowed_prefix": [], "allowed_period": [[0]],
+                                "allowed_perod": [[1]]}),
+     "moran.allowed_perod is not one of allowed_prefix, allowed_period"),
 ]
 
 
@@ -129,7 +155,8 @@ def test_infinite_tolerance_is_allowed(tmp_path, capsys):
     assert main(["validate", "--config", str(path)]) == 0
 
 
-@pytest.mark.parametrize("cls,doc,field", [
+# (matrix class, its config object, the error its field must give)
+MATRIX_DOCS = [
     (QMatrix, [["1/2", "1/2"]], "Q must be an object"),
     (PMatrix, {"prefix": {}, "period": [["1/2", "1/2"]]}, "P.prefix"),
     (QMatrix, {"prefix": [], "period": None}, "Q.period"),
@@ -163,21 +190,57 @@ def test_infinite_tolerance_is_allowed(tmp_path, capsys):
     (QMatrix, {"prefix": [["1/2", "1/2"], ["1"], ["1/2", "1/2"], ["1"]],
                "period": [["1"]]},
      r"Q.prefix\[1\]: geometry entry 1 "),
-])
+]
+
+
+@pytest.mark.parametrize("cls,doc,field", MATRIX_DOCS)
 def test_matrix_from_dict_names_the_field(cls, doc, field):
     with pytest.raises(SchemaError, match=field):
-        cls.from_dict(doc)
+        parse_scenario(config("criteria", **{FIELD[cls]: doc}))
 
 
 def test_from_dict_parses_each_distinct_column_once():
     half, third = ["1/2", "1/2"], ["1/3", "2/3"]
-    m = PMatrix.from_dict({"prefix": [half, third, half, [0.5, 0.5], third],
-                           "period": [third, half]})
+    m = parse_scenario(config("criteria", P={
+        "prefix": [half, third, half, [0.5, 0.5], third],
+        "period": [third, half]})).p
     assert m.prefix[0] is m.prefix[2] is m.period[1]
     assert m.prefix[1] is m.prefix[4] is m.period[0]
     # equal entries spelled differently are parsed apart, and compare equal
     assert m.prefix[3] is not m.prefix[0] and m.prefix[3] == m.prefix[0]
     assert m.distinct == (m.prefix[0], m.prefix[1], m.prefix[3])
+
+
+def test_library_matrix_interns_and_names_like_the_config():
+    """The constructor that the config path calls interns raw columns for
+    library callers too, and its errors name the same position without
+    the config field."""
+    half, third = ["1/2", "1/2"], ("1/3", "2/3")
+    m = PMatrix([half, third, tuple(half)], [list(third), half])
+    assert m.prefix[0] is m.prefix[2] is m.period[1]
+    assert m.prefix[1] is m.period[0]
+    assert m.distinct == (m.prefix[0], m.prefix[1])
+    for cls, doc, _ in MATRIX_DOCS:
+        if not isinstance(doc, dict):
+            continue
+        with pytest.raises(DimlabError) as built:
+            cls(doc["prefix"], doc["period"])
+        with pytest.raises(SchemaError) as parsed:
+            parse_scenario(config("criteria", **{FIELD[cls]: doc}))
+        assert str(parsed.value) == f"{FIELD[cls]}.{built.value}"
+
+
+def test_library_digit_spec_takes_sets_and_names_like_the_config():
+    spec = MoranSpec([range(2), {1, 0}, (1, 0, 1)], [[0]])
+    assert spec.allowed_prefix == ((0, 1),) * 3
+    for moran in ({"allowed_prefix": [[0], [True]], "allowed_period": [[0]]},
+                  {"allowed_prefix": [[0], []], "allowed_period": [[0]]},
+                  {"allowed_prefix": [], "allowed_period": []}):
+        with pytest.raises(DimlabError) as built:
+            MoranSpec(moran["allowed_prefix"], moran["allowed_period"])
+        with pytest.raises(SchemaError) as parsed:
+            parse_scenario(config("dimension", moran=moran))
+        assert str(parsed.value) == f"moran.{built.value}"
 
 
 @pytest.mark.parametrize("value", ["0", "-5", "abc", "1.5", ""])

@@ -227,9 +227,8 @@ def reference_oracle(spec, q, k_max):
     return samples, tail_window_max(samples)
 
 
-# Q parsed from a 400-column prefix of one repeated raw column
-Q_REPEATED = QMatrix.from_dict({"prefix": [HALF_RAW] * 400,
-                                "period": [HALF_RAW]})
+# Q built from a 400-column prefix of one repeated raw column
+Q_REPEATED = QMatrix([HALF_RAW] * 400, [HALF_RAW])
 PAIRS = [
     (Q_REPEATED, matrices.sparse_spike_p(400), 420),
     # zero and unit P entries, and an infinite density from column 1
@@ -254,10 +253,8 @@ class TestCachedColumnTerms:
 
     def test_moran_dim_oracle_is_bit_identical(self):
         # uniform columns, binary and ternary, repeated through the prefix
-        q = QMatrix.from_dict({
-            "prefix": [THIRD_RAW if j % 7 == 0 else HALF_RAW
-                       for j in range(1, 301)],
-            "period": [HALF_RAW, THIRD_RAW]})
+        q = QMatrix([THIRD_RAW if j % 7 == 0 else HALF_RAW
+                     for j in range(1, 301)], [HALF_RAW, THIRD_RAW])
         assert len(q.distinct) == 2
         spec = MoranSpec(tuple((0,) if j % 5 == 0 else tuple(range(col.n))
                                for j, col in enumerate(q.prefix, start=1)),

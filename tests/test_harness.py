@@ -481,7 +481,7 @@ class TestCli:
         rc = main([command, "--config", str(config), "--out", str(tmp_path)])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: allowed_p")
+        assert err.startswith("error: moran.allowed_p")
         assert "Traceback" not in err
         assert not (tmp_path / "report.json").exists()
 
@@ -522,8 +522,8 @@ class TestCli:
         config = tmp_path / "spike6400.json"
         config.write_text(json.dumps({
             "kind": "counterexample",
-            "Q": matrices.uniform_binary().to_dict(),
-            "P": matrices.sparse_spike_p(6400).to_dict(),
+            "Q": {"prefix": [], "period": [["1/2", "1/2"]]},
+            "P": matrices.sparse_spike_config(6400),
             "k_max": 6400,
         }))
         limit = getattr(sys, "get_int_max_str_digits", lambda: None)()

@@ -49,8 +49,11 @@ class TestValidation:
         assert matrices.uniform_ternary().min_entry() == Fraction(1, 3)
 
     def test_roundtrip_dict(self):
+        # ProbColumns back to raw "num/den" columns, and built again
         q = matrices.mixed_prefix_period()
-        assert QMatrix.from_dict(q.to_dict()) == q
+        raw = ([[str(e) for e in c.entries] for c in part]
+               for part in (q.prefix, q.period))
+        assert QMatrix(*raw) == q
 
 
 class TestCylinder:

@@ -164,8 +164,9 @@ class TestTailWindow:
 
 
 class TestDimensionScales:
-    def scales(self, q, ranks):
-        s = parse_scenario({"kind": "dimension", "Q": q.to_dict(),
+    def scales(self, prefix, period, ranks):
+        s = parse_scenario({"kind": "dimension",
+                            "Q": {"prefix": prefix, "period": period},
                             "moran": {"allowed_prefix": [],
                                       "allowed_period": [[0]]},
                             "ranks": ranks})
@@ -175,17 +176,16 @@ class TestDimensionScales:
 
     def test_digit_uniform_q_uses_rank_lengths(self):
         # uniform columns whose common entry changes along the prefix
-        q = QMatrix([["1/2", "1/2"], ["1/5"] * 5], [["1/3"] * 3])
+        prefix, period = [["1/2", "1/2"], ["1/5"] * 5], [["1/3"] * 3]
         lengths, length = [], Fraction(1)
-        for col in islice(q.stream(), 7):
+        for col in islice(QMatrix(prefix, period).stream(), 7):
             length *= col.entries[0]
             lengths.append(length)
-        assert self.scales(q, [7, 2, 4, 5]) == [
+        assert self.scales(prefix, period, [7, 2, 4, 5]) == [
             lengths[k - 1] for k in (2, 4, 5, 7)]
 
     def test_other_q_uses_dyadic_scales(self):
-        q = QMatrix([], [["1/3", "2/3"]])
-        assert self.scales(q, [5, 3, 4, 6]) == [
+        assert self.scales([], [["1/3", "2/3"]], [5, 3, 4, 6]) == [
             Fraction(1, 2 ** k) for k in (3, 4, 5, 6)]
 
 
