@@ -9,7 +9,8 @@ import sys
 
 from .dimension import DEFAULT_ENUM_BUDGET
 from .errors import DimlabError, ParseError
-from .harness import KINDS, emit_report, load_scenario, run_scenario
+from .harness import (KINDS, _unlimited_int_digits, emit_report,
+                      load_scenario, run_scenario)
 
 ENV_BUDGET = "DIMLAB_RANK_BUDGET"
 
@@ -56,12 +57,13 @@ def main(argv=None) -> int:
         return 1
 
     if args.command == "validate":
-        print(json.dumps({
-            "kind": scenario.kind,
-            "name": scenario.name,
-            "q_min": str(scenario.q.min_entry()),
-            "valid": True,
-        }, sort_keys=True))
+        with _unlimited_int_digits():  # q_min may have 4301 digits
+            print(json.dumps({
+                "kind": scenario.kind,
+                "name": scenario.name,
+                "q_min": str(scenario.q.min_entry()),
+                "valid": True,
+            }, sort_keys=True))
         return 0
 
     if scenario.kind != args.command:

@@ -9,15 +9,19 @@ from fractions import Fraction
 
 
 def magnitude(x) -> str:
-    """A positive int or Fraction for an error text: exact while its terms
-    fit 64 bits, else four digits and a power of ten, so that an exact
+    """An int or Fraction for an error text: exact while its terms fit 64
+    bits, else its sign, four digits and a power of ten, so that an exact
     value of any size costs the text a few bytes."""
     x = Fraction(x)
     if max(x.numerator.bit_length(), x.denominator.bit_length()) <= 64:
         return str(x)
-    exponent = math.log10(x.numerator) - math.log10(x.denominator)
+    exponent = math.log10(abs(x.numerator)) - math.log10(x.denominator)
     power = math.floor(exponent)
-    return f"{10 ** (exponent - power):.3f}e{power:+d}"
+    digits = f"{10 ** (exponent - power):.3f}"
+    if digits == "10.000":  # a power of ten, with the float just below it
+        digits, power = "1.000", power + 1
+    sign = "-" if x < 0 else ""
+    return f"{sign}{digits}e{power:+d}"
 
 
 class DimlabError(Exception):

@@ -80,7 +80,7 @@ def parse_scenario(doc: dict) -> Scenario:
         raise SchemaError(f"name must be a string, got {name!r}")
     tol = _exact(doc.get("tol", "1/1024"), "tol")
     if tol <= 0:
-        raise SchemaError(f"tol must be positive, got {tol}")
+        raise SchemaError(f"tol must be positive, got {magnitude(tol)}")
     return Scenario(
         kind=kind,
         q=q,

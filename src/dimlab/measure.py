@@ -20,7 +20,6 @@ from .qtilde import (
     _unit_point,
     _walk,
     cylinder,
-    nested,
     to_fraction,
 )
 
@@ -28,11 +27,9 @@ DEFAULT_POINT_MAX_RANK = 200
 
 
 def mu_cylinder(p: ColumnMatrix, word: Sequence[int]) -> Fraction:
-    """Measure of a cylinder: the exact product of chosen column entries."""
-    length, denominator = 1, 1
-    for _, length, denominator in nested(p, word):
-        pass
-    return Fraction(length, denominator)
+    """Measure of a cylinder: the exact product of chosen column entries,
+    which is the length of the word's cylinder under p."""
+    return cylinder(p, word).length
 
 
 def f_xi_cylinder(q: ColumnMatrix, p: ColumnMatrix, word: Sequence[int]) -> Cylinder:

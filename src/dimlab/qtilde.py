@@ -7,11 +7,12 @@ integers over the product of the column denominators (`ProbColumn.scaled`),
 and a `Fraction` is built only when one is returned, so cylinder identities
 (tiling, nesting, length products) hold exactly at any rank.
 
-The digit walk behind `digits`, `expand`, `locate` and `f_xi_point` reads
-the periodic tail through one table per matrix, built on its first walk
-(`ColumnMatrix.block`: m periods as one column over at most `BLOCK_WORDS`
-digit words).  Prefix columns, a period with more words, and the columns
-after the last whole block are walked one column a step.
+A point becomes a word only through the digit walk of `locate`, `expand`
+and `f_xi_point`, and a word an interval only through `cylinder`.  The walk
+reads the periodic tail through one table per matrix, built on its first
+walk (`ColumnMatrix.block`: m periods as one column over at most
+`BLOCK_WORDS` digit words).  Prefix columns, a period with more words, and
+the columns after the last whole block are walked one column a step.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, cycle, islice, repeat
-from operator import attrgetter, itemgetter
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from operator import attrgetter
+from typing import Iterator, Optional, Sequence, Union
 
 from .errors import (
     ColumnNotStochastic,
@@ -33,6 +34,7 @@ from .errors import (
     OutOfUnitInterval,
     SchemaError,
     ShapeMismatch,
+    magnitude,
 )
 
 RationalLike = Union[Fraction, int, str]
@@ -48,9 +50,12 @@ MAX_EXPONENT = 4300
 
 def to_fraction(value: RationalLike) -> Fraction:
     """Convert an int, "num/den" string, or Fraction to an exact Fraction;
-    a string whose exponent exceeds `MAX_EXPONENT` is a ValueError."""
+    a string whose exponent exceeds `MAX_EXPONENT` is a ValueError, and a
+    bool (an int to Python, not a rational) a TypeError."""
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool):
+        raise TypeError(f"a bool is not an exact rational: {value!r}")
     if isinstance(value, str):
         _, e, exponent = value.lower().partition("e")
         if e and abs(int(exponent)) > MAX_EXPONENT:
@@ -67,12 +72,11 @@ def _exact(value, name: str) -> Fraction:
     """A config value as an exact Fraction; anything else (a bool, "1/0",
     "abc", "1e999999", a non-finite float) is a `SchemaError` naming the
     field."""
-    if not isinstance(value, bool):
-        try:
-            return to_fraction(value)
-        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-            pass
-    raise SchemaError(f"{name} is not an exact rational: {value!r}")
+    try:
+        return to_fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise SchemaError(
+            f"{name} is not an exact rational: {value!r}") from None
 
 
 def _intern(obj, names: tuple, convert, what: str) -> dict:
@@ -125,10 +129,10 @@ class ProbColumn:
             raise ColumnNotStochastic("column has no entries")
         for e in entries:
             if e < 0 or e > 1:
-                raise NonPositiveEntry(f"entry {e} outside [0, 1]")
-        if sum(entries) != 1:
+                raise NonPositiveEntry(f"entry {magnitude(e)} outside [0, 1]")
+        if (total := sum(entries)) != 1:
             raise ColumnNotStochastic(
-                f"column sums to {sum(entries)}, expected 1"
+                f"column sums to {magnitude(total)}, expected 1"
             )
 
     @property
@@ -286,28 +290,17 @@ class Cylinder:
         return (self.left + self.right) / 2
 
 
-def digits(matrix: ColumnMatrix, x: RationalLike) -> Iterator[int]:
-    """The digits of x under `matrix`, position by position, without end.
-
-    Cylinders are left-closed, so each rational in [0, 1) has one word per
-    rank.
-    """
-    steps = _walk(matrix, _unit_point(x))
-    return chain.from_iterable(map(itemgetter(0), steps))
-
-
 def _unit_point(x: RationalLike) -> Fraction:
     t = to_fraction(x)
     if not 0 <= t < 1:
-        raise OutOfUnitInterval(f"{t} is not in [0, 1)")
+        raise OutOfUnitInterval(f"{magnitude(t)} is not in [0, 1)")
     return t
 
 
-def _walk(matrix: ColumnMatrix, t: Fraction,
-          rank: Optional[int] = None) -> Iterator[tuple]:
-    """(word, r, w, d) at each step over columns 1..`rank` (without end when
-    `rank` is None): the digits of t that the step reads, t's place r/w
-    inside the cylinder they pick, and the step's denominator d.
+def _walk(matrix: ColumnMatrix, t: Fraction, rank: int) -> Iterator[tuple]:
+    """(word, r, w, d) at each step over columns 1..`rank`: the digits of t
+    that the step reads, t's place r/w inside the cylinder they pick, and
+    the step's denominator d.
 
     The tail is read by its `block` while a whole block fits, every other
     column on its own.  Walks in integer coordinates: at first r/w = t.
@@ -316,16 +309,11 @@ def _walk(matrix: ColumnMatrix, t: Fraction,
     after a block are the integers its columns would leave.
     """
     block, step = matrix.block, attrgetter("step")
-    if block is None:
-        steps = map(step, islice(matrix.stream(), rank))
-    elif rank is None:
-        steps = chain(map(step, matrix.prefix), repeat(block))
-    else:
-        blocks, rest = divmod(max(rank - len(matrix.prefix), 0),
-                              len(block[3][0]))
-        steps = chain(map(step, islice(matrix.prefix, rank)),
-                      repeat(block, blocks),
-                      map(step, islice(cycle(matrix.period), rest)))
+    tail = max(rank - len(matrix.prefix), 0)
+    blocks, rest = divmod(tail, len(block[3][0])) if block else (0, tail)
+    steps = chain(map(step, islice(matrix.prefix, rank)),
+                  repeat(block, blocks),
+                  map(step, islice(cycle(matrix.period), rest)))
     r, w = t.numerator, t.denominator
     for d, offsets, entries, words in steps:
         i = bisect_right(offsets, d * r // w) - 1  # r < w, so i < len(words)
@@ -333,10 +321,14 @@ def _walk(matrix: ColumnMatrix, t: Fraction,
         yield words[i], r, w, d
 
 
-def nested(matrix: ColumnMatrix, word: Iterable[int]) -> Iterator[tuple]:
-    """(L, Λ, D), all integers, for each successive prefix of `word`: its
-    cylinder is [L/D, (L + Λ)/D), and column j's table (d, C, E) steps
-    L <- L*d + C_a*Λ, Λ <- Λ*E_a and D <- D*d."""
+def cylinder(matrix: ColumnMatrix, word: Sequence[int]) -> Cylinder:
+    """Exact interval of the cylinder addressed by `word` under `matrix`.
+
+    The interval is [L/D, (L + Λ)/D) in integers: from L, Λ, D = 0, 1, 1,
+    column j's table (d, C, E) steps L <- L*d + C_a*Λ, Λ <- Λ*E_a and
+    D <- D*d.
+    """
+    word = tuple(word)
     left, length, denominator = 0, 1, 1
     for j, (a, column) in enumerate(zip(word, matrix.stream()), start=1):
         d, offsets, entries = column.scaled
@@ -347,15 +339,6 @@ def nested(matrix: ColumnMatrix, word: Iterable[int]) -> Iterator[tuple]:
         left = left * d + offsets[a] * length
         length *= entries[a]
         denominator *= d
-        yield left, length, denominator
-
-
-def cylinder(matrix: ColumnMatrix, word: Sequence[int]) -> Cylinder:
-    """Exact interval of the cylinder addressed by `word` under `matrix`."""
-    word = tuple(word)
-    left, length, denominator = 0, 1, 1
-    for left, length, denominator in nested(matrix, word):
-        pass
     return Cylinder(word, Fraction(left, denominator),
                     Fraction(left + length, denominator))
 
@@ -363,12 +346,14 @@ def cylinder(matrix: ColumnMatrix, word: Sequence[int]) -> Cylinder:
 def expand(matrix: ColumnMatrix, x: RationalLike, rank: int) -> tuple:
     """The unique rank-`rank` digit word whose cylinder contains x
     (the empty word when rank <= 0)."""
-    return tuple(islice(digits(matrix, x), max(rank, 0)))
+    return locate(matrix, x, rank).word
 
 
 def locate(matrix: ColumnMatrix, x: RationalLike, rank: int) -> Cylinder:
-    """The rank-`rank` cylinder that contains x, from one digit walk
-    (`cylinder(matrix, expand(matrix, x, rank))`, without the second walk).
+    """The rank-`rank` cylinder that contains x (the unit interval when
+    rank <= 0), from one digit walk: cylinders are left-closed, so each
+    rational in [0, 1) has one word per rank, and `cylinder` of that word
+    is this interval, without a second walk.
 
     The walk reads whole blocks of the tail while they fit in `rank`, and
     finishes a partial last block column by column.  With x = p/q, the

@@ -30,83 +30,111 @@ def config(kind, **fields):
     return doc
 
 
-# (config, the field the error line must name)
+def case(doc, field, id=None):
+    """A MALFORMED case: a config and the field its error line must name.
+    Its test id is `field`, or `id` where `field` repeats (these keep the
+    numbered ids that pytest once gave repeated fields)."""
+    return pytest.param(doc, field, id=id or field)
+
+
 MALFORMED = [
-    (config("expand", points=["abc"]), "points[0]"),
-    (config("expand", points=["1/3", "1/0"]), "points[1]"),
-    (config("expand", points=[True]), "points[0]"),
-    (config("expand", points="1/2"), "points"),
-    (config("transform", words=[[0, "1"]]), "words[0]"),
-    (config("transform", words=[[0], 1]), "words[1]"),
-    (config("transform", words=[[False]]), "words[0]"),
-    (config("transform", words=3), "words"),
+    case(config("expand", points=["abc"]), "points[0]", "points[0]0"),
+    case(config("expand", points=["1/3", "1/0"]), "points[1]"),
+    case(config("expand", points=[True]), "points[0]", "points[0]1"),
+    case(config("expand", points="1/2"), "points"),
+    case(config("transform", words=[[0, "1"]]), "words[0]", "words[0]0"),
+    case(config("transform", words=[[0], 1]), "words[1]"),
+    case(config("transform", words=[[False]]), "words[0]", "words[0]1"),
+    case(config("transform", words=3), "words"),
     # a digit out of range for its column of Q, or a point outside [0, 1)
-    (config("transform", words=[[1, 1], [0, 5]]),
-     "words[1]: digit 5 out of range for column 2"),
-    (config("expand", points=["1/3", "3/2"]), "points[1] must lie in [0, 1)"),
-    (config("transform", points=["-1/2"]), "points[0] must lie in [0, 1)"),
-    (config("expand", rank="x"), "rank"),
-    (config("expand", rank=True), "rank"),
-    (config("expand", rank=2.0), "rank"),
-    (config("expand", rank=-4), "rank must be an integer >= 0"),
-    (config("expand", name=["a", 1]), "name must be a string"),
-    (config("criteria", k_max=0), "k_max"),
-    (config("criteria", k_max="5"), "k_max"),
-    (config("criteria", k_max=False), "k_max"),
-    (config("counterexample", k_max=3), "k_max"),
-    (config("transform", tol="0"), "tol"),
-    (config("transform", tol="-1/8"), "tol"),
-    (config("transform", tol="abc"), "tol"),
-    (config("transform", tol="1/0"), "tol"),
-    (config("criteria", tolerances={"verdict_band": "x"}), "verdict_band"),
-    (config("criteria", tolerances={"verdict_band": -0.5}), "verdict_band"),
-    (config("criteria", tolerances={"dimension": True}), "dimension"),
-    (config("criteria", tolerances={"verdict_band": float("nan")}),
-     "verdict_band"),
-    (config("criteria", tolerances=[0.1]), "tolerances"),
-    (config("criteria", tolerances={"verdict_bnad": 0.5}),
-     "tolerances.verdict_bnad"),
-    (config("criteria", Q=[["1/2", "1/2"]]), "Q"),
-    (config("criteria", P="1/2"), "P"),
-    (config("criteria", Q={"prefix": 3, "period": [["1/2", "1/2"]]}),
-     "Q.prefix"),
-    (config("criteria", P={"prefix": [], "period": "x"}), "P.period"),
-    (config("criteria", P={"prefix": [], "period": [3]}), "P.period[0]"),
-    (config("criteria", Q={"prefix": [], "period": [["1/0", "1/2"]]}),
-     "Q.period[0][0]"),
-    (config("criteria", P={"prefix": [["1/2", "abc"]],
-                           "period": [["1/2", "1/2"]]}),
-     "P.prefix[0][1]"),
-    (config("criteria", Q={"prefix": [["1/2", "1/2"]],
-                           "period": [["0", "1"]]}), "Q.period[0]"),
+    case(config("transform", words=[[1, 1], [0, 5]]),
+         "words[1]: digit 5 out of range for column 2"),
+    case(config("expand", points=["1/3", "3/2"]),
+         "points[1] must lie in [0, 1)"),
+    case(config("transform", points=["-1/2"]), "points[0] must lie in [0, 1)"),
+    case(config("expand", rank="x"), "rank", "rank0"),
+    case(config("expand", rank=True), "rank", "rank1"),
+    case(config("expand", rank=2.0), "rank", "rank2"),
+    case(config("expand", rank=-4), "rank must be an integer >= 0"),
+    case(config("expand", name=["a", 1]), "name must be a string"),
+    case(config("criteria", k_max=0), "k_max", "k_max0"),
+    case(config("criteria", k_max="5"), "k_max", "k_max1"),
+    case(config("criteria", k_max=False), "k_max", "k_max2"),
+    case(config("counterexample", k_max=3), "k_max", "k_max3"),
+    case(config("transform", tol="0"), "tol", "tol0"),
+    case(config("transform", tol="-1/8"), "tol", "tol1"),
+    case(config("transform", tol="abc"), "tol", "tol2"),
+    case(config("transform", tol="1/0"), "tol", "tol3"),
+    case(config("criteria", tolerances={"verdict_band": "x"}),
+         "verdict_band", "verdict_band0"),
+    case(config("criteria", tolerances={"verdict_band": -0.5}),
+         "verdict_band", "verdict_band1"),
+    case(config("criteria", tolerances={"dimension": True}), "dimension"),
+    case(config("criteria", tolerances={"verdict_band": float("nan")}),
+         "verdict_band", "verdict_band2"),
+    case(config("criteria", tolerances=[0.1]), "tolerances"),
+    case(config("criteria", tolerances={"verdict_bnad": 0.5}),
+         "tolerances.verdict_bnad"),
+    case(config("criteria", Q=[["1/2", "1/2"]]), "Q"),
+    case(config("criteria", P="1/2"), "P"),
+    case(config("criteria", Q={"prefix": 3, "period": [["1/2", "1/2"]]}),
+         "Q.prefix"),
+    case(config("criteria", P={"prefix": [], "period": "x"}), "P.period"),
+    case(config("criteria", P={"prefix": [], "period": [3]}), "P.period[0]"),
+    case(config("criteria", Q={"prefix": [], "period": [["1/0", "1/2"]]}),
+         "Q.period[0][0]"),
+    case(config("criteria", P={"prefix": [["1/2", "abc"]],
+                               "period": [["1/2", "1/2"]]}),
+         "P.prefix[0][1]"),
+    case(config("criteria", Q={"prefix": [["1/2", "1/2"]],
+                               "period": [["0", "1"]]}), "Q.period[0]"),
     # an exponent string would have Fraction build 10**exponent
-    (config("criteria", Q={"prefix": [], "period": [["1e999999999", "1/2"]]}),
-     "Q.period[0][0] is not an exact rational: '1e999999999'"),
-    (config("expand", points=["1e-999999999"]),
-     "points[0] is not an exact rational"),
-    (config("transform", tol="1E999999999"), "tol is not an exact rational"),
-    (config("criteria", Q={"prefix": [], "period": []}),
-     "Q.period: periodic tail must contain at least one column"),
-    (config("criteria", P={"prefix": [["1/2", "1/2"]]}),
-     "P.period: periodic tail must contain at least one column"),
-    (config("dimension", moran={"allowed_prefix": [], "allowed_period": []}),
-     "moran.allowed_period must be nonempty"),
-    (config("dimension", moran={"allowed_prefix": [[]],
-                                "allowed_period": [[0]]}),
-     "moran.allowed_prefix[0]: allowed-digit set is empty"),
+    case(config("criteria", Q={"prefix": [],
+                               "period": [["1e999999999", "1/2"]]}),
+         "Q.period[0][0] is not an exact rational: '1e999999999'"),
+    case(config("expand", points=["1e-999999999"]),
+         "points[0] is not an exact rational"),
+    case(config("transform", tol="1E999999999"),
+         "tol is not an exact rational"),
+    # a value whose terms have more than 4300 digits is stated by its size
+    case(config("transform", tol="-1e-4300"),
+         "tol must be positive, got -1.000e-4300"),
+    case(config("transform", P={"prefix": [],
+                                "period": [["-1e-4300", "1/2"]]}),
+         "P.period[0]: entry -1.000e-4300 outside [0, 1]"),
+    case(config("transform", P={"prefix": [], "period": [[
+        f"1/{10 ** 499 + k}" for k in (1, 3, 7, 9, 13, 19, 21, 27, 31, 33)]]}),
+         "P.period[0]: column sums to 1.000e-498, expected 1"),
+    case(config("criteria", Q={"prefix": [], "period": []}),
+         "Q.period: periodic tail must contain at least one column"),
+    case(config("criteria", P={"prefix": [["1/2", "1/2"]]}),
+         "P.period: periodic tail must contain at least one column"),
+    case(config("dimension", moran={"allowed_prefix": [],
+                                    "allowed_period": []}),
+         "moran.allowed_period must be nonempty"),
+    case(config("dimension", moran={"allowed_prefix": [[]],
+                                    "allowed_period": [[0]]}),
+         "moran.allowed_prefix[0]: allowed-digit set is empty"),
     # an unknown key beside valid ones
-    (config("criteria", Q={**BINARY, "perod": [["1/3", "2/3"]]}),
-     "Q.perod is not one of prefix, period"),
-    (config("criteria", P={**BINARY, "prefx": []}),
-     "P.prefx is not one of prefix, period"),
-    (config("dimension", moran={"allowed_prefix": [], "allowed_period": [[0]],
-                                "allowed_perod": [[1]]}),
-     "moran.allowed_perod is not one of allowed_prefix, allowed_period"),
+    case(config("criteria", Q={**BINARY, "perod": [["1/3", "2/3"]]}),
+         "Q.perod is not one of prefix, period"),
+    case(config("criteria", P={**BINARY, "prefx": []}),
+         "P.prefx is not one of prefix, period"),
+    case(config("dimension", moran={"allowed_prefix": [],
+                                    "allowed_period": [[0]],
+                                    "allowed_perod": [[1]]}),
+         "moran.allowed_perod is not one of allowed_prefix, allowed_period"),
 ]
 
 
-@pytest.mark.parametrize("doc,field", MALFORMED,
-                         ids=[field for _, field in MALFORMED])
+def test_malformed_ids_are_unique():
+    """A repeated id would have pytest number it, and a later case could
+    then rename an earlier test."""
+    ids = [param.id for param in MALFORMED]
+    assert len(set(ids)) == len(ids)
+
+
+@pytest.mark.parametrize("doc,field", MALFORMED)
 @pytest.mark.parametrize("command", ["validate", "kind"])
 def test_malformed_field_is_an_error_line(tmp_path, capsys, doc, field,
                                           command):
@@ -139,6 +167,16 @@ def test_integer_too_long_to_convert_is_an_error_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "huge.json" in err
     assert "Traceback" not in err
+
+
+def test_validate_states_a_q_min_of_any_size(tmp_path, capsys):
+    """A geometry entry of 10**-4300 has a 4301-digit denominator, past
+    CPython's default int-to-string limit; validate still states it."""
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(config("expand", Q={
+        "prefix": [], "period": [["1e-4300", "0." + "9" * 4300]]})))
+    assert main(["validate", "--config", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["q_min"] == "1/1" + "0" * 4300
 
 
 def test_counterexample_with_ranks_allows_small_k_max(tmp_path):

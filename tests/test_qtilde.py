@@ -11,6 +11,7 @@ from dimlab.errors import (
     EmptyPeriod,
     NonPositiveEntry,
     OutOfUnitInterval,
+    magnitude,
 )
 from dimlab.dimension import MoranSpec
 from dimlab.qtilde import ProbColumn, QMatrix
@@ -44,6 +45,16 @@ class TestValidation:
     def test_zero_entry_rejected_for_geometry(self):
         with pytest.raises(NonPositiveEntry, match=r"^period\[0\]: "):
             QMatrix([], [["0", "1"]])
+
+    def test_bool_is_not_a_rational(self):
+        # the config path refuses a bool by the same rule (`_exact`)
+        with pytest.raises(TypeError, match="bool"):
+            ProbColumn([True, False])
+
+    def test_huge_bad_entry_is_stated_by_its_size(self):
+        with pytest.raises(NonPositiveEntry,
+                           match=r"^entry -1\.000e-4300 outside \[0, 1\]$"):
+            ProbColumn(["-1e-4300", "1"])
 
     def test_ternary_q_min(self):
         assert matrices.uniform_ternary().min_entry() == Fraction(1, 3)
@@ -96,6 +107,19 @@ class TestExpand:
             expand(matrices.uniform_binary(), Fraction(3, 2), 2)
         with pytest.raises(OutOfUnitInterval):
             expand(matrices.uniform_binary(), 1, 2)
+        with pytest.raises(OutOfUnitInterval, match=r"^2\.000e\+4300 is not"):
+            expand(matrices.uniform_binary(), "2e4300", 2)
+
+    def test_bool_point_is_not_a_rational(self):
+        with pytest.raises(TypeError, match="bool"):
+            expand(matrices.uniform_binary(), False, 3)
+
+
+def test_magnitude_states_sign_and_size():
+    assert magnitude(Fraction(-3, 2)) == "-3/2"  # 64 bits: exact
+    assert magnitude(-2 ** 70) == "-1.181e+21"
+    # log10 lands just below -443 here; the text still reads 1.000, not 10.000
+    assert magnitude(Fraction(1, 10 ** 443)) == "1.000e-443"
 
 
 TEST_MATRICES = [
