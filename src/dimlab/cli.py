@@ -4,15 +4,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
-from .dimension import DEFAULT_ENUM_BUDGET
-from .errors import DimlabError, ParseError
+from .errors import DimlabError
 from .harness import (KINDS, _unlimited_int_digits, emit_report,
                       load_scenario, run_scenario)
-
-ENV_BUDGET = "DIMLAB_RANK_BUDGET"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -26,32 +22,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True)
         p.add_argument("--out", default="dimlab-out")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--rank-budget", default=None,
-                       help=f"positive integer; overrides ${ENV_BUDGET}")
         p.add_argument("--plot-data", action="store_true",
                        help="also emit two-column series files")
     return parser
-
-
-def resolve_budget(cli_value) -> int:
-    """The budget from --rank-budget, else $DIMLAB_RANK_BUDGET, else the
-    default; either spelling must be a positive decimal integer."""
-    if cli_value is not None:
-        source, value = "--rank-budget", cli_value
-    else:
-        source, value = ENV_BUDGET, os.environ.get(ENV_BUDGET)
-        if not value:
-            return DEFAULT_ENUM_BUDGET
-    if not (value.strip().isdecimal() and int(value) >= 1):
-        raise ParseError(f"{source} must be a positive integer, got {value!r}")
-    return int(value)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         scenario = load_scenario(args.config)
-        budget = resolve_budget(args.rank_budget)
     except DimlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -71,9 +50,13 @@ def main(argv=None) -> int:
               f"subcommand {args.command!r}", file=sys.stderr)
         return 1
 
-    report = run_scenario(scenario, budget=budget)
-    written = emit_report(report, args.out, fmt=args.format,
-                          plot_data=args.plot_data)
+    report = run_scenario(scenario)
+    try:
+        written = emit_report(report, args.out, fmt=args.format,
+                              plot_data=args.plot_data)
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+        return 1
     for path in written:
         print(path)
     if report.failed:

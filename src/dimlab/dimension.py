@@ -38,7 +38,7 @@ from .errors import (
 )
 from .qtilde import ColumnMatrix, Cylinder, _intern, ln, to_fraction
 
-DEFAULT_ENUM_BUDGET = 2 ** 22
+MAX_CYLINDERS = 2 ** 22  # the most `enumerate_cylinders` makes
 WINDOW_FRACTION = 0.5
 
 
@@ -157,8 +157,8 @@ class Cylinders(Sequence):
             yield Cylinder(word, Fraction(left, d), Fraction(right, d))
 
 
-def enumerate_cylinders(spec: MoranSpec, matrix: ColumnMatrix, rank: int,
-                        budget: int = DEFAULT_ENUM_BUDGET) -> Cylinders:
+def enumerate_cylinders(spec: MoranSpec, matrix: ColumnMatrix,
+                        rank: int) -> Cylinders:
     """All rank-k cylinders obeying the spec, left to right, exact endpoints.
 
     Works column by column over D_j = d_1 ... d_j with column j's table
@@ -169,10 +169,9 @@ def enumerate_cylinders(spec: MoranSpec, matrix: ColumnMatrix, rank: int,
     """
     spec.validate_against(matrix, rank)
     count = spec.count(rank)
-    if count > budget:
-        raise BudgetExceeded(
-            f"{magnitude(count)} cylinders at rank {rank} exceed budget {budget}"
-        )
+    if count > MAX_CYLINDERS:
+        raise BudgetExceeded(f"{magnitude(count)} cylinders at rank {rank} "
+                             f"exceed budget {MAX_CYLINDERS}")
     choices = []
     denominator = 1
     lefts, lengths = [0], [1]

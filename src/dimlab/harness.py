@@ -6,10 +6,10 @@ import json
 import sys
 import time
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from fractions import Fraction
-from itertools import count
+from itertools import chain, count
 from pathlib import Path
 from typing import Optional
 
@@ -26,6 +26,11 @@ from .qtilde import (PMatrix, QMatrix, _check_digit_counts, _exact,
 # criteria run holds about 0.3 KiB a column, so about 0.3 GiB at the bound
 MAX_COLUMNS = 2 ** 20
 
+# the deepest a config field may nest lists and objects (`Q` nests three
+# deep): report.json echoes the config through a recursive writer
+MAX_NESTING = 64
+_NESTS = frozenset((list, dict))
+
 DEFAULT_TOLERANCES = {
     "dimension": 0.03,
     "verdict_band": 0.05,
@@ -37,21 +42,22 @@ DEFAULT_TOLERANCES = {
 class Scenario:
     kind: str
     q: QMatrix
-    p: Optional[PMatrix] = None
-    moran: Optional[dim.MoranSpec] = None
-    points: tuple = ()
-    words: tuple = ()
-    rank: int = 8
-    ranks: tuple = ()
-    k_max: int = 400
-    tol: Fraction = Fraction(1, 1024)
-    scales: tuple = ()
-    tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
-    name: str = "scenario"
-    raw: dict = field(default_factory=dict)
+    p: Optional[PMatrix]
+    moran: Optional[dim.MoranSpec]
+    points: tuple
+    words: tuple
+    rank: int
+    ranks: tuple
+    k_max: int
+    tol: Fraction
+    scales: tuple
+    tolerances: dict
+    name: str
+    raw: dict
 
 
 def parse_scenario(doc: dict) -> Scenario:
+    _check_nesting(doc)
     kind = doc.get("kind")
     if kind not in KINDS:  # a tuple: an unhashable kind is refused too
         raise SchemaError(f"unknown or missing scenario kind: {kind!r}")
@@ -99,6 +105,20 @@ def parse_scenario(doc: dict) -> Scenario:
     )
 
 
+def _check_nesting(doc: dict) -> None:
+    """Refuse a field nested past `MAX_NESTING`, read a level at a time."""
+    for key, value in doc.items():
+        level = [value]
+        for _ in range(MAX_NESTING + 1):
+            if _NESTS.isdisjoint(map(type, level)):
+                break
+            level = list(chain.from_iterable(
+                x.values() if type(x) is dict else x
+                for x in level if type(x) in _NESTS))
+        else:
+            raise SchemaError(f"{key} nests deeper than {MAX_NESTING} levels")
+
+
 def _built(cls, doc: dict, name: str):
     """The config object `doc[name]` built by `cls`, whose fields are its
     keys (a missing one is []); an unknown key, or any error `cls` raises,
@@ -133,11 +153,11 @@ def _columns(name: str, value: int) -> int:
     return value
 
 
-def _integer(doc: dict, key: str, default: int, minimum=None) -> int:
+def _integer(doc: dict, key: str, default: int, minimum: int) -> int:
     value = doc.get(key, default)
-    if type(value) is not int or (minimum is not None and value < minimum):
-        bound = "" if minimum is None else f" >= {minimum}"
-        raise SchemaError(f"{key} must be an integer{bound}, got {value!r}")
+    if type(value) is not int or value < minimum:
+        raise SchemaError(f"{key} must be an integer >= {minimum}, "
+                          f"got {value!r}")
     return _columns(key, value)
 
 
@@ -171,6 +191,7 @@ def _words(values, q: QMatrix) -> tuple:
     for i, word in enumerate(values):
         if not (isinstance(word, list) and all(type(a) is int for a in word)):
             raise SchemaError(f"words[{i}] must be a list of integer digits")
+        _columns(f"words[{i}]", len(word))
         for j, (a, column) in enumerate(zip(word, q.stream()), start=1):
             if not 0 <= a < column.n:
                 raise SchemaError(f"words[{i}]: digit {a} out of range for "
@@ -199,7 +220,7 @@ def load_scenario(path) -> Scenario:
             doc = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # bad JSON, or an integer too long to convert
+    except (ValueError, RecursionError) as exc:  # bad, huge or deep JSON
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("scenario document must be a JSON object")
@@ -213,10 +234,10 @@ class Report:
     results: dict
     verdicts: dict
     run_meta: dict          # timestamp + timings, isolated for determinism
-    failed: bool = False
+    failed: bool
 
 
-def _run_expand(s: Scenario, budget: int) -> dict:
+def _run_expand(s: Scenario) -> dict:
     rows = []
     for x in s.points:
         cyl = qtilde.locate(s.q, x, s.rank)
@@ -225,7 +246,7 @@ def _run_expand(s: Scenario, budget: int) -> dict:
     return {"digit_table": rows}
 
 
-def _run_transform(s: Scenario, budget: int) -> dict:
+def _run_transform(s: Scenario) -> dict:
     word_rows = []
     for w in s.words:
         src = qtilde.cylinder(s.q, w)
@@ -243,11 +264,11 @@ def _run_transform(s: Scenario, budget: int) -> dict:
     return {"word_images": word_rows, "point_images": point_rows}
 
 
-def _run_dimension(s: Scenario, budget: int) -> dict:
+def _run_dimension(s: Scenario) -> dict:
     ranks = sorted(s.ranks)
     uniform = s.q.is_digit_uniform()
     family = dim.family_dim(s.moran, s.q, ranks)
-    cylinders = dim.enumerate_cylinders(s.moran, s.q, ranks[-1], budget)
+    cylinders = dim.enumerate_cylinders(s.moran, s.q, ranks[-1])
     # grid scales aligned to the matrix: on a digit-uniform Q the family
     # scales are the common rank-k lengths; otherwise plain dyadic 2^-k
     if s.scales:
@@ -265,31 +286,24 @@ def _run_dimension(s: Scenario, budget: int) -> dict:
     return out
 
 
-def _run_criteria(s: Scenario, budget: int) -> dict:
-    report = crit.pdp_verdict(s.q, s.p, s.k_max,
-                              measure_dim_tol=s.tolerances["verdict_band"])
-    return {"criteria": report}
+def _run_criteria(s: Scenario) -> dict:
+    return {"criteria": crit.pdp_verdict(
+        s.q, s.p, s.k_max, measure_dim_tol=s.tolerances["verdict_band"])}
 
 
-def _run_preservation(s: Scenario, budget: int) -> dict:
+def _run_preservation(s: Scenario) -> dict:
     ranks = sorted(s.ranks)
-    report = crit.pdp_verdict(s.q, s.p, s.k_max,
-                              measure_dim_tol=s.tolerances["verdict_band"])
-    source_dim = dim.family_dim(s.moran, s.q, ranks)
+    out = _run_criteria(s)
+    out["source_dim"] = source = dim.family_dim(s.moran, s.q, ranks)
     # Lemma-2 identity: the image of a digit spec is the same spec re-measured
-    image_dim = dim.family_dim(s.moran, s.p, ranks)
-    out = {
-        "criteria": report,
-        "source_dim": source_dim,
-        "image_dim": image_dim,
-    }
-    if report.verdict == crit.PDP:
+    out["image_dim"] = image = dim.family_dim(s.moran, s.p, ranks)
+    if out["criteria"].verdict == crit.PDP:
         band = 2 * s.tolerances["dimension"]
-        out["dims_agree"] = abs(source_dim.estimate - image_dim.estimate) <= band
+        out["dims_agree"] = abs(source.estimate - image.estimate) <= band
     return out
 
 
-def _run_counterexample(s: Scenario, budget: int) -> dict:
+def _run_counterexample(s: Scenario) -> dict:
     k_max = s.k_max
     members, partials, b_estimate = crit.sparse_column_stats(s.q, s.p, k_max)
     spec = crit.counterexample_spec(s.q, s.p, k_max, members)
@@ -324,13 +338,13 @@ _KINDS = {
 KINDS = tuple(_KINDS)
 
 
-def run_scenario(s: Scenario, budget: int = dim.DEFAULT_ENUM_BUDGET) -> Report:
+def run_scenario(s: Scenario) -> Report:
     start = time.perf_counter()
     failed = False
     verdicts = {}
     with _unlimited_int_digits():  # error messages may state huge integers
         try:
-            results = _KINDS[s.kind][0](s, budget)
+            results = _KINDS[s.kind][0](s)
         except DimlabError as exc:  # partial report; any other error is a bug
             results = {"error": f"{type(exc).__name__}: {exc}"}
             failed = True

@@ -8,11 +8,13 @@ and a `Fraction` is built only when one is returned, so cylinder identities
 (tiling, nesting, length products) hold exactly at any rank.
 
 A point becomes a word only through the digit walk of `locate`, `expand`
-and `f_xi_point`, and a word an interval only through `cylinder`.  The walk
-reads the periodic tail through one table per matrix, built on its first
-walk (`ColumnMatrix.block`: m periods as one column over at most
-`BLOCK_WORDS` digit words).  Prefix columns, a period with more words, and
-the columns after the last whole block are walked one column a step.
+and `f_xi_point`, and a word an interval through `cylinder`, but for
+`f_xi_point`, which nests its image under P column by column as it walks,
+to stop at the first rank within `tol`.  The walk reads the periodic tail
+through one table per matrix, built on its first walk (`ColumnMatrix.block`:
+m periods as one column over at most `BLOCK_WORDS` digit words).  Prefix
+columns, a period with more words, and the columns after the last whole
+block are walked one column a step.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Parse-time config checks, both budget spellings, and a config fuzzer."""
+"""Parse-time config checks and a config fuzzer."""
 
 import copy
 import json
@@ -30,6 +30,14 @@ def config(kind, **fields):
     return doc
 
 
+def nested(depth):
+    """A list nested `depth` lists deep."""
+    value = []
+    for _ in range(depth - 1):
+        value = [value]
+    return value
+
+
 def case(doc, field, id=None):
     """A MALFORMED case: a config and the field its error line must name.
     Its test id is `field`, or `id` where `field` repeats (these keep the
@@ -46,6 +54,9 @@ MALFORMED = [
     case(config("transform", words=[[0], 1]), "words[1]"),
     case(config("transform", words=[[False]]), "words[0]", "words[0]1"),
     case(config("transform", words=3), "words"),
+    # a word longer than any pass may read, refused before its digits
+    case(config("transform", words=[[0], [0] * (2 ** 20 + 1)]),
+         "words[1] must be at most 1048576 columns", id="words[1] length"),
     # a digit out of range for its column of Q, or a point outside [0, 1)
     case(config("transform", words=[[1, 1], [0, 5]]),
          "words[1]: digit 5 out of range for column 2"),
@@ -57,6 +68,11 @@ MALFORMED = [
     case(config("expand", rank=2.0), "rank", "rank2"),
     case(config("expand", rank=-4), "rank must be an integer >= 0"),
     case(config("expand", name=["a", 1]), "name must be a string"),
+    # a field nested past the bound, under a key the parse does not read
+    case(config("expand", notes=nested(65)),
+         "notes nests deeper than 64 levels"),
+    case(config("expand", notes={"a": [1, nested(64)]}),
+         "notes nests deeper than 64 levels", id="notes object"),
     case(config("criteria", k_max=0), "k_max", "k_max0"),
     case(config("criteria", k_max="5"), "k_max", "k_max1"),
     case(config("criteria", k_max=False), "k_max", "k_max2"),
@@ -149,6 +165,32 @@ def test_malformed_field_is_an_error_line(tmp_path, capsys, doc, field,
     assert field in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("depth", [1000, 200_000])
+def test_deeply_nested_json_is_an_error_line(tmp_path, capsys, depth):
+    """Arrays nested past the interpreter's recursion limit, under a key
+    the parse does not read, are a ParseError (or, where json reads them,
+    a SchemaError), never a RecursionError traceback."""
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(config("expand"))[:-1] + ', "notes": '
+                    + "[" * depth + "]" * depth + "}")
+    out = tmp_path / "out"
+    rc = main(["expand", "--config", str(path), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_nesting_at_the_bound_is_echoed(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(config("expand", notes=nested(64))))
+    out = tmp_path / "out"
+    assert main(["expand", "--config", str(path), "--out", str(out)]) == 0
+    echo = json.loads((out / "report.json").read_text())["scenario"]
+    assert echo["notes"] == nested(64)
 
 
 def test_integer_too_long_to_convert_is_an_error_line(tmp_path, capsys):
@@ -279,28 +321,6 @@ def test_library_digit_spec_takes_sets_and_names_like_the_config():
         with pytest.raises(SchemaError) as parsed:
             parse_scenario(config("dimension", moran=moran))
         assert str(parsed.value) == f"moran.{built.value}"
-
-
-@pytest.mark.parametrize("value", ["0", "-5", "abc", "1.5", ""])
-def test_bad_cli_budget_is_an_error_line(fixture_path, tmp_path, capsys,
-                                         value):
-    out = tmp_path / "out"
-    rc = main(["dimension",
-               "--config", str(fixture_path("cantor_dimension.json")),
-               "--out", str(out), "--rank-budget", value])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith(
-        f"error: --rank-budget must be a positive integer, got {value!r}")
-    assert not out.exists()
-
-
-def test_cli_budget_overrides_env(fixture_path, tmp_path, monkeypatch):
-    monkeypatch.setenv("DIMLAB_RANK_BUDGET", "16")
-    rc = main(["dimension",
-               "--config", str(fixture_path("cantor_dimension.json")),
-               "--out", str(tmp_path), "--rank-budget", "4096"])
-    assert rc == 0
 
 
 # --- mutation fuzzer: every config gives a report or an error line ---

@@ -18,7 +18,7 @@ from dimlab import (
     packing_premeasure,
     premeasure_ordering_check,
 )
-from dimlab.dimension import MoranSpec
+from dimlab.dimension import MAX_CYLINDERS, MoranSpec
 from dimlab import dimension
 from dimlab.errors import (
     BudgetExceeded,
@@ -59,15 +59,17 @@ class TestEnumerate:
         assert len(enumerate_cylinders(spec, QB, 4)) == 8
 
     def test_budget(self):
+        assert MAX_CYLINDERS == 2 ** 22
         with pytest.raises(BudgetExceeded) as info:
-            enumerate_cylinders(matrices.full_spec(2), QB, 10, budget=512)
-        assert str(info.value) == "1024 cylinders at rank 10 exceed budget 512"
+            enumerate_cylinders(matrices.full_spec(2), QB, 23)
+        assert str(info.value) == (
+            "8388608 cylinders at rank 23 exceed budget 4194304")
 
     def test_budget_message_states_a_huge_count_by_size(self):
         with pytest.raises(BudgetExceeded) as info:
-            enumerate_cylinders(CANTOR, Q3, 15000, budget=512)
+            enumerate_cylinders(CANTOR, Q3, 15000)
         assert str(info.value) == (
-            "2.818e+4515 cylinders at rank 15000 exceed budget 512")
+            "2.818e+4515 cylinders at rank 15000 exceed budget 4194304")
 
 
 PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
@@ -148,11 +150,11 @@ class TestIntegerKernel:
         tracemalloc.start()
         try:
             with pytest.raises(BudgetExceeded):
-                enumerate_cylinders(matrices.full_spec(2), QB, 16, budget=2 ** 15)
+                enumerate_cylinders(matrices.full_spec(2), QB, 23)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # 2**16 integer ends would take megabytes
+        # 2**23 integer ends would take hundreds of megabytes
         assert peak < 64 * 1024
 
     def test_peak_is_the_result_and_little_more(self):

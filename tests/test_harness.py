@@ -285,10 +285,13 @@ class TestRunners:
                 <= report.results["bound"] + 0.08)
 
     def test_budget_failure_yields_partial_report(self, fixture_path):
-        s = load_scenario(fixture_path("cantor_dimension.json"))
-        report = run_scenario(s, budget=16)
+        # 2^23 cylinders at rank 23, past the enumeration bound of 2^22
+        doc = json.loads(fixture_path("cantor_dimension.json").read_text())
+        report = run_scenario(parse_scenario({**doc, "ranks": [8, 23]}))
         assert report.failed
-        assert "BudgetExceeded" in report.results["error"]
+        assert report.results["error"] == (
+            "BudgetExceeded: 8388608 cylinders at rank 23 exceed budget "
+            "4194304")
 
 
 class TestEmission:
@@ -433,21 +436,38 @@ class TestCli:
                    "--out", str(tmp_path)])
         assert rc == 1
 
-    def test_budget_error_exits_nonzero(self, fixture_path, tmp_path):
-        rc = main(["dimension",
-                   "--config", str(fixture_path("cantor_dimension.json")),
-                   "--out", str(tmp_path), "--rank-budget", "16"])
+    def test_budget_error_exits_nonzero(self, fixture_path, tmp_path,
+                                        capsys):
+        doc = json.loads(fixture_path("cantor_dimension.json").read_text())
+        config = tmp_path / "rank23.json"
+        config.write_text(json.dumps({**doc, "ranks": [8, 23]}))
+        out = tmp_path / "out"
+        rc = main(["dimension", "--config", str(config), "--out", str(out)])
         assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: BudgetExceeded: 8388608 cylinders at rank 23 exceed "
+            "budget 4194304\n")
         # an error report is still emitted
-        doc = json.loads((tmp_path / "report.json").read_text())
+        doc = json.loads((out / "report.json").read_text())
         assert doc["failed"] is True
 
-    def test_env_budget(self, fixture_path, tmp_path, monkeypatch):
-        monkeypatch.setenv("DIMLAB_RANK_BUDGET", "16")
-        rc = main(["dimension",
-                   "--config", str(fixture_path("cantor_dimension.json")),
-                   "--out", str(tmp_path)])
+    def test_unwritable_out_is_an_error_line(self, fixture_path, tmp_path,
+                                             capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "out"
+        rc = main(["expand",
+                   "--config", str(fixture_path("expand_binary.json")),
+                   "--out", str(out)])
         assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ")
+        assert err.count("\n") == 1
+
+    def test_no_budget_option(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["dimension", "--help"])
+        assert "--rank-budget" not in capsys.readouterr().out
 
     def test_zero_flagged_minimum_report_is_strict_json(self, tmp_path):
         config = tmp_path / "zero_min.json"
@@ -503,18 +523,6 @@ class TestCli:
         assert err.startswith("error: ")
         assert "Traceback" not in err
         assert not out.exists()
-
-    @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
-    def test_bad_env_budget_is_an_error_line(self, fixture_path, tmp_path,
-                                             capsys, monkeypatch, value):
-        monkeypatch.setenv("DIMLAB_RANK_BUDGET", value)
-        rc = main(["dimension",
-                   "--config", str(fixture_path("cantor_dimension.json")),
-                   "--out", str(tmp_path / "out")])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: DIMLAB_RANK_BUDGET")
-        assert not (tmp_path / "out").exists()
 
     def test_counterexample_k_max_6400(self, tmp_path):
         # exact rationals at this horizon outgrow CPython's 4300-digit

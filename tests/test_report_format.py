@@ -229,7 +229,7 @@ class TestFailures:
         assert report.results["error"].startswith("DegenerateDenominator:")
 
     def test_other_exceptions_propagate(self, fixture_path, monkeypatch):
-        def broken(s, budget):
+        def broken(s):
             raise RuntimeError("a bug, not a domain failure")
         monkeypatch.setitem(harness._KINDS, "expand",
                             (broken, harness._KINDS["expand"][1]))
