@@ -14,7 +14,6 @@ from .measure import f_xi_cylinder, f_xi_point, mu_cylinder
 from .criteria import (
     CriterionReport,
     counterexample_spec,
-    entropy_ratio,
     pdp_verdict,
     sparse_column_stats,
 )

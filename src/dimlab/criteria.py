@@ -3,8 +3,11 @@
 Computes per-column entropy and cross-entropy terms, their partial-sum
 ratio, the set of columns whose minimal digit probability drops below half
 the minimal geometry entry, the log-mass density of those columns, and the
-resulting verdict on packing-dimension preservation.  Also builds the
-digit-restricted counterexample set used when that density is positive.
+resulting verdict on packing-dimension preservation (`pdp_verdict`, whose
+report holds the entropy partials).  Each term is computed once per
+distinct P column or (Q column, P column) pair and added in column order.
+Also builds the digit-restricted counterexample set used when that density
+is positive.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from fractions import Fraction
 
 from .dimension import MoranSpec, tail_window_max
 from .errors import DegenerateDenominator
-from .qtilde import ColumnMatrix, ProbColumn, _check_digit_counts, ln
+from .qtilde import ColumnMatrix, _check_digit_counts, ln
 
 # Verdict labels (fixed report vocabulary)
 PDP = "PDP"
@@ -24,77 +27,32 @@ NOT_PDP_MEASURE_DIM = "NotPDP_MeasureDim"
 INCONCLUSIVE = "Inconclusive"
 
 
-def _column_entropy(qcol: ProbColumn, pcol: ProbColumn):
-    """Column entropy h = -sum p ln p and cross term b = -sum p ln q, from
-    the entry logs cached on each column.
-
-    Uses the convention 0 * ln 0 = 0, so zero-probability digits drop out.
-    """
-    h = 0.0
-    b = 0.0
-    for pterm, qterm in zip(pcol.logs, qcol.logs):
-        if pterm is None:  # a zero entry
-            continue
-        pe, lp = pterm
-        h -= pe * lp  # ln 1 is exactly 0.0, so a unit entry adds nothing
-        b -= pe * qterm[1]
-    return h, b
-
-
-def entropy_ratio(q: ColumnMatrix, p: ColumnMatrix, k_max: int):
-    """Partial-sum entropy / cross-entropy ratios and their tail-max estimate.
-
-    A ratio of 1 in the limit is the operational criterion for the measure
-    having full packing dimension.
-    """
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    _check_digit_counts(q, p, k_max)
-    h_partials = []
-    b_partials = []
-    ratios = []
-    h_sum = 0.0
-    b_sum = 0.0
-    for j, qcol, pcol in zip(range(1, k_max + 1), q.stream(), p.stream()):
-        h, b = _column_entropy(qcol, pcol)
-        h_sum += h
-        b_sum += b
-        if b_sum == 0.0:
-            raise DegenerateDenominator(
-                f"cross-entropy partial sum vanished at column {j}"
-            )
-        h_partials.append(h_sum)
-        b_partials.append(b_sum)
-        ratios.append(h_sum / b_sum)
-    estimate = tail_window_max(ratios)
-    return h_partials, b_partials, ratios, estimate
-
-
 def sparse_column_stats(q: ColumnMatrix, p: ColumnMatrix, k_max: int):
     """Columns whose minimal digit probability is below q_min/2, plus the
     running density of their log masses.
 
     Returns (members, partials, estimate); a zero minimal probability in a
-    flagged column forces the estimate to +inf rather than raising.
+    flagged column forces the estimate to +inf rather than raising.  Each
+    distinct P column is compared with q_min/2 once.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     threshold = q.min_entry() / 2
+    # -ln p_min of each distinct P column if flagged (+inf at 0), else None
+    masses = {id(c): (None if c.min_entry >= threshold else
+                      math.inf if c.min_entry == 0 else -ln(c.min_entry))
+              for c in p.distinct}
     members = []
     partials = []
     log_sum = 0.0
-    has_zero = False
     for k, pcol in zip(range(1, k_max + 1), p.stream()):
-        pk = pcol.min_entry
-        if pk < threshold:
+        mass = masses[id(pcol)]
+        if mass is not None:
             members.append(k)
-            if pk == 0:
-                has_zero = True
-            else:
-                log_sum += -ln(pk)
-        partials.append(math.inf if has_zero else log_sum / k)
-    estimate = math.inf if has_zero else tail_window_max(partials)
-    return members, partials, estimate
+            log_sum += mass  # +inf from a zero minimum on
+        partials.append(log_sum / k)
+    # the last partial lies in the window, so a zero minimum gives +inf
+    return members, partials, tail_window_max(partials)
 
 
 @dataclass(frozen=True)
@@ -122,9 +80,35 @@ def pdp_verdict(q: ColumnMatrix, p: ColumnMatrix, k_max: int,
     density at 0.  A density clearly above the band fails on that ground;
     a ratio below the band fails on the measure-dimension ground; density
     inside (tol, 2*tol] is reported as inconclusive rather than overclaimed.
+
+    Column j adds h = -sum p ln p and b = -sum p ln q (0 ln 0 = 0), from
+    the cached entry logs, once per distinct (Q column, P column) pair.
     """
     members, sparse_partials, sparse_est = sparse_column_stats(q, p, k_max)
-    h_partials, b_partials, ratios, ratio_est = entropy_ratio(q, p, k_max)
+    _check_digit_counts(q, p, k_max)
+    terms = {}  # (id(Q column), id(P column)): (h, b)
+    h_partials, b_partials, ratios = [], [], []
+    h_sum = b_sum = 0.0
+    for j, qcol, pcol in zip(range(1, k_max + 1), q.stream(), p.stream()):
+        key = id(qcol), id(pcol)
+        if key not in terms:
+            h = b = 0.0
+            for pterm, qterm in zip(pcol.logs, qcol.logs):
+                if pterm is not None:  # a zero entry adds nothing
+                    pe, lp = pterm  # ln 1 is 0.0: a unit entry adds no h
+                    h -= pe * lp
+                    b -= pe * qterm[1]
+            terms[key] = h, b
+        h, b = terms[key]
+        h_sum += h
+        b_sum += b
+        if b_sum == 0.0:
+            raise DegenerateDenominator(
+                f"cross-entropy partial sum vanished at column {j}")
+        h_partials.append(h_sum)
+        b_partials.append(b_sum)
+        ratios.append(h_sum / b_sum)
+    ratio_est = tail_window_max(ratios)
     tol = measure_dim_tol
     if sparse_est > 2 * tol:
         verdict = NOT_PDP_B_POSITIVE

@@ -8,7 +8,8 @@ and a `Fraction` is built only when one is returned, so cylinder identities
 (tiling, nesting, length products) hold exactly at any rank.
 
 A point becomes a word only through the digit walk of `locate`, `expand`
-and `f_xi_point`, and a word an interval through `cylinder`, but for
+(which keeps only the walk's words, and builds no cylinder ends) and
+`f_xi_point`, and a word an interval through `cylinder`, but for
 `f_xi_point`, which nests its image under P column by column as it walks,
 to stop at the first rank within `tol`.  The walk reads the periodic tail
 through one table per matrix, built on its first walk (`ColumnMatrix.block`:
@@ -347,8 +348,12 @@ def cylinder(matrix: ColumnMatrix, word: Sequence[int]) -> Cylinder:
 
 def expand(matrix: ColumnMatrix, x: RationalLike, rank: int) -> tuple:
     """The unique rank-`rank` digit word whose cylinder contains x
-    (the empty word when rank <= 0)."""
-    return locate(matrix, x, rank).word
+    (the empty word when rank <= 0): the word of `locate`, read from the
+    same walk without building the cylinder's ends."""
+    word = []
+    for letters, _, _, _ in _walk(matrix, _unit_point(x), max(rank, 0)):
+        word += letters
+    return tuple(word)
 
 
 def locate(matrix: ColumnMatrix, x: RationalLike, rank: int) -> Cylinder:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from dimlab.criteria import (counterexample_spec, entropy_ratio,
+from dimlab.criteria import (counterexample_spec, pdp_verdict,
                              sparse_column_stats)
 from dimlab.dimension import MoranSpec
 from dimlab.qtilde import PMatrix, ProbColumn, QMatrix
@@ -78,6 +78,6 @@ def witness_spec(q, p, k_max: int) -> MoranSpec:
 
 def column_terms(qcol: ProbColumn, pcol: ProbColumn) -> tuple:
     """Entropy h and cross term b of one column pair: the first partials of
-    `entropy_ratio` on the one-column matrices."""
-    h, b, _, _ = entropy_ratio(QMatrix((), (qcol,)), PMatrix((), (pcol,)), 1)
-    return h[0], b[0]
+    `pdp_verdict` on the one-column matrices."""
+    report = pdp_verdict(QMatrix((), (qcol,)), PMatrix((), (pcol,)), 1)
+    return report.h_partials[0], report.b_partials[0]

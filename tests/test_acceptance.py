@@ -14,7 +14,6 @@ from dimlab import (
     box_counts,
     cylinder,
     dim_estimate,
-    entropy_ratio,
     enumerate_cylinders,
     f_xi_cylinder,
     f_xi_point,
@@ -145,7 +144,8 @@ def test_acceptance_5_criterion_engine():
     assert abs(b_est - 0.5) <= 0.05
     # the entropy-ratio limsup surrogate needs a longer horizon: spike
     # density 1/sqrt(k) only drops below 2% beyond k ~ 2500
-    _, _, _, ratio_est = entropy_ratio(QB, matrices.sparse_spike_p(3000), 3000)
+    ratio_est = pdp_verdict(QB, matrices.sparse_spike_p(3000),
+                            3000).ratio_estimate
     assert ratio_est >= 0.98
     verdict = pdp_verdict(QB, p, 400, measure_dim_tol=0.05).verdict
     assert verdict == NOT_PDP_B_POSITIVE

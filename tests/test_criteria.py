@@ -2,10 +2,11 @@ import math
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dimlab import (
     counterexample_spec,
-    entropy_ratio,
     moran_dim_oracle,
     pdp_verdict,
     sparse_column_stats,
@@ -29,7 +30,7 @@ LN2 = math.log(2)
 
 class TestEntropyTerms:
     """Per-column entropy h and cross term b, read as the first partials
-    of `entropy_ratio` on one-column matrices."""
+    of `pdp_verdict` on one-column matrices."""
 
     def test_uniform(self):
         h, b = matrices.column_terms(QB.period[0], QB.period[0])
@@ -51,13 +52,13 @@ class TestEntropyTerms:
         p3 = PMatrix([], [["1/3", "1/3", "1/3"]])
         with pytest.raises(ShapeMismatch, match=r"column 1: digit counts "
                                                 r"differ \(2 vs 3\)"):
-            entropy_ratio(QB, p3, 1)
+            pdp_verdict(QB, p3, 1)
 
     def test_digit_count_mismatch_names_the_column(self):
         p = PMatrix([["1/2", "1/2"]] * 4, [["1/3", "1/3", "1/3"]])
-        assert entropy_ratio(QB, p, 4)[2] == [1.0] * 4
+        assert pdp_verdict(QB, p, 4).ratio_partials == (1.0,) * 4
         with pytest.raises(ShapeMismatch, match="column 5: "):
-            entropy_ratio(QB, p, 5)
+            pdp_verdict(QB, p, 5)
 
     def test_gibbs_inequality_per_column(self):
         pairs = [
@@ -77,20 +78,19 @@ class TestEntropyTerms:
 
 class TestEntropyRatio:
     def test_identity_is_exactly_one(self):
-        _, _, ratios, est = entropy_ratio(QB, QB, 100)
-        assert all(r == 1.0 for r in ratios)
-        assert est == 1.0
+        report = pdp_verdict(QB, QB, 100)
+        assert all(r == 1.0 for r in report.ratio_partials)
+        assert report.ratio_estimate == 1.0
 
     def test_constant_onethird(self):
-        _, _, ratios, est = entropy_ratio(QB, P13, 100)
+        est = pdp_verdict(QB, P13, 100).ratio_estimate
         expected = (math.log(3) - (2 / 3) * LN2) / LN2
         assert est == pytest.approx(expected, abs=1e-12)
         assert est == pytest.approx(0.9182958, abs=1e-6)
 
     def test_sparse_spike_long_horizon(self):
         p = matrices.sparse_spike_p(3000)
-        _, _, _, est = entropy_ratio(QB, p, 3000)
-        assert est >= 0.98
+        assert pdp_verdict(QB, p, 3000).ratio_estimate >= 0.98
 
 
 class TestSparseColumns:
@@ -243,7 +243,10 @@ class TestCachedColumnTerms:
 
     @pytest.mark.parametrize("q,p,k_max", PAIRS)
     def test_entropy_ratio_is_bit_identical(self, q, p, k_max):
-        assert entropy_ratio(q, p, k_max) == reference_entropy_ratio(q, p, k_max)
+        report = pdp_verdict(q, p, k_max)
+        assert (list(report.h_partials), list(report.b_partials),
+                list(report.ratio_partials), report.ratio_estimate) \
+            == reference_entropy_ratio(q, p, k_max)
 
     @pytest.mark.parametrize("q,p,k_max", PAIRS)
     def test_sparse_column_stats_is_bit_identical(self, q, p, k_max):
@@ -263,3 +266,99 @@ class TestCachedColumnTerms:
         samples, estimate = reference_oracle(spec, q, 340)
         assert [smp.log_ratio for smp in est.samples] == samples
         assert est.estimate == estimate
+
+
+# --- the criteria over drawn eventually periodic (Q, P) ---
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
+                    database=None)
+
+# small pools of raw columns by digit count, so that draws repeat raw
+# columns and the matrices intern them; P's hold zero and unit entries
+Q_POOL = {
+    2: (HALF_RAW, ["1/4", "3/4"], ["1/3", "2/3"], ["1/10", "9/10"]),
+    3: (THIRD_RAW, ["1/5", "2/5", "2/5"], ["1/6", "1/3", "1/2"]),
+    4: (["1/4"] * 4, ["1/8", "1/8", "1/4", "1/2"]),
+}
+P_POOL = {
+    2: (HALF_RAW, ["1/4", "3/4"], ["0", "1"], ["1", "0"], ["1/100", "99/100"]),
+    3: (THIRD_RAW, ["0", "0", "1"], ["0", "1/2", "1/2"],
+        ["1/10", "3/10", "3/5"]),
+    4: (["1/4"] * 4, ["0", "0", "0", "1"], ["1/2", "1/2", "0", "0"],
+        ["1/20", "1/20", "9/20", "9/20"]),
+}
+SIZES = st.integers(2, 4)
+
+
+@st.composite
+def matrix_pairs(draw):
+    """(Q, P) with equal digit counts at every column: the counts run over
+    a head of 0-3 columns, then repeat with period s; each matrix has a
+    prefix at least as long as the head and a period that s divides."""
+    s = draw(st.integers(1, 3))
+    head = draw(st.lists(SIZES, max_size=3))
+    cycle_sizes = draw(st.lists(SIZES, min_size=s, max_size=s))
+
+    def size(j):  # digit count of column j (1-indexed)
+        return (head[j - 1] if j <= len(head)
+                else cycle_sizes[(j - len(head) - 1) % s])
+
+    def matrix(cls, pool):
+        m = draw(st.integers(len(head), 3))
+        r = draw(st.sampled_from([r for r in (1, 2, 3) if r % s == 0]))
+        cols = [draw(st.sampled_from(pool[size(j)]))
+                for j in range(1, m + r + 1)]
+        return cls(cols[:m], cols[m:])
+
+    return matrix(QMatrix, Q_POOL), matrix(PMatrix, P_POOL)
+
+
+def band_verdict(sparse_estimate, ratio_estimate, tol):
+    if sparse_estimate > 2 * tol:
+        return NOT_PDP_B_POSITIVE
+    if sparse_estimate > tol:
+        return INCONCLUSIVE
+    if ratio_estimate < 1 - tol:
+        return NOT_PDP_MEASURE_DIM
+    return PDP
+
+
+def float_bits(values):
+    return [float(v).hex() for v in values]
+
+
+@PROPERTY
+@given(matrix_pairs(), st.integers(1, 64),
+       st.sampled_from((0.0, 0.01, 0.05, 0.25, math.inf)))
+def test_pdp_verdict_matches_the_reference(pair, k_max, tol):
+    q, p = pair
+    report = pdp_verdict(q, p, k_max, measure_dim_tol=tol)
+    h, b, ratios, ratio_est = reference_entropy_ratio(q, p, k_max)
+    members, partials, sparse_est = reference_sparse_stats(q, p, k_max)
+    assert float_bits(report.h_partials) == float_bits(h)
+    assert float_bits(report.b_partials) == float_bits(b)
+    assert float_bits(report.ratio_partials) == float_bits(ratios)
+    assert float_bits(report.sparse_partials) == float_bits(partials)
+    assert list(report.sparse_members) == members
+    assert float_bits([report.ratio_estimate, report.sparse_estimate]) \
+        == float_bits([ratio_est, sparse_est])
+    assert report.verdict == band_verdict(sparse_est, ratio_est, tol)
+    assert sparse_column_stats(q, p, k_max) == (members, partials, sparse_est)
+
+
+@PROPERTY
+@given(matrix_pairs(), st.integers(1, 8), st.integers(1, 16), st.data())
+def test_first_digit_count_mismatch_is_named(pair, j, k_max, data):
+    q, p = pair
+    pcols = list(islice(p.stream(), j))
+    n = pcols[-1].n  # Q's count at column j too
+    other = data.draw(st.sampled_from([c for size, pool in P_POOL.items()
+                                       if size != n for c in pool]))
+    bad = PMatrix(pcols[:-1] + [other], p.period)
+    if k_max >= j:
+        with pytest.raises(ShapeMismatch,
+                           match=rf"^column {j}: digit counts differ "
+                                 rf"\({n} vs {len(other)}\)$"):
+            pdp_verdict(q, bad, k_max)
+    else:
+        assert pdp_verdict(q, bad, k_max) == pdp_verdict(q, p, k_max)

@@ -1,3 +1,4 @@
+import ast
 import csv
 import importlib.util
 import io
@@ -592,3 +593,24 @@ def test_runtime_imports_only_stdlib():
     assert [name for name in added
             if name.partition(".")[0] not in allowed] == []
     assert importlib.util.find_spec("dimlab.fixtures") is None
+
+
+def test_source_imports_only_stdlib():
+    # every import statement in the source, also one that importing the
+    # package does not run (inside a function, or under a condition)
+    allowed = sys.stdlib_module_names | {"dimlab"}
+    package = Path(__file__).resolve().parent.parent / "src" / "dimlab"
+    modules = sorted(package.glob("*.py"))
+    assert package / "__init__.py" in modules
+    outside = []
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_bytes(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]  # a relative import is dimlab's own
+            else:
+                continue
+            outside += [f"{path.name}:{node.lineno}: {name}" for name in names
+                        if name.partition(".")[0] not in allowed]
+    assert outside == []
