@@ -13,11 +13,9 @@ is positive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 
 from .dimension import MoranSpec, tail_window_max
-from .errors import DegenerateDenominator
+from .errors import DegenerateDenominator, Frozen
 from .qtilde import ColumnMatrix, _check_digit_counts, ln
 
 # Verdict labels (fixed report vocabulary)
@@ -55,21 +53,14 @@ def sparse_column_stats(q: ColumnMatrix, p: ColumnMatrix, k_max: int):
     return members, partials, tail_window_max(partials)
 
 
-@dataclass(frozen=True)
-class CriterionReport:
+class CriterionReport(Frozen):
     """All partials and the preservation verdict for one matrix pair."""
 
-    k_max: int
-    q_min: Fraction
-    sparse_members: tuple       # flagged column indices within [1, k_max]
-    sparse_partials: tuple      # running log-mass density, one per k
-    sparse_estimate: float      # tail-window max (or +inf)
-    h_partials: tuple
-    b_partials: tuple
-    ratio_partials: tuple
-    ratio_estimate: float
-    verdict: str
-    tolerance: float
+    # sparse_members: the flagged columns within [1, k_max]; sparse_partials:
+    # their running log-mass density per k; sparse_estimate: its tail max
+    FIELDS = ("k_max", "q_min", "sparse_members", "sparse_partials",
+              "sparse_estimate", "h_partials", "b_partials", "ratio_partials",
+              "ratio_estimate", "verdict", "tolerance")
 
 
 def pdp_verdict(q: ColumnMatrix, p: ColumnMatrix, k_max: int,

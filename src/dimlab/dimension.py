@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, cycle, islice, product
 
@@ -29,6 +28,7 @@ from .errors import (
     DegenerateDenominator,
     DigitOutOfRange,
     EmptyPeriod,
+    Frozen,
     GridTooCoarse,
     NonUniformColumns,
     PremeasureOrderingViolated,
@@ -53,8 +53,7 @@ def _digit_set(allowed, where: str) -> tuple:
     return tuple(sorted(set(allowed)))
 
 
-@dataclass(frozen=True)
-class MoranSpec:
+class MoranSpec(Frozen):
     """Per-column allowed digit subsets: finite prefix + periodic tail.
 
     Defines the set of points whose digit at every position j lies in
@@ -64,12 +63,11 @@ class MoranSpec:
     error names the first position that is not (`allowed_prefix[0]: ...`).
     """
 
-    allowed_prefix: tuple  # tuple[tuple[int, ...], ...]
-    allowed_period: tuple  # tuple[tuple[int, ...], ...], nonempty
+    # tuples of sorted digit tuples once built; the period is nonempty
+    FIELDS = ("allowed_prefix", "allowed_period")
 
-    def __post_init__(self):
-        _intern(self, ("allowed_prefix", "allowed_period"), _digit_set,
-                "digit lists")
+    def _check(self):
+        _intern(self, self.FIELDS, _digit_set, "digit lists")
         if not self.allowed_period:
             raise EmptyPeriod("allowed_period must be nonempty")
 
@@ -92,20 +90,15 @@ class MoranSpec:
         return math.prod(map(len, islice(self.stream(), rank)))
 
 
-@dataclass(frozen=True)
-class ScaleSample:
+class ScaleSample(Frozen):
     """One point on the log-log curve: N(scale) boxes/cylinders at a scale."""
 
-    scale: Fraction
-    count: int
-    log_ratio: float
+    FIELDS = ("scale", "count", "log_ratio")  # Fraction, int, float
 
 
-@dataclass(frozen=True)
-class DimensionEstimate:
-    samples: tuple  # tuple[ScaleSample, ...]
-    estimate: float
-    method: str  # dyadic_box | cylinder_family | moran_oracle
+class DimensionEstimate(Frozen):
+    # method: dyadic_box, cylinder_family or moran_oracle
+    FIELDS = ("samples", "estimate", "method")
 
 
 def tail_window_max(values: Sequence[float]) -> float:
@@ -124,7 +117,6 @@ class Cylinders(Sequence):
     only when an item is read.
     """
 
-    # slots, not a dataclass: generating its methods slows every import
     __slots__ = ("choices", "denominator", "lefts", "rights")
 
     def __init__(self, choices: tuple, denominator: int, lefts: list,

@@ -6,18 +6,15 @@ import json
 import sys
 import time
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass, fields
-from datetime import datetime, timezone
 from fractions import Fraction
 from itertools import chain, count
 from pathlib import Path
-from typing import Optional
 
 from . import criteria as crit
 from . import dimension as dim
 from . import measure
 from . import qtilde
-from .errors import DimlabError, ParseError, SchemaError, magnitude
+from .errors import DimlabError, ParseError, Record, SchemaError, magnitude
 from .jsontext import column_blocks, keep_decimals, write_json
 from .qtilde import (PMatrix, QMatrix, _check_digit_counts, _exact,
                      _joint_horizon)
@@ -38,22 +35,11 @@ DEFAULT_TOLERANCES = {
 }
 
 
-@dataclass
-class Scenario:
-    kind: str
-    q: QMatrix
-    p: Optional[PMatrix]
-    moran: Optional[dim.MoranSpec]
-    points: tuple
-    words: tuple
-    rank: int
-    ranks: tuple
-    k_max: int
-    tol: Fraction
-    scales: tuple
-    tolerances: dict
-    name: str
-    raw: dict
+class Scenario(Record):
+    """A parsed config; `p` and `moran` are None where it has no P or moran."""
+
+    FIELDS = ("kind", "q", "p", "moran", "points", "words", "rank", "ranks",
+              "k_max", "tol", "scales", "tolerances", "name", "raw")
 
 
 def parse_scenario(doc: dict) -> Scenario:
@@ -126,7 +112,7 @@ def _built(cls, doc: dict, name: str):
     value = doc[name]
     if not isinstance(value, dict):
         raise SchemaError(f"{name} must be an object")
-    keys = [f.name for f in fields(cls)]
+    keys = cls.FIELDS
     for key in value:
         if key not in keys:
             raise SchemaError(f"{name}.{key} is not one of {', '.join(keys)}")
@@ -227,14 +213,9 @@ def load_scenario(path) -> Scenario:
     return parse_scenario(doc)
 
 
-@dataclass
-class Report:
-    scenario: dict          # config echo
-    kind: str
-    results: dict
-    verdicts: dict
-    run_meta: dict          # timestamp + timings, isolated for determinism
-    failed: bool
+class Report(Record):
+    # run_meta (timestamp, timings) is kept apart from the deterministic rest
+    FIELDS = ("scenario", "kind", "results", "verdicts", "run_meta", "failed")
 
 
 def _run_expand(s: Scenario) -> dict:
@@ -357,8 +338,11 @@ def run_scenario(s: Scenario) -> Report:
                          ("dims_agree", "dims_agree")):
         if key in results:
             verdicts[verdict] = bool(results[key])
+    # the text of datetime.now(timezone.utc).isoformat(), from `time`
+    seconds, micro = divmod(time.time_ns() // 1000, 10 ** 6)
     run_meta = {
-        "timestamp": datetime.now(timezone.utc).isoformat(),
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(seconds))
+                     + f".{micro:06d}+00:00",
         "timings": {"run_seconds": elapsed},
     }
     return Report(scenario=s.raw, kind=s.kind, results=results,

@@ -6,8 +6,8 @@ chunk by chunk.  The shapes that reports repeat skip the walk per item: a
 list of one scalar type is one join; a short str/int/bool list already
 written at the same depth is written from its kept text, and a list of such
 lists writes each with its separator in one chunk (a config's columns, a
-witness spec's digit sets); a list of one dataclass type is written record
-by record from its field heads.
+witness spec's digit sets); a list of one record type (a class with
+`FIELDS`) is written record by record from its field heads.
 
 The texts that report.json shares with a CSV table are made beforehand,
 once each, by `keep_decimals` (deep samples' scales and counts, in time
@@ -17,7 +17,6 @@ linear in their digits) and `column_blocks` (float columns, per block).
 from __future__ import annotations
 
 import math
-from dataclasses import fields, is_dataclass
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded
 from fractions import Fraction
 from itertools import chain, repeat
@@ -29,8 +28,8 @@ def write_json(obj, write, decimals: dict) -> None:
     `json.dumps(..., sort_keys=True, indent=2, allow_nan=False)` on its
     JSON form, which has one rule per type.  A float that is not finite
     becomes "inf", "-inf" or "nan", a Fraction its "num/den" string, a tuple
-    a list, a dict key its str(), and a dataclass the dict of its fields;
-    any other type is a TypeError.  `decimals` holds texts made beforehand:
+    a list, a dict key its str(), and a record the dict of its `FIELDS`; any
+    other type is a TypeError.  `decimals` holds texts made beforehand:
     the id of a Fraction or int maps to its decimal text, and the id of a
     list of floats to its item texts, "\\n"-joined in consecutive blocks."""
     _Writer(write, decimals).value(obj, "")
@@ -57,10 +56,11 @@ class _Writer:
             if text is not None:
                 self.write(text)
                 return
-            if not is_dataclass(obj) or isinstance(obj, type):
+            names = getattr(type(obj), "FIELDS", None)
+            if names is None:
                 raise TypeError(f"Object of type {type(obj).__name__} "
                                 f"is not JSON serializable")
-            items = [(f.name, getattr(obj, f.name)) for f in fields(obj)]
+            items = [(name, getattr(obj, name)) for name in names]
         self.members("{", "}", [(encode_basestring_ascii(key) + ": ", value)
                                 for key, value in sorted(items)], indent)
 
@@ -97,8 +97,8 @@ class _Writer:
             self.write(text)
         elif kind is list or kind is tuple:
             self.lists(items, indent)
-        elif is_dataclass(kind) and fields(kind):
-            self.records(items, kind, indent)
+        elif getattr(kind, "FIELDS", None):
+            self.records(items, kind.FIELDS, indent)
         else:
             self.members("[", "]", zip(repeat(""), items), indent)
 
@@ -133,11 +133,11 @@ class _Writer:
             lead = ",\n" + inner
         write(f"\n{indent}]")
 
-    def records(self, items, kind, indent: str) -> None:
-        """A list of one dataclass type, each record from the field heads
-        made once; a record with a field that is not a scalar is walked."""
+    def records(self, items, fields: tuple, indent: str) -> None:
+        """A list of one record type with these `FIELDS`, each from the
+        field heads made once; a record with a non-scalar field is walked."""
         inner = indent + "  "
-        names = sorted(f.name for f in fields(kind))
+        names = sorted(fields)
         heads = [f"{{\n{inner}  {encode_basestring_ascii(names[0])}: "] + [
             f",\n{inner}  {encode_basestring_ascii(name)}: "
             for name in names[1:]]

@@ -8,8 +8,8 @@ measure, `f_xi_cylinder` the image, and `f_xi_point` brackets F at a point.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import ToleranceNotReached, magnitude
 from .qtilde import (
@@ -17,6 +17,7 @@ from .qtilde import (
     Cylinder,
     RationalLike,
     _check_digit_counts,
+    _scaled_interval,
     _unit_point,
     _walk,
     cylinder,
@@ -28,8 +29,9 @@ DEFAULT_POINT_MAX_RANK = 200
 
 def mu_cylinder(p: ColumnMatrix, word: Sequence[int]) -> Fraction:
     """Measure of a cylinder: the exact product of chosen column entries,
-    which is the length of the word's cylinder under p."""
-    return cylinder(p, word).length
+    read from the integer recurrence of `cylinder`, which builds no ends."""
+    _, length, denominator = _scaled_interval(p, word)
+    return Fraction(length, denominator)
 
 
 def f_xi_cylinder(q: ColumnMatrix, p: ColumnMatrix, word: Sequence[int]) -> Cylinder:

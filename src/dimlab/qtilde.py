@@ -9,30 +9,31 @@ and a `Fraction` is built only when one is returned, so cylinder identities
 
 A point becomes a word only through the digit walk of `locate`, `expand`
 (which keeps only the walk's words, and builds no cylinder ends) and
-`f_xi_point`, and a word an interval through `cylinder`, but for
-`f_xi_point`, which nests its image under P column by column as it walks,
-to stop at the first rank within `tol`.  The walk reads the periodic tail
-through one table per matrix, built on its first walk (`ColumnMatrix.block`:
-m periods as one column over at most `BLOCK_WORDS` digit words).  Prefix
-columns, a period with more words, and the columns after the last whole
-block are walked one column a step.
+`f_xi_point`, and a word an interval through the integer recurrence of
+`cylinder` (`_scaled_interval`, whose length `mu_cylinder` reads without
+the ends), but for `f_xi_point`, which nests its image under P column by
+column as it walks, to stop at the first rank within `tol`.  The walk
+reads the periodic tail through one table per matrix, built on its first
+walk (`ColumnMatrix.block`: m periods as one column over at most
+`BLOCK_WORDS` digit words).  Prefix columns, a period with more words, and
+the columns after the last whole block are walked one column a step.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, cycle, islice, repeat
 from operator import attrgetter
-from typing import Iterator, Optional, Sequence, Union
 
 from .errors import (
     ColumnNotStochastic,
     DigitOutOfRange,
     EmptyPeriod,
+    Frozen,
     NonPositiveEntry,
     OutOfUnitInterval,
     SchemaError,
@@ -40,7 +41,7 @@ from .errors import (
     magnitude,
 )
 
-RationalLike = Union[Fraction, int, str]
+RationalLike = Fraction | int | str
 
 # the most digit words one step of the digit walk reads (`ColumnMatrix.block`)
 BLOCK_WORDS = 256
@@ -83,7 +84,7 @@ def _exact(value, name: str) -> Fraction:
 
 
 def _intern(obj, names: tuple, convert, what: str) -> dict:
-    """Set each field in `names` of the frozen dataclass `obj`, a list of
+    """Set each field in `names` of the frozen record `obj`, a list of
     items, to their tuple through `convert(item, where)`; return the table
     of results in order of first position.  Equal list or tuple items are
     converted once, at the first position (`where`: "prefix[3]") holding
@@ -115,17 +116,16 @@ def ln(value: Fraction) -> float:
     return math.log(value.numerator) - math.log(value.denominator)
 
 
-@dataclass(frozen=True)
-class ProbColumn:
+class ProbColumn(Frozen):
     """One probability column: entries in [0, 1] summing to exactly 1.
 
     Strict positivity (needed for the geometry matrix) is enforced by
     QMatrix; the measure matrix may carry zero or unit entries.
     """
 
-    entries: tuple  # tuple[Fraction, ...]
+    FIELDS = ("entries",)  # tuple[Fraction, ...]
 
-    def __post_init__(self):
+    def _check(self):
         entries = tuple(to_fraction(e) for e in self.entries)
         object.__setattr__(self, "entries", entries)
         if len(entries) < 1:
@@ -169,8 +169,7 @@ class ProbColumn:
         return tuple((float(e), ln(e)) if e else None for e in self.entries)
 
 
-@dataclass(frozen=True)
-class ColumnMatrix:
+class ColumnMatrix(Frozen):
     """Finite prefix + periodic tail of probability columns, 1-indexed.
 
     Each column is a `ProbColumn` or a list or tuple of exact rationals.
@@ -180,11 +179,11 @@ class ColumnMatrix:
     holds each column object once, in order of first position.
     """
 
-    prefix: tuple  # tuple[ProbColumn, ...]
-    period: tuple  # tuple[ProbColumn, ...], nonempty
+    # tuples of `ProbColumn`s once built; the period is nonempty
+    FIELDS = ("prefix", "period")
 
-    def __post_init__(self):
-        interned = _intern(self, ("prefix", "period"), self._column, "columns")
+    def _check(self):
+        interned = _intern(self, self.FIELDS, self._column, "columns")
         if not self.period:
             raise EmptyPeriod(
                 "period: periodic tail must contain at least one column")
@@ -209,7 +208,7 @@ class ColumnMatrix:
         return chain(self.prefix, cycle(self.period))
 
     @cached_property
-    def block(self) -> Optional[tuple]:
+    def block(self) -> tuple | None:
         """The period unrolled m >= 1 times, m as large as keeps at most
         `BLOCK_WORDS` words, as one walk step over its words in left-to-right
         order; None when one period has more words, or only one.
@@ -272,14 +271,10 @@ def _check_digit_counts(q: ColumnMatrix, p: ColumnMatrix, upto: int) -> None:
                 f"column {j}: digit counts differ ({qcol.n} vs {pcol.n})")
 
 
-
-@dataclass(frozen=True)
-class Cylinder:
+class Cylinder(Frozen):
     """A digit word together with its exact interval [left, right)."""
 
-    word: tuple
-    left: Fraction
-    right: Fraction
+    FIELDS = ("word", "left", "right")  # tuple, Fraction, Fraction
 
     @property
     def length(self) -> Fraction:
@@ -325,13 +320,17 @@ def _walk(matrix: ColumnMatrix, t: Fraction, rank: int) -> Iterator[tuple]:
 
 
 def cylinder(matrix: ColumnMatrix, word: Sequence[int]) -> Cylinder:
-    """Exact interval of the cylinder addressed by `word` under `matrix`.
-
-    The interval is [L/D, (L + Λ)/D) in integers: from L, Λ, D = 0, 1, 1,
-    column j's table (d, C, E) steps L <- L*d + C_a*Λ, Λ <- Λ*E_a and
-    D <- D*d.
-    """
+    """Exact interval of the cylinder addressed by `word` under `matrix`."""
     word = tuple(word)
+    left, length, denominator = _scaled_interval(matrix, word)
+    return Cylinder(word, Fraction(left, denominator),
+                    Fraction(left + length, denominator))
+
+
+def _scaled_interval(matrix: ColumnMatrix, word: Sequence[int]) -> tuple:
+    """(L, Λ, D): the cylinder of `word` under `matrix` is [L/D, (L + Λ)/D)
+    in integers.  From L, Λ, D = 0, 1, 1, column j's table (d, C, E) steps
+    L <- L*d + C_a*Λ, Λ <- Λ*E_a and D <- D*d."""
     left, length, denominator = 0, 1, 1
     for j, (a, column) in enumerate(zip(word, matrix.stream()), start=1):
         d, offsets, entries = column.scaled
@@ -342,8 +341,7 @@ def cylinder(matrix: ColumnMatrix, word: Sequence[int]) -> Cylinder:
         left = left * d + offsets[a] * length
         length *= entries[a]
         denominator *= d
-    return Cylinder(word, Fraction(left, denominator),
-                    Fraction(left + length, denominator))
+    return left, length, denominator
 
 
 def expand(matrix: ColumnMatrix, x: RationalLike, rank: int) -> tuple:

@@ -578,16 +578,22 @@ class TestCli:
         assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
-def test_runtime_imports_only_stdlib():
-    # compare against a snapshot: site hooks may preload third-party modules
-    code = ("import sys; before = set(sys.modules); "
-            "import dimlab, dimlab.cli, dimlab.harness; "
-            "print(' '.join(sorted(set(sys.modules) - before)))")
+def modules_loaded(code: str, *flags: str) -> list:
+    """The words that `code` prints, run by a fresh interpreter with
+    `flags` and the source tree on its path."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    added = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                           capture_output=True, text=True).stdout.split()
+    return subprocess.run([sys.executable, *flags, "-c", code], env=env,
+                          check=True, capture_output=True,
+                          text=True).stdout.split()
+
+
+def test_runtime_imports_only_stdlib():
+    # compare against a snapshot: site hooks may preload third-party modules
+    added = modules_loaded("import sys; before = set(sys.modules); "
+                           "import dimlab, dimlab.cli, dimlab.harness; "
+                           "print(' '.join(sorted(set(sys.modules) - before)))")
     assert "dimlab.cli" in added
     allowed = sys.stdlib_module_names | {"dimlab"}
     assert [name for name in added
@@ -614,3 +620,13 @@ def test_source_imports_only_stdlib():
             outside += [f"{path.name}:{node.lineno}: {name}" for name in names
                         if name.partition(".")[0] not in allowed]
     assert outside == []
+
+
+def test_cli_starts_without_slow_stdlib_modules():
+    # without `site` no hook preloads a module, so every module here is
+    # one that starting the CLI loads; `dataclasses` alone brings in
+    # `inspect`, `ast`, `dis` and `tokenize`
+    loaded = modules_loaded("import sys, dimlab.cli; "
+                            "print(' '.join(sys.modules))", "-S")
+    assert "dimlab.cli" in loaded
+    assert {"dataclasses", "inspect", "datetime", "typing"}.isdisjoint(loaded)

@@ -3,7 +3,6 @@
 import io
 import json
 import math
-from dataclasses import asdict, is_dataclass
 from fractions import Fraction
 from itertools import islice
 
@@ -18,7 +17,7 @@ from dimlab.dimension import (
     family_dim,
     tail_window_max,
 )
-from dimlab.errors import DegenerateDenominator
+from dimlab.errors import DegenerateDenominator, Record
 from dimlab.cli import main
 from dimlab.harness import load_scenario, parse_scenario, run_scenario
 from dimlab.jsontext import write_json
@@ -60,8 +59,8 @@ def per_type_jsonify(obj):
     if isinstance(obj, MoranSpec):
         return {"allowed_prefix": [list(s) for s in obj.allowed_prefix],
                 "allowed_period": [list(s) for s in obj.allowed_period]}
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return {k: per_type_jsonify(v) for k, v in asdict(obj).items()}
+    if isinstance(obj, Record):
+        return {k: per_type_jsonify(getattr(obj, k)) for k in obj.FIELDS}
     if isinstance(obj, dict):
         return {str(k): per_type_jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

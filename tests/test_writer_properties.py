@@ -7,7 +7,6 @@ on any sequence of ints, `running_decimals` must yield their str().
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
@@ -19,15 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dimlab import harness
+from dimlab.errors import Frozen
 from dimlab.jsontext import _DIRECT, _FACTOR, running_decimals
 
 from test_report_format import dumps, per_type_jsonify, written
 
 
-@dataclass(frozen=True)
-class Pair:
-    first: object
-    second: object
+class Pair(Frozen):
+    FIELDS = ("first", "second")
 
 
 # past CPython's default 4300-digit limit on int -> str
@@ -50,7 +48,7 @@ RUNS = st.one_of(st.lists(st.text()), st.lists(st.floats()),
                  st.lists(st.floats(allow_nan=False, allow_infinity=False)),
                  st.lists(st.integers(-HUGE, HUGE)))
 
-# lists of one dataclass type take the writer's record path
+# lists of one record type take the writer's record path
 # (fields drawn as a pair of one strategy, which hypothesis reprs once)
 RECORDS = st.lists(st.lists(st.one_of(SCALARS, st.just(math.nan)),
                             min_size=2, max_size=2).map(lambda f: Pair(*f)),
