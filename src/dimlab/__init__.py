@@ -22,6 +22,7 @@ from .dimension import (
     MoranSpec,
     ScaleSample,
     box_counts,
+    cover_counts,
     dim_estimate,
     enumerate_cylinders,
     family_dim,

@@ -3,7 +3,9 @@
 Provides cylinder enumeration for Moran-type sets (exact integer endpoints
 over one common denominator, in left-to-right order), exact grid box counts
 (one integer sweep per scale that steps from occupied cell to occupied cell,
-bisecting past the cylinders that start in the same cell), tail-window
+bisecting past the cylinders that start in the same cell), the same counts
+over a cell cover for the dimension runner (`cover_counts`: memory follows
+the cover, and `MAX_CYLINDERS` still bounds the cylinder count), tail-window
 limsup dimension estimates, a family-restricted (cylinder packing)
 estimator, a closed-form oracle for digit-uniform matrices, and finite-scale
 packing premeasure lower bounds (centered and uncentered) by weighted
@@ -159,6 +161,15 @@ def enumerate_cylinders(spec: MoranSpec, matrix: ColumnMatrix,
     Degenerate (zero-length) cylinders are skipped: they contribute single
     points, which are dimension-null.
     """
+    return Cylinders(*_expand(spec, matrix, rank))
+
+
+def _expand(spec: MoranSpec, matrix: ColumnMatrix, rank: int,
+            grid: Fraction | None = None) -> tuple:
+    """(choices, D, lefts, rights): `enumerate_cylinders`' loop.  With a
+    grid g, a cylinder inside one cell [i*g, (i+1)*g) stops branching and
+    goes on as itself, so the list stays disjoint and in order.  The test
+    starts at the first column whose shortest cylinder fits in a cell."""
     spec.validate_against(matrix, rank)
     count = spec.count(rank)
     if count > MAX_CYLINDERS:
@@ -167,13 +178,29 @@ def enumerate_cylinders(spec: MoranSpec, matrix: ColumnMatrix,
     choices = []
     denominator = 1
     lefts, lengths = [0], [1]
+    inside = None  # once tested: whether each cylinder lies in one cell
+    shortest = 1  # the shortest length, over `denominator`
     columns = zip(spec.stream(), matrix.stream())
     for j, (allowed, column) in enumerate(islice(columns, rank), start=1):
         d, offsets, entries = column.scaled
         digits = [a for a in allowed if entries[a]]
-        lefts = [left * d + offsets[a] * length
-                 for left, length in zip(lefts, lengths) for a in digits]
-        lengths = [length * entries[a] for length in lengths for a in digits]
+        starts = [offsets[a] for a in digits]
+        widths = [entries[a] for a in digits]
+        shortest *= min(widths, default=0)
+        if inside is None:  # no flags to read: the faster form
+            lefts = [left * d + c * length
+                     for left, length in zip(lefts, lengths) for c in starts]
+            lengths = [length * e for length in lengths for e in widths]
+        else:
+            # a cylinder inside a cell goes on as itself, by the entry
+            # (C, E) = (0, d); none does past a column that keeps no digit
+            starts = (starts, [0] if digits else [])
+            widths = (widths, [d] if digits else [])
+            lefts = [left * d + c * length
+                     for left, length, t in zip(lefts, lengths, inside)
+                     for c in starts[t]]
+            lengths = [length * e for length, t in zip(lengths, inside)
+                       for e in widths[t]]
         if j == rank - 1:
             # the last column reads these lengths while its two lists grow;
             # equal lengths then share one int, so that they take little
@@ -181,11 +208,34 @@ def enumerate_cylinders(spec: MoranSpec, matrix: ColumnMatrix,
             lengths = [shared.setdefault(x, x) for x in lengths]
         choices.append(tuple(digits))
         denominator *= d
+        if grid is not None and j < rank and (
+                shortest * grid.denominator <= grid.numerator * denominator):
+            # [L, L + length) over D lies in one cell of width W/b, W = D*a
+            b = grid.denominator
+            width = denominator * grid.numerator
+            inside = [left * b % width + length * b <= width
+                      for left, length in zip(lefts, lengths)]
     # each length becomes its right end in place, so that the ends never
     # take three lists at once
     for i, left in enumerate(lefts):
         lengths[i] += left
-    return Cylinders(tuple(choices), denominator, lefts, lengths)
+    return tuple(choices), denominator, lefts, lengths
+
+
+def cover_counts(spec: MoranSpec, matrix: ColumnMatrix, rank: int,
+                 scales: Iterable[Fraction]) -> list:
+    """`box_counts(enumerate_cylinders(spec, matrix, rank), scales)` from a
+    cover of the set.  Every scale is a whole multiple of g =
+    gcd(numerators) / lcm(denominators), so a cylinder inside one g-cell
+    meets one cell at every scale, as do its nonempty descendants: the
+    expansion stops branching it, and the sweep reads the cover."""
+    scales = _unit_scales(scales)
+    grid = None
+    if scales:
+        grid = Fraction(math.gcd(*(x.numerator for x in scales)),
+                        math.lcm(*(x.denominator for x in scales)))
+    _, denominator, lefts, rights = _expand(spec, matrix, rank, grid)
+    return _sweep(denominator, lefts, rights, scales)
 
 
 def _over_one_denominator(values: Iterable, base: int = 1) -> tuple:
@@ -222,15 +272,28 @@ def box_counts(cylinders: Iterable[Cylinder],
     own cell is one step.  One that ends in its cell is one step together
     with all later cylinders that start in that cell, found by bisection on
     the left ends: between them they cover the cell through the cell of the
-    largest right end so far.
+    largest right end so far.  `cover_counts` runs this sweep over a cell
+    cover, whose memory follows the cover; `MAX_CYLINDERS` is still
+    checked on the cylinder count.
     """
-    denominator, lefts, reach = _integer_ends(cylinders)
+    scales = _unit_scales(scales)
+    return _sweep(*_integer_ends(cylinders), scales)
+
+
+def _unit_scales(scales: Iterable) -> list:
+    scales = [to_fraction(delta) for delta in scales]
+    for delta in scales:
+        if not 0 < delta < 1:
+            raise ValueError(f"scale {delta} is not in (0, 1)")
+    return scales
+
+
+def _sweep(denominator: int, lefts: list, reach: list, scales: list) -> list:
+    """`box_counts`' sweep over ascending left ends and their running
+    largest right ends, all over `denominator`."""
     n = len(lefts)
     samples = []
     for delta in scales:
-        delta = to_fraction(delta)
-        if not 0 < delta < 1:
-            raise ValueError(f"scale {delta} is not in (0, 1)")
         b = delta.denominator
         width = denominator * delta.numerator
         # left ends ascend, so only cells past the last one counted are new;

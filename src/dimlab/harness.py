@@ -249,7 +249,6 @@ def _run_dimension(s: Scenario) -> dict:
     ranks = sorted(s.ranks)
     uniform = s.q.is_digit_uniform()
     family = dim.family_dim(s.moran, s.q, ranks)
-    cylinders = dim.enumerate_cylinders(s.moran, s.q, ranks[-1])
     # grid scales aligned to the matrix: on a digit-uniform Q the family
     # scales are the common rank-k lengths; otherwise plain dyadic 2^-k
     if s.scales:
@@ -258,7 +257,7 @@ def _run_dimension(s: Scenario) -> dict:
         scales = [smp.scale for smp in family.samples]
     else:
         scales = [Fraction(1, 2 ** k) for k in ranks]
-    box = dim.dim_estimate(dim.box_counts(cylinders, scales))
+    box = dim.dim_estimate(dim.cover_counts(s.moran, s.q, ranks[-1], scales))
     out = {"box": box, "family": family}
     if uniform:
         oracle = dim.moran_dim_oracle(s.moran, s.q, ranks[-1])

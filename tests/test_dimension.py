@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from dimlab import (
     box_counts,
+    cover_counts,
     dim_estimate,
     enumerate_cylinders,
     family_dim,
@@ -20,6 +21,7 @@ from dimlab import (
 )
 from dimlab.dimension import MAX_CYLINDERS, MoranSpec
 from dimlab import dimension
+from dimlab.harness import load_scenario, run_scenario
 from dimlab.errors import (
     BudgetExceeded,
     NonUniformColumns,
@@ -172,6 +174,38 @@ class TestIntegerKernel:
         # a distinct int per old length would add about 12 bytes a cylinder
         assert peak - current < 6 * len(cyls)
 
+    def test_cover_peak_is_at_most_half_the_enumeration_peak(self):
+        # box_deep's shape: four columns over 17, 19, 17 and 23 that keep
+        # 2, 2, 2 and 3 digits, so rank 14 has 55,296 cylinders; about a
+        # third of them reach rank 14 in the cover of the 2^-14 grid
+        q = QMatrix([], [["13/17", "4/17"], ["2/19", "7/19", "10/19"],
+                         ["12/17", "5/17"], ["3/23", "5/23", "7/23", "8/23"]])
+        spec = MoranSpec([], [(0, 1), (1, 2), (0, 1), (0, 2, 3)])
+        scales = [Fraction(1, 2 ** k) for k in range(10, 15)]
+        enumerated = traced_peak(lambda: enumerate_cylinders(spec, q, 14))
+        covered = traced_peak(lambda: cover_counts(spec, q, 14, scales))
+        assert covered <= enumerated / 2
+
+    def test_cover_tests_no_level_whose_cylinders_exceed_a_cell(self):
+        # at the Cantor set's rank-k scale no cylinder of a lower rank fits
+        # in one cell, so no level is tested and no flag list is made: the
+        # cover is the enumeration, at the enumeration's peak
+        scales = [Fraction(1, 3 ** k) for k in range(8, 13)]
+        enumerated = traced_peak(lambda: enumerate_cylinders(CANTOR, Q3, 12))
+        covered = traced_peak(lambda: cover_counts(CANTOR, Q3, 12, scales))
+        # a flag per rank-11 cylinder would add 2048 pointers, 16 KiB
+        assert covered <= enumerated + 4096
+
+
+def traced_peak(call) -> int:
+    """tracemalloc's peak, in bytes, while `call()` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
 
 def brute_force_cells(cylinders, delta):
     """Independent oracle: test every grid cell [i*delta, (i+1)*delta)
@@ -192,22 +226,30 @@ PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
 
 
 @st.composite
-def small_enumerations(draw):
-    """The rank-0..3 cylinders of a drawn spec on a measure matrix of 1-3
-    columns, 2 or 3 digits each over a denominator up to 5; entries may be
-    0, so zero-length cylinders are dropped."""
-    columns, allowed = [], []
-    for n in draw(st.lists(st.integers(2, 3), min_size=1, max_size=3)):
-        den = draw(st.integers(1, 5))
+def small_systems(draw, columns=(1, 3), denominators=(1, 5), ranks=(0, 3)):
+    """(spec, matrix, rank): a drawn spec on a measure matrix of
+    columns[0]..columns[1] columns (prefix and period), 2 or 3 digits each
+    over a denominator in `denominators`, and a rank in `ranks`; entries
+    may be 0, so zero-length cylinders are dropped, and a column may keep
+    only such digits."""
+    drawn, allowed = [], []
+    for n in draw(st.lists(st.integers(2, 3), min_size=columns[0],
+                           max_size=columns[1])):
+        den = draw(st.integers(*denominators))
         cuts = sorted(draw(st.lists(st.integers(0, den), min_size=n - 1,
                                     max_size=n - 1)))
         ends = [0, *cuts, den]
-        columns.append([Fraction(b - a, den) for a, b in zip(ends, ends[1:])])
+        drawn.append([Fraction(b - a, den) for a, b in zip(ends, ends[1:])])
         allowed.append(draw(st.sets(st.integers(0, n - 1), min_size=1)))
-    split = draw(st.integers(0, len(columns) - 1))
-    matrix = PMatrix(columns[:split], columns[split:])
+    split = draw(st.integers(0, len(drawn) - 1))
+    matrix = PMatrix(drawn[:split], drawn[split:])
     spec = MoranSpec(allowed[:split], allowed[split:])
-    return enumerate_cylinders(spec, matrix, draw(st.integers(0, 3)))
+    return spec, matrix, draw(st.integers(*ranks))
+
+
+def small_enumerations():
+    """The rank-0..3 cylinders of a `small_systems` draw."""
+    return small_systems().map(lambda system: enumerate_cylinders(*system))
 
 
 @st.composite
@@ -252,6 +294,76 @@ class TestBoxCountsProperties:
     def test_generic_lists(self, cyls, data):
         for smp in box_counts(cyls, drawn_scales(data.draw, cyls)):
             assert smp.count == brute_force_cells(cyls, smp.scale)
+
+
+# scale sets that do not nest: no scale is a multiple of the finest, so the
+# cover's grid g is finer than every scale (1/280, 1/6 and 1/540)
+NON_NESTING = (
+    (Fraction(2, 7), Fraction(3, 40)),
+    (Fraction(1, 3), Fraction(1, 2)),
+    (Fraction(1, 3), Fraction(1, 4), Fraction(1, 10), Fraction(2, 27)),
+)
+
+
+def scale_sets(spec, matrix, rank):
+    """Each `NON_NESTING` set as it is, then scaled so that its finest
+    scale, or its grid g or 2g or 4g, is the longest cylinder of a rank
+    below `rank` (where every scale stays below 1).  Cells are then about
+    as long as the cylinders that the cover may carry, so that a wrong
+    carry changes a count."""
+    for base in NON_NESTING:
+        yield base
+        grid = Fraction(math.gcd(*(x.numerator for x in base)),
+                        math.lcm(*(x.denominator for x in base)))
+        for j in range(1, rank):
+            longest = max((c.length for c in
+                           enumerate_cylinders(spec, matrix, j)), default=0)
+            for unit in (min(base), grid, 2 * grid, 4 * grid):
+                factor = longest / unit
+                if 0 < factor < 1 / max(base):
+                    yield tuple(x * factor for x in base)
+
+
+class TestCoverCounts:
+    """Counts over the cover against the sweep over every cylinder."""
+
+    @PROPERTY
+    @given(small_systems(columns=(2, 4), denominators=(2, 5), ranks=(3, 6)))
+    def test_equals_the_sweep_over_the_enumeration(self, system):
+        cyls = enumerate_cylinders(*system)
+        for scales in scale_sets(*system):
+            samples = cover_counts(*system, scales)
+            assert samples == box_counts(cyls, scales)
+        # the unscaled sets have few cells, so each is also checked cell by
+        # cell (at finer scales `box_counts` is, in TestBoxCountsProperties)
+        for scales in NON_NESTING:
+            for smp in cover_counts(*system, scales):
+                assert smp.count == (brute_force_cells(cyls, smp.scale)
+                                     if cyls else 0)
+
+    def test_drops_cylinders_carried_past_an_all_zero_column(self):
+        # every rank-3 cylinder lies in one cell of 1/8 and is carried, but
+        # column 4 keeps only its zero-length digit: the rank-4 set is empty
+        p = PMatrix([["1/2", "1/2"]] * 3 + [["1", "0"]], [["1/2", "1/2"]])
+        spec = MoranSpec([(0, 1)] * 3 + [(1,)], [(0, 1)])
+        scales = [Fraction(1, 4), Fraction(1, 8)]
+        assert len(enumerate_cylinders(spec, p, 4)) == 0
+        assert [s.count for s in cover_counts(spec, p, 4, scales)] == [0, 0]
+        # one column earlier nothing is dropped: eight cells of 1/8
+        assert [s.count for s in cover_counts(spec, p, 3, scales)] == [4, 8]
+
+    def test_mixed_scales_fixture(self, fixture_path):
+        # the CLI smoke run's gcd-grid case: g = 1/540 over four scales
+        s = load_scenario(fixture_path("dimension_mixed_scales.json"))
+        report = run_scenario(s)
+        cyls = enumerate_cylinders(s.moran, s.q, max(s.ranks))
+        counts = [smp.count for smp in report.results["box"].samples]
+        assert counts == [brute_force_cells(cyls, x) for x in s.scales]
+        assert counts == [3, 3, 6, 9]
+
+    def test_scales_checked_before_enumeration(self):
+        with pytest.raises(ValueError, match=r"scale 1 is not in \(0, 1\)"):
+            cover_counts(matrices.full_spec(2), QB, 23, [Fraction(1, 4), 1])
 
 
 class TestBoxCounts:
