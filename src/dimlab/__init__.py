@@ -22,7 +22,6 @@ from .dimension import (
     MoranSpec,
     ScaleSample,
     box_counts,
-    cover_counts,
     dim_estimate,
     enumerate_cylinders,
     family_dim,

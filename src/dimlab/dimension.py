@@ -23,7 +23,7 @@ import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from itertools import accumulate, chain, cycle, islice, product
+from itertools import accumulate, chain, cycle, islice, product, repeat
 
 from .errors import (
     BudgetExceeded,
@@ -178,7 +178,7 @@ def _expand(spec: MoranSpec, matrix: ColumnMatrix, rank: int,
     choices = []
     denominator = 1
     lefts, lengths = [0], [1]
-    inside = None  # once tested: whether each cylinder lies in one cell
+    inside = repeat(False)  # whether each cylinder lies in one cell
     shortest = 1  # the shortest length, over `denominator`
     columns = zip(spec.stream(), matrix.stream())
     for j, (allowed, column) in enumerate(islice(columns, rank), start=1):
@@ -187,20 +187,15 @@ def _expand(spec: MoranSpec, matrix: ColumnMatrix, rank: int,
         starts = [offsets[a] for a in digits]
         widths = [entries[a] for a in digits]
         shortest *= min(widths, default=0)
-        if inside is None:  # no flags to read: the faster form
-            lefts = [left * d + c * length
-                     for left, length in zip(lefts, lengths) for c in starts]
-            lengths = [length * e for length in lengths for e in widths]
-        else:
-            # a cylinder inside a cell goes on as itself, by the entry
-            # (C, E) = (0, d); none does past a column that keeps no digit
-            starts = (starts, [0] if digits else [])
-            widths = (widths, [d] if digits else [])
-            lefts = [left * d + c * length
-                     for left, length, t in zip(lefts, lengths, inside)
-                     for c in starts[t]]
-            lengths = [length * e for length, t in zip(lengths, inside)
-                       for e in widths[t]]
+        # a cylinder inside a cell goes on as itself, by the entry
+        # (C, E) = (0, d); none does past a column that keeps no digit
+        starts = (starts, [0] if digits else [])
+        widths = (widths, [d] if digits else [])
+        lefts = [left * d + c * length
+                 for left, length, t in zip(lefts, lengths, inside)
+                 for c in starts[t]]
+        lengths = [length * e for length, t in zip(lengths, inside)
+                   for e in widths[t]]
         if j == rank - 1:
             # the last column reads these lengths while its two lists grow;
             # equal lengths then share one int, so that they take little

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from dimlab import (
     box_counts,
-    cover_counts,
     dim_estimate,
     enumerate_cylinders,
     family_dim,
@@ -19,7 +18,7 @@ from dimlab import (
     packing_premeasure,
     premeasure_ordering_check,
 )
-from dimlab.dimension import MAX_CYLINDERS, MoranSpec
+from dimlab.dimension import MAX_CYLINDERS, MoranSpec, cover_counts
 from dimlab import dimension
 from dimlab.harness import load_scenario, run_scenario
 from dimlab.errors import (
@@ -189,9 +188,10 @@ class TestIntegerKernel:
     def test_cover_tests_no_level_whose_cylinders_exceed_a_cell(self):
         # at the Cantor set's rank-k scale no cylinder of a lower rank fits
         # in one cell, so no level is tested and no flag list is made: the
-        # cover is the enumeration, at the enumeration's peak
+        # cover is the enumeration, counted at the counts' peak
         scales = [Fraction(1, 3 ** k) for k in range(8, 13)]
-        enumerated = traced_peak(lambda: enumerate_cylinders(CANTOR, Q3, 12))
+        enumerated = traced_peak(
+            lambda: box_counts(enumerate_cylinders(CANTOR, Q3, 12), scales))
         covered = traced_peak(lambda: cover_counts(CANTOR, Q3, 12, scales))
         # a flag per rank-11 cylinder would add 2048 pointers, 16 KiB
         assert covered <= enumerated + 4096
