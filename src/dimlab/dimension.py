@@ -7,10 +7,8 @@ bisecting past the cylinders that start in the same cell), the same counts
 over a cell cover for the dimension runner (`cover_counts`: memory follows
 the cover, and `MAX_CYLINDERS` still bounds the cylinder count), tail-window
 limsup dimension estimates, a family-restricted (cylinder packing)
-estimator, a closed-form oracle for digit-uniform matrices, and finite-scale
-packing premeasure lower bounds (centered and uncentered) by weighted
-interval scheduling over balls, in integer coordinates over one denominator
-(the same floats, in the same order, as in exact rationals).
+estimator, a closed-form oracle for digit-uniform matrices, and both (centered,
+uncentered) finite-scale packing premeasure lower bounds from one schedule.
 
 Every limsup here, and in `criteria`, is estimated by `tail_window_max`:
 the maximum over the tail half (`WINDOW_FRACTION`) of the partial values.
@@ -395,56 +393,59 @@ def moran_dim_oracle(spec: MoranSpec, matrix: ColumnMatrix,
 
 # --- finite-scale packing premeasure (weighted interval scheduling) ---
 
-def packing_premeasure(points: Iterable, alpha: float, eps,
-                       mode: str = "centered", t_max: int = 4) -> float:
-    """Best sum of |ball|^alpha over disjoint open balls at scale <= eps.
-
-    Ball diameters are drawn from the dyadic grid {eps/2^t : t=0..t_max}.
-    Centered mode places centers at the given points; uncentered mode also
-    allows midpoints between consecutive points, requiring only that each
-    ball meets the set.  The result is a certified lower bound of the true
-    supremum, found as a weighted interval schedule: balls sorted by right
-    end, each one's predecessors found by bisection, with a prefix max.
-
-    The schedule runs in integer coordinates: over the denominator 2d, with
-    d the lcm of eps.denominator * 2^(t_max+1) and the points' denominators,
-    every point, radius eps/2^(t+1) and midpoint is an exact integer.
-    Scaling by 2d > 0 keeps every comparison and tie, so the DP adds the
-    same floats |ball|^alpha in the same order as it would in rationals.
-    """
+def _premeasures(points: Iterable, alpha: float, eps, t_max: int) -> tuple:
+    """(centered, uncentered): `packing_premeasure`'s one schedule."""
     eps = to_fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     if t_max < 0:
         raise GridTooCoarse("t_max must be >= 0")
-    if mode not in ("centered", "uncentered"):
-        raise ValueError(f"unknown mode {mode!r}")
     d, scaled = _over_one_denominator(points, eps.denominator << (t_max + 1))
     pts = sorted({2 * x for x in scaled})
     # (radius eps/2^(t+1) over 2d, float diameter^alpha) for each t
     sizes = [(eps.numerator * d // (eps.denominator << t),
               float(eps / 2 ** t) ** alpha) for t in range(t_max + 1)]
-    centers = [(c, sizes) for c in pts]
-    if mode == "uncentered":
-        # a ball centred between neighbours a < b meets the set iff b - a < d
-        centers += [((a + b) // 2, [(r, w) for r, w in sizes if b - a < 2 * r])
-                    for a, b in zip(pts, pts[1:])]
-    balls = sorted((c + r, c - r, w) for c, rs in centers for r, w in rs)
-    rights = [right for right, _, _ in balls]
-    best = [0.0]  # best[k]: best total over the first k balls
-    for _, left, weight in balls:
-        best.append(max(best[-1], weight + best[bisect_right(rights, left)]))
-    return best[-1]
+    # centered balls flagged; a midpoint ball meets the set iff b - a < 2r
+    balls = [(c + r, c - r, w, True) for c in pts for r, w in sizes] + [
+        ((a + b) // 2 + r, (a + b) // 2 - r, w, False)
+        for a, b in zip(pts, pts[1:]) for r, w in sizes if b - a < 2 * r]
+    balls.sort()
+    rights = [ball[0] for ball in balls]
+    starts = map(bisect_right, repeat(rights), [ball[1] for ball in balls])
+    centered, uncentered = [0.0], [0.0]  # best totals over the first k balls
+    c = u = 0.0
+    for (_, _, weight, flagged), k in zip(balls, starts):
+        if (x := weight + uncentered[k]) > u:  # the float max(u, x) returns
+            u = x
+        if flagged and (x := weight + centered[k]) > c:
+            c = x
+        centered.append(c)
+        uncentered.append(u)
+    return c, u
+
+
+def packing_premeasure(points: Iterable, alpha: float, eps,
+                       mode: str = "centered", t_max: int = 4) -> float:
+    """Best sum of |ball|^alpha over disjoint open balls at scale <= eps.
+
+    Diameters are eps/2^t, t = 0..t_max; centers are the given points and,
+    uncentered, also midpoints of consecutive points whose ball meets the
+    set.  The result, a certified lower bound of the supremum, is one
+    weighted interval schedule for both modes, in integers over one
+    denominator: balls sorted once by right end, one bisection each for the
+    predecessors, and a prefix max per mode (the centered one reads only
+    centered balls), summing the floats |ball|^alpha as exact rationals would.
+    """
+    if mode not in ("centered", "uncentered"):
+        raise ValueError(f"unknown mode {mode!r}")
+    return _premeasures(points, alpha, eps, t_max)[mode == "uncentered"]
 
 
 def premeasure_ordering_check(points: Iterable, alpha: float, eps,
                               t_max: int = 4):
-    """Both premeasure values; the uncentered one can only be larger."""
-    pts = list(points)
-    centered = packing_premeasure(pts, alpha, eps, "centered", t_max)
-    uncentered = packing_premeasure(pts, alpha, eps, "uncentered", t_max)
+    """Both values, one schedule; uncentered >= centered by construction."""
+    centered, uncentered = _premeasures(points, alpha, eps, t_max)
     if not uncentered >= centered:
-        raise PremeasureOrderingViolated(
-            f"uncentered premeasure {uncentered} is below centered {centered}"
-        )
+        raise PremeasureOrderingViolated(f"uncentered premeasure {uncentered} "
+                                         f"is below centered {centered}")
     return centered, uncentered

@@ -248,8 +248,11 @@ def small_systems(draw, columns=(1, 3), denominators=(1, 5), ranks=(0, 3)):
 
 
 def small_enumerations():
-    """The rank-0..3 cylinders of a `small_systems` draw."""
-    return small_systems().map(lambda system: enumerate_cylinders(*system))
+    """The rank-3..6 cylinders of a `small_systems` draw of 2-4 columns over
+    denominators 2-5, as `TestCoverCounts` draws: at ranks 0-3 most draws
+    are the single cylinder [0, 1) or none."""
+    systems = small_systems(columns=(2, 4), denominators=(2, 5), ranks=(3, 6))
+    return systems.map(lambda system: enumerate_cylinders(*system))
 
 
 @st.composite
@@ -607,6 +610,24 @@ class TestPackingPremeasureProperties:
         value = packing_premeasure(points, alpha, eps, mode, t_max)
         assert value == fraction_premeasure(points, alpha, eps, mode, t_max)
 
+    # a centered ball whose best predecessors include a midpoint ball is
+    # rare in these draws (about 1 in 70), so this test draws more
+    @settings(PROPERTY, max_examples=600)
+    @given(st.builds(Fraction, st.integers(1, 8),
+                     st.sampled_from((1, 2, 3, 4, 5, 12, 64))),
+           st.sampled_from((0, 0.5, 0.63, 1, 2)),
+           st.integers(0, 5), st.data())
+    def test_pair_equals_the_fraction_dp(self, eps, alpha, t_max, data):
+        """The one schedule of both modes returns the pair of exact
+        rational DPs run apart, float for float, and each mode's value
+        alone is the matching element of the pair."""
+        points = data.draw(premeasure_points(eps, t_max))
+        pair = premeasure_ordering_check(points, alpha, eps, t_max)
+        assert pair == tuple(fraction_premeasure(points, alpha, eps, mode, t_max)
+                             for mode in ("centered", "uncentered"))
+        for value, mode in zip(pair, ("centered", "uncentered")):
+            assert packing_premeasure(points, alpha, eps, mode, t_max) == value
+
 
 class TestPackingPremeasure:
     def test_single_point(self):
@@ -672,8 +693,9 @@ class TestPackingPremeasure:
         assert c == u
 
     def test_ordering_violation_raises(self, monkeypatch):
-        def inverted(points, alpha, eps, mode, t_max):
-            return 0.25 if mode == "uncentered" else 0.75
-        monkeypatch.setattr(dimension, "packing_premeasure", inverted)
+        # the guard holds by construction, so the schedule is broken on purpose
+        def inverted(points, alpha, eps, t_max):
+            return 0.75, 0.25
+        monkeypatch.setattr(dimension, "_premeasures", inverted)
         with pytest.raises(PremeasureOrderingViolated, match=r"0\.25.*0\.75"):
             premeasure_ordering_check([Fraction(1, 2)], 1, Fraction(1, 8))
