@@ -9,6 +9,9 @@ the cover, and `MAX_CYLINDERS` still bounds the cylinder count), tail-window
 limsup dimension estimates, a family-restricted (cylinder packing)
 estimator, a closed-form oracle for digit-uniform matrices, and both (centered,
 uncentered) finite-scale packing premeasure lower bounds from one schedule.
+The schedule depends only on the points, eps and t_max; alpha enters through
+t_max + 1 weights, and the last schedule is kept, so an alpha ladder at one
+eps builds it once.
 
 Every limsup here, and in `criteria`, is estimated by `tail_window_max`:
 the maximum over the tail half (`WINDOW_FRACTION`) of the partial values.
@@ -21,6 +24,7 @@ import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, chain, cycle, islice, product, repeat
 
 from .errors import (
@@ -393,28 +397,54 @@ def moran_dim_oracle(spec: MoranSpec, matrix: ColumnMatrix,
 
 # --- finite-scale packing premeasure (weighted interval scheduling) ---
 
+@lru_cache(maxsize=1)  # the last one: an alpha ladder at one eps reuses it
+def _schedule(eps: Fraction, t_max: int, d: int, pts: tuple) -> tuple:
+    """(ts, flags, starts) over the balls on the distinct ascending points
+    `pts` / d, in ascending (right, left) order: ball j has diameter
+    eps/2^ts[j], is centered at a point if flags[j] (else at a midpoint),
+    and its predecessors are the first starts[j] balls.  Every ball end is
+    an integer over 2d."""
+    pts = [2 * x for x in pts]
+    mids = [((a + b) // 2, b - a) for a, b in zip(pts, pts[1:])]
+    balls = []  # each (radius, kind) class one ascending run, for the sort
+    for t in range(t_max + 1):
+        r = eps.numerator * d // (eps.denominator << t)
+        balls += [(c + r, c - r, t, True) for c in pts]
+        # a midpoint ball meets the set iff b - a < 2r
+        balls += [(m + r, m - r, t, False) for m, gap in mids if gap < 2 * r]
+    balls.sort()
+    rights = [ball[0] for ball in balls]
+    starts = map(bisect_right, repeat(rights), [ball[1] for ball in balls])
+    return (tuple([ball[2] for ball in balls]),
+            tuple([ball[3] for ball in balls]), tuple(starts))
+
+
 def _premeasures(points: Iterable, alpha: float, eps, t_max: int) -> tuple:
-    """(centered, uncentered): `packing_premeasure`'s one schedule."""
+    """(centered, uncentered): `packing_premeasure`'s one schedule, with
+    alpha entering only through the t_max + 1 weights |ball|^alpha."""
     eps = to_fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     if t_max < 0:
         raise GridTooCoarse("t_max must be >= 0")
+    # the comparison is exact for an int of any size and false for NaN
+    if (isinstance(alpha, bool) or not isinstance(alpha, (int, float))
+            or not -math.inf < alpha < math.inf):
+        raise ValueError(f"alpha must be a finite int or float, not {alpha!r}")
+    try:  # int / int is the correctly rounded float(eps / 2**t)
+        weights = [(eps.numerator / (eps.denominator << t)) ** alpha
+                   for t in range(t_max + 1)]
+    except (OverflowError, ZeroDivisionError):  # 0.0 ** alpha < 0 divides
+        raise ValueError(f"|ball|^alpha overflows a float at alpha = "
+                         f"{alpha!r}, eps = {eps}") from None
     d, scaled = _over_one_denominator(points, eps.denominator << (t_max + 1))
-    pts = sorted({2 * x for x in scaled})
-    # (radius eps/2^(t+1) over 2d, float diameter^alpha) for each t
-    sizes = [(eps.numerator * d // (eps.denominator << t),
-              float(eps / 2 ** t) ** alpha) for t in range(t_max + 1)]
-    # centered balls flagged; a midpoint ball meets the set iff b - a < 2r
-    balls = [(c + r, c - r, w, True) for c in pts for r, w in sizes] + [
-        ((a + b) // 2 + r, (a + b) // 2 - r, w, False)
-        for a, b in zip(pts, pts[1:]) for r, w in sizes if b - a < 2 * r]
-    balls.sort()
-    rights = [ball[0] for ball in balls]
-    starts = map(bisect_right, repeat(rights), [ball[1] for ball in balls])
+    # sorted, then distinct: the sort is linear on points already in order
+    ts, flags, starts = _schedule(eps, t_max, d,
+                                  tuple(dict.fromkeys(sorted(scaled))))
     centered, uncentered = [0.0], [0.0]  # best totals over the first k balls
     c = u = 0.0
-    for (_, _, weight, flagged), k in zip(balls, starts):
+    for t, flagged, k in zip(ts, flags, starts):
+        weight = weights[t]
         if (x := weight + uncentered[k]) > u:  # the float max(u, x) returns
             u = x
         if flagged and (x := weight + centered[k]) > c:
@@ -435,6 +465,10 @@ def packing_premeasure(points: Iterable, alpha: float, eps,
     denominator: balls sorted once by right end, one bisection each for the
     predecessors, and a prefix max per mode (the centered one reads only
     centered balls), summing the floats |ball|^alpha as exact rationals would.
+    The schedule depends only on (points, eps, t_max) and the last one is
+    reused; alpha enters through the t_max + 1 weights.  An alpha that is
+    not a finite int or float (a bool is not), or whose weights overflow a
+    float, is a ValueError.
     """
     if mode not in ("centered", "uncentered"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -443,7 +477,9 @@ def packing_premeasure(points: Iterable, alpha: float, eps,
 
 def premeasure_ordering_check(points: Iterable, alpha: float, eps,
                               t_max: int = 4):
-    """Both values, one schedule; uncentered >= centered by construction."""
+    """Both values, one schedule; uncentered >= centered by construction.
+    Over an alpha ladder at one eps, each call after the first reuses the
+    schedule and only recomputes the weights and the two prefix maxima."""
     centered, uncentered = _premeasures(points, alpha, eps, t_max)
     if not uncentered >= centered:
         raise PremeasureOrderingViolated(f"uncentered premeasure {uncentered} "

@@ -23,6 +23,7 @@ from dimlab import dimension
 from dimlab.harness import load_scenario, run_scenario
 from dimlab.errors import (
     BudgetExceeded,
+    GridTooCoarse,
     NonUniformColumns,
     PremeasureOrderingViolated,
     TooFewScales,
@@ -691,6 +692,78 @@ class TestPackingPremeasure:
     def test_centered_equals_uncentered_single_point(self):
         c, u = premeasure_ordering_check([Fraction(1, 2)], 1, Fraction(1, 8))
         assert c == u
+
+    @pytest.mark.parametrize("alpha,eps", [
+        (math.nan, Fraction(1, 4)),  # once returned (0.0, 0.0)
+        (-math.inf, Fraction(1, 4)),  # once (inf, inf)
+        (math.inf, Fraction(1, 4)),
+        (True, Fraction(1, 4)),  # once passed as alpha = 1
+        ("1", Fraction(1, 4)),
+        (None, Fraction(1, 4)),
+        (Fraction(1, 2), Fraction(1, 4)),
+        (-2000.0, Fraction(1, 4)),  # once an OverflowError from float ** alpha
+        (10 ** 400, Fraction(1, 4)),  # an int too large for a float
+        (-1, Fraction(1, 2 ** 1100)),  # |ball| rounds to 0.0, 0.0 ** -1
+    ], ids=["nan", "-inf", "inf", "bool", "str", "None", "Fraction", "-2000.0",
+            "10**400", "weight-0.0"])
+    def test_alpha_is_checked(self, alpha, eps):
+        before = dimension._schedule.cache_info()
+        with pytest.raises(ValueError, match="alpha"):
+            premeasure_ordering_check([0, Fraction(1, 2)], alpha, eps)
+        with pytest.raises(ValueError, match="alpha"):
+            packing_premeasure([0, Fraction(1, 2)], alpha, eps, "uncentered")
+        assert dimension._schedule.cache_info() == before  # none read or kept
+
+    @pytest.mark.parametrize("eps,t_max,error", [
+        (0, 4, ValueError),
+        (Fraction(-1, 4), 4, ValueError),
+        (Fraction(1, 4), -1, GridTooCoarse),
+    ])
+    def test_eps_and_t_max_are_checked(self, eps, t_max, error):
+        before = dimension._schedule.cache_info()
+        with pytest.raises(error, match="eps" if error is ValueError else "t_max"):
+            premeasure_ordering_check([0, Fraction(1, 2)], 1, eps, t_max)
+        with pytest.raises(error):
+            packing_premeasure([0, Fraction(1, 2)], 1, eps, "centered", t_max)
+        assert dimension._schedule.cache_info() == before
+
+    def test_kept_schedule_equals_a_cold_one(self):
+        """An alpha ladder reuses the last schedule, interleaved with calls
+        on another point set, on the same list mutated in place, and on the
+        same points as str or int: every call equals one made after the
+        schedule is dropped, and the exact rational DP, float for float."""
+        points = [Fraction(0), Fraction(3, 16), Fraction(1, 4), Fraction(5, 8),
+                  Fraction(1), Fraction(9, 8), Fraction(2)]
+        other = [Fraction(k, 7) for k in range(7)]  # as many points
+        t_max = 3
+        calls = []
+        dimension._schedule.cache_clear()
+
+        def call(pts, alpha, eps):
+            pair = premeasure_ordering_check(pts, alpha, eps, t_max)
+            calls.append((list(pts), alpha, eps, pair))  # the points as now
+            assert dimension._schedule.cache_info().currsize <= 1
+
+        for eps in (Fraction(1), Fraction(1, 2), Fraction(1, 8)):
+            for i, alpha in enumerate((0, 0.5, 0.63, 1, 2)):
+                call(points, alpha, eps)
+                if i == 1:
+                    call(other, alpha, eps)
+                    call([str(x) for x in points], alpha, eps)
+                    call([int(x) if x.denominator == 1 else x for x in points],
+                         alpha, eps)
+                if i == 3:
+                    points[1] += Fraction(1, 2)  # a new point set, same list
+                    call(points, alpha, eps)
+        # per eps, the points, `other`, the points again and the mutated
+        # list each build one schedule, and the other five calls reuse one
+        info = dimension._schedule.cache_info()
+        assert (info.misses, info.hits) == (12, 15)
+        for pts, alpha, eps, pair in calls:
+            dimension._schedule.cache_clear()
+            assert premeasure_ordering_check(pts, alpha, eps, t_max) == pair
+            assert pair == tuple(fraction_premeasure(pts, alpha, eps, mode, t_max)
+                                 for mode in ("centered", "uncentered"))
 
     def test_ordering_violation_raises(self, monkeypatch):
         # the guard holds by construction, so the schedule is broken on purpose
