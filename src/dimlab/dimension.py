@@ -268,8 +268,9 @@ def box_counts(cylinders: Iterable[Cylinder],
     The sweep steps from cell to cell.  A cylinder that reaches past its
     own cell is one step.  One that ends in its cell is one step together
     with all later cylinders that start in that cell, found by bisection on
-    the left ends: between them they cover the cell through the cell of the
-    largest right end so far.  `cover_counts` runs this sweep over a cell
+    the left ends where the cell holds three or more: between them they
+    cover the cell through the cell of the largest right end so far.
+    `cover_counts` runs this sweep over a cell
     cover, whose memory follows the cover; `MAX_CYLINDERS` is still
     checked on the cylinder count.
     """
@@ -303,12 +304,14 @@ def _sweep(denominator: int, lefts: list, reach: list, scales: list) -> list:
             hi = -(-reach[i] * b // width) - 1
             i += 1
             if hi <= cell:
-                # bound: the least left end in a later cell.  The next
-                # cylinder is compared first, so that where each cylinder
-                # fills its own cell no bisection is made.
+                # bound: the least left end in a later cell.  The next two
+                # cylinders are compared first, so that where a cell holds
+                # one or two cylinders no bisection is made.
                 bound = -(-(cell + 1) * width // b)
                 if i < n and lefts[i] < bound:
-                    i = bisect_left(lefts, bound, i + 1)
+                    i += 1
+                    if i < n and lefts[i] < bound:
+                        i = bisect_left(lefts, bound, i + 1)
                     hi = -(-reach[i - 1] * b // width) - 1
                 # a single point on the cell's left edge still counts it
                 if hi < cell:
@@ -338,12 +341,16 @@ def family_dim(spec: MoranSpec, matrix: ColumnMatrix,
 
     N_k is the spec's rank-k cylinder count and l_k the largest rank-k
     cylinder length.  Both factor per column, so no enumeration is needed
-    and deep ranks stay cheap.
+    and deep ranks stay cheap.  Each column's best allowed entry is found
+    once per distinct (allowed set, column) pair; the entries since the
+    last sampled rank are multiplied as plain ints and folded into the
+    reduced l_k once per sample, so a sample's gcds take one big operand.
     """
     if not ranks:
         raise ValueError("need at least one rank")
     ranks = sorted(ranks)
     spec.validate_against(matrix, ranks[-1])
+    best = {}  # (id(allowed), id(column)): (num, den, n, ln n) of its best
     samples = []
     count = 1
     log_count = 0.0
@@ -351,17 +358,24 @@ def family_dim(spec: MoranSpec, matrix: ColumnMatrix,
     columns = zip(spec.stream(), matrix.stream())
     j = 1
     for k in ranks:
+        num = den = 1  # the entries' product since the last sample
         while j <= k:
             choices, col = next(columns)
-            count *= len(choices)
-            log_count += math.log(len(choices))
-            best = max(col.entries[a] for a in choices)
-            if best == 0:
-                raise DegenerateDenominator(
-                    f"all allowed digits at column {j} have zero length"
-                )
-            max_len *= best
+            key = id(choices), id(col)
+            factor = best.get(key)
+            if factor is None:
+                entry = max(col.entries[a] for a in choices)
+                if entry == 0:
+                    raise DegenerateDenominator(
+                        f"all allowed digits at column {j} have zero length")
+                factor = best[key] = (entry.numerator, entry.denominator,
+                                      len(choices), math.log(len(choices)))
+            num *= factor[0]
+            den *= factor[1]
+            count *= factor[2]
+            log_count += factor[3]
             j += 1
+        max_len *= Fraction(num, den)
         ratio = 0.0 if max_len == 1 else log_count / -ln(max_len)
         samples.append(ScaleSample(max_len, count, ratio))
     est = tail_window_max([s.log_ratio for s in samples])
@@ -374,13 +388,15 @@ def moran_dim_oracle(spec: MoranSpec, matrix: ColumnMatrix,
 
     partial_k = sum_{j<=k} ln|A_j| / sum_{j<=k} ln(1/q_j) where q_j
     is the common entry of column j.  Requires every column to be uniform.
+    A uniform column's entries are 1/n_j, so the rank-k length
+    1/prod n_j is carried as the int prod n_j.
     """
     spec.validate_against(matrix, k_max)
     num = 0.0
     den = 0.0
     samples = []
     count = 1
-    length = Fraction(1)
+    digits = 1
     for j, allowed, col in zip(range(1, k_max + 1), spec.stream(),
                                matrix.stream()):
         if not col.uniform:
@@ -389,8 +405,8 @@ def moran_dim_oracle(spec: MoranSpec, matrix: ColumnMatrix,
         count *= choices
         num += math.log(choices)
         den += -col.logs[0][1]
-        length *= col.entries[0]
-        samples.append(ScaleSample(length, count, num / den))
+        digits *= col.n
+        samples.append(ScaleSample(Fraction(1, digits), count, num / den))
     est = tail_window_max([s.log_ratio for s in samples])
     return DimensionEstimate(tuple(samples), est, "moran_oracle")
 

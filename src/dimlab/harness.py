@@ -6,6 +6,7 @@ import json
 import sys
 import time
 from contextlib import ExitStack, contextmanager
+from functools import partial
 from fractions import Fraction
 from itertools import chain, count
 from pathlib import Path
@@ -15,7 +16,7 @@ from . import dimension as dim
 from . import measure
 from . import qtilde
 from .errors import DimlabError, ParseError, Record, SchemaError, magnitude
-from .jsontext import column_blocks, keep_decimals, write_json
+from .jsontext import column_blocks, sample_blocks, write_json
 from .qtilde import (PMatrix, QMatrix, _check_digit_counts, _exact,
                      _joint_horizon)
 
@@ -376,35 +377,35 @@ def emit_report(report: Report, out_dir, fmt: str = "json",
     out_dir.mkdir(parents=True, exist_ok=True)
     master = out_dir / "report.json"
     wanted = (fmt == "csv", plot_data)
-    with _unlimited_int_digits():
-        decimals = {}  # every text that two outputs share is made once
-        estimates = []  # (CSV path, series path, writer, its data) of each
-        for key, value in report.results.items():
-            if isinstance(value, dim.DimensionEstimate):
-                keep_decimals([smp.scale for smp in value.samples], decimals)
-                keep_decimals([smp.count for smp in value.samples], decimals)
-                estimates.append((out_dir / f"{key}_scales.csv",
-                                  out_dir / f"{key}_logratio.dat",
-                                  _write_samples, value.samples))
-        criteria = []  # the same of the criteria partials, if any
+    # the tables stay open while report.json is written: the samples' pass
+    # writes their rows as it writes the sample lists
+    with _unlimited_int_digits(), ExitStack() as stack:
+        held = {}  # each list that two outputs share: its texts' pass
+        estimates = [(out_dir / f"{key}_scales.csv",
+                      out_dir / f"{key}_logratio.dat",
+                      _write_samples, value.samples)
+                     for key, value in report.results.items()
+                     if isinstance(value, dim.DimensionEstimate)]
+        criteria = []  # (CSV path, series path, writer, its data), as above
         if "criteria" in report.results:
             criteria.append((out_dir / "criteria.csv",
                              out_dir / "sparse_density.dat",
                              _write_criteria, report.results["criteria"]))
+        # the partials' pass runs only for a table (report.json alone joins
+        # each column once); the samples' serves report.json alone too
         for *paths, write, data in (criteria + estimates if any(wanted)
-                                    else ()):
-            with ExitStack() as stack:  # a table's files, in one pass
-                write(data, decimals, *(
-                    stack.enter_context(open(path, "w", newline=""))
-                    if on else None for path, on in zip(paths, wanted)))
+                                    else estimates):
+            write(data, held, *(
+                stack.enter_context(open(path, "w", newline=""))
+                if on else None for path, on in zip(paths, wanted)))
         with open(master, "w") as fh:  # the Report's fields are its keys
-            write_json(report, fh.write, decimals)
+            write_json(report, fh.write, held)
             fh.write("\n")
     return [master, *(table[0] for table in criteria + estimates if wanted[0]),
             *(table[1] for table in estimates + criteria if wanted[1])]
 
 
-def _write_criteria(report: crit.CriterionReport, decimals: dict, csv,
+def _write_criteria(report: crit.CriterionReport, held: dict, csv,
                     series) -> None:
     """Write criteria.csv and sparse_density.dat (each unless None) block by
     block, from the texts that `column_blocks` also keeps for report.json."""
@@ -413,7 +414,7 @@ def _write_criteria(report: crit.CriterionReport, decimals: dict, csv,
     members = set(report.sparse_members)
     columns = (report.h_partials, report.b_partials, report.ratio_partials,
                report.sparse_partials)
-    for start, (h, b, ratio, density) in column_blocks(columns, decimals):
+    for start, (h, b, ratio, density) in column_blocks(columns, held):
         if csv:
             csv.write("".join(
                 f"{k},{hk},{bk},{rk},{dk},{int(k in members)}\r\n"
@@ -424,16 +425,24 @@ def _write_criteria(report: crit.CriterionReport, decimals: dict, csv,
                                  zip(count(start + 1), density)))
 
 
-def _write_samples(samples, decimals: dict, csv, series) -> None:
-    """Write `<key>_scales.csv` and `<key>_logratio.dat` (each unless None)
-    row by row, each log_ratio put in decimal once, no row's text kept."""
+def _write_samples(samples, held: dict, csv, series) -> None:
+    """Write `<key>_scales.csv`'s header (unless None), and hand this key's
+    tables to the `sample_blocks` pass kept in `held` by the id of
+    `samples`, which writes report.json's sample list: each block's CSV
+    rows and `<key>_logratio.dat` lines (unless None) are written from the
+    same texts.  A samples tuple held under two keys has one pass."""
     if csv:
         csv.write("scale_num,scale_den,count,log_ratio\r\n")
-    for smp in samples:
-        ratio = str(smp.log_ratio)
-        if csv:
-            num, _, den = decimals[id(smp.scale)].partition("/")
-            csv.write(f"{num},{den or 1},{decimals[id(smp.count)]},"
-                      f"{ratio}\r\n")
-        if series:
-            series.write(f"{-qtilde.ln(smp.scale)} {ratio}\n")
+    tables = held.setdefault(id(samples),
+                             partial(sample_blocks, samples, [])).args[1]
+    tables.append(partial(_sample_rows, csv, series))
+
+
+def _sample_rows(csv, series, block, nums, dens, counts, ratios) -> None:
+    """One block's CSV rows and series lines, each unless its file is None."""
+    if csv:
+        csv.write("".join(map("{},{},{},{}\r\n".format, nums, dens, counts,
+                              ratios)))
+    if series:
+        series.write("".join(f"{-qtilde.ln(smp.scale)} {ratio}\n"
+                             for smp, ratio in zip(block, ratios)))

@@ -6,12 +6,16 @@ chunk by chunk.  The shapes that reports repeat skip the walk per item: a
 list of one scalar type is one join; a short str/int/bool list already
 written at the same depth is written from its kept text, and a list of such
 lists writes each with its separator in one chunk (a config's columns, a
-witness spec's digit sets); a list of one record type (a class with
-`FIELDS`) is written record by record from its field heads.
+witness spec's digit sets), a repeated list object from the text made for
+it the first time.
 
-The texts that report.json shares with a CSV table are made beforehand,
-once each, by `keep_decimals` (deep samples' scales and counts, in time
-linear in their digits) and `column_blocks` (float columns, per block).
+A list that report.json shares with a CSV table is put in text once, in
+bounded blocks of rows that serve both outputs.  `column_blocks` does so
+for float columns beforehand and keeps their blocks; `sample_blocks` does
+so for an estimate's samples while report.json is written, handing each
+block's texts to the tables, so no sample text outlives its block.  A
+sample's scale and count run to thousands of digits; `running_decimals`
+puts them in decimal in time linear in their digits.
 """
 
 from __future__ import annotations
@@ -19,28 +23,30 @@ from __future__ import annotations
 import math
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded
 from fractions import Fraction
-from itertools import chain, repeat
+from functools import partial
+from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii
 
 
-def write_json(obj, write, decimals: dict) -> None:
+def write_json(obj, write, held: dict) -> None:
     """Write the report.json text of `obj` in chunks: the bytes of
     `json.dumps(..., sort_keys=True, indent=2, allow_nan=False)` on its
     JSON form, which has one rule per type.  A float that is not finite
     becomes "inf", "-inf" or "nan", a Fraction its "num/den" string, a tuple
     a list, a dict key its str(), and a record the dict of its `FIELDS`; any
-    other type is a TypeError.  `decimals` holds texts made beforehand:
-    the id of a Fraction or int maps to its decimal text, and the id of a
-    list of floats to its item texts, "\\n"-joined in consecutive blocks."""
-    _Writer(write, decimals).value(obj, "")
+    other type is a TypeError.  `held` maps the id of a list to a function
+    of its items' indent that yields their JSON text in consecutive blocks,
+    each joined by ",\\n" and the indent (`column_blocks`, `sample_blocks`);
+    the list is written from it once, and from its items after that."""
+    _Writer(write, held).value(obj, "")
 
 
 class _Writer:
-    __slots__ = ("write", "decimals", "leaves")
+    __slots__ = ("write", "held", "leaves")
 
-    def __init__(self, write, decimals: dict):
+    def __init__(self, write, held: dict):
         self.write = write
-        self.decimals = decimals
+        self.held = held
         # (type, indent, items) -> text of a str/int/bool list; the type
         # keeps [true] apart from [1], which is equal as a tuple
         self.leaves = {}
@@ -52,7 +58,7 @@ class _Writer:
         if isinstance(obj, dict):
             items = {str(k): v for k, v in obj.items()}.items()
         else:
-            text = _json_scalar(obj, self.decimals)
+            text = _json_scalar(obj)
             if text is not None:
                 self.write(text)
                 return
@@ -82,13 +88,14 @@ class _Writer:
         if not items:
             self.write("[]")
             return
-        held = self.decimals.get(id(items))
-        if held is not None:
+        blocks = self.held.pop(id(items), None)
+        if blocks is not None:
             inner = indent + "  "
-            lead, separator = "[\n" + inner, ",\n" + inner
-            for block in held:
-                self.write(lead + block.replace("\n", separator))
-                lead = separator
+            lead = "[\n" + inner
+            for text in blocks(inner):
+                self.write(lead)
+                self.write(text)
+                lead = ",\n" + inner
             self.write(f"\n{indent}]")
             return
         kind = _kind(items)
@@ -97,8 +104,6 @@ class _Writer:
             self.write(text)
         elif kind is list or kind is tuple:
             self.lists(items, indent)
-        elif getattr(kind, "FIELDS", None):
-            self.records(items, kind.FIELDS, indent)
         else:
             self.members("[", "]", zip(repeat(""), items), indent)
 
@@ -118,13 +123,19 @@ class _Writer:
 
     def lists(self, items, indent: str) -> None:
         """A list of lists, each run among them written with its separator
-        in one chunk: a config's columns, a spec's digit sets."""
+        in one chunk: a config's columns, a spec's digit sets.  An item that
+        is the object before it (a spec's interned digit sets, in runs) is
+        written from the text made for that object."""
         write = self.write
         inner = indent + "  "
         lead = "[\n" + inner
+        last = text = None
         for item in items:
-            kind = _kind(item)
-            text = self.run(kind, item, inner) if kind in _RUN_TEXT else None
+            if item is not last:
+                last = item
+                kind = _kind(item)
+                text = (self.run(kind, item, inner) if kind in _RUN_TEXT
+                        else None)
             if text is None:
                 write(lead)
                 self.sequence(item, inner)
@@ -133,31 +144,8 @@ class _Writer:
             lead = ",\n" + inner
         write(f"\n{indent}]")
 
-    def records(self, items, fields: tuple, indent: str) -> None:
-        """A list of one record type with these `FIELDS`, each from the
-        field heads made once; a record with a non-scalar field is walked."""
-        inner = indent + "  "
-        names = sorted(fields)
-        heads = [f"{{\n{inner}  {encode_basestring_ascii(names[0])}: "] + [
-            f",\n{inner}  {encode_basestring_ascii(name)}: "
-            for name in names[1:]]
-        end = f"\n{inner}}}"
-        write, decimals = self.write, self.decimals
-        separator = f"[\n{inner}"
-        for record in items:
-            texts = [_json_scalar(getattr(record, name), decimals)
-                     for name in names]
-            if None in texts:
-                write(separator)
-                self.value(record, inner)
-            else:
-                write(separator + "".join(chain.from_iterable(
-                    zip(heads, texts))) + end)
-            separator = ",\n" + inner
-        write(f"\n{indent}]")
 
-
-def _json_scalar(obj, decimals: dict):
+def _json_scalar(obj):
     """The JSON text of a str, None, bool, int, float or Fraction; None for
     any other type."""
     if isinstance(obj, str):
@@ -165,12 +153,12 @@ def _json_scalar(obj, decimals: dict):
     if obj is None or isinstance(obj, bool):
         return "null" if obj is None else "true" if obj else "false"
     if isinstance(obj, int):
-        return decimals.get(id(obj)) or int.__repr__(obj)
+        return int.__repr__(obj)
     if isinstance(obj, float):
         text = float.__repr__(obj)
         return text if math.isfinite(obj) else f'"{text}"'
     if isinstance(obj, Fraction):
-        return f'"{decimals.get(id(obj)) or obj}"'
+        return f'"{obj}"'
     return None
 
 
@@ -209,33 +197,56 @@ def running_decimals(values):
     """Yield str(x) for each int x of `values`, in order.  Where x is past
     2**1024 and a small multiple of the int before it, as in a running
     product, its text is that int's Decimal times the factor: linear in the
-    digit count, where CPython's int -> str is quadratic.  Any other x takes
-    str(), under the interpreter's int -> str digit limit."""
+    digit count, where CPython's int -> str is quadratic.  That Decimal is
+    built from the int's text only then.  Any other x takes str(), under
+    the interpreter's int -> str digit limit."""
     last = 0
-    digits = None
+    text = digits = None  # `last`'s text, and its Decimal once built
     for x in values:
         if x >= _DIRECT and last > 0:
             factor, rest = divmod(x, last)
             if not rest and factor < _FACTOR:
-                digits = _EXACT.multiply(digits, factor)
+                digits = _EXACT.multiply(
+                    Decimal(text) if digits is None else digits, factor)
+                text = str(digits)
                 last = x
-                yield str(digits)
+                yield text
                 continue
         text = str(x)
-        digits = Decimal(text)
+        digits = None
         last = x
         yield text
 
 
-def keep_decimals(values, decimals: dict) -> None:
-    """Keep in `decimals`, by id, the str() of each int or Fraction of the
-    list `values`.  A deep sample's scale or count runs to thousands of
-    digits, and its numerator and denominator are running products of
-    column factors, which `running_decimals` puts in decimal."""
-    for x, num, den in zip(values,
-                           running_decimals(x.numerator for x in values),
-                           running_decimals(x.denominator for x in values)):
-        decimals[id(x)] = num if den == "1" else f"{num}/{den}"
+# an estimate's samples are put in text per block of rows: a deep sample's
+# scale and count run to thousands of digits, so few rows make a block
+SAMPLE_ROWS = 64
+
+
+def sample_blocks(samples, tables: list, inner: str):
+    """Yield the JSON text of the `ScaleSample`s `samples` at indent
+    `inner`, a block of `SAMPLE_ROWS` at a time, joined by ",\\n" + inner.
+    Each function of `tables` is first handed the block and the str() texts
+    of its scales' numerators and denominators, counts and log_ratios, one
+    list each.  The numerators, denominators and counts are running
+    products of column factors, which `running_decimals` puts in decimal."""
+    # a sample's record, its fields in sorted order
+    record = (f'{{\n{inner}  "count": %s,\n{inner}  "log_ratio": %s,\n'
+              f'{inner}  "scale": "%s"\n{inner}}}')
+    texts = zip(running_decimals(x.scale.numerator for x in samples),
+                running_decimals(x.scale.denominator for x in samples),
+                running_decimals(x.count for x in samples))
+    for start in range(0, len(samples), SAMPLE_ROWS):
+        block = samples[start:start + SAMPLE_ROWS]
+        nums, dens, counts = zip(*islice(texts, len(block)))
+        ratios = [str(x.log_ratio) for x in block]
+        for table in tables:
+            table(block, nums, dens, counts, ratios)
+        yield f",\n{inner}".join([record % (
+            count, ratio if math.isfinite(x.log_ratio) else f'"{ratio}"',
+            num if den == "1" else f"{num}/{den}")
+            for x, num, den, count, ratio in zip(block, nums, dens, counts,
+                                                 ratios)])
 
 
 # float columns are put in decimal per block of rows: each text serves
@@ -243,16 +254,19 @@ def keep_decimals(values, decimals: dict) -> None:
 BLOCK_ROWS = 1024
 
 
-def column_blocks(columns, decimals: dict):
+def column_blocks(columns, held: dict):
     """Yield each block of `BLOCK_ROWS` rows: its first row's index and the
     str() texts of its items, one list a column.  Each all-float column also
-    keeps its blocks' JSON texts in `decimals`, by its id, for `write_json`."""
-    held = [decimals.setdefault(id(c), []) if set(map(type, c)) == {float}
-            else None for c in columns]
+    keeps its blocks' JSON texts, and `held` the function that yields them
+    for `write_json`, by the column's id."""
+    kept = [[] if set(map(type, c)) == {float} else None for c in columns]
+    for column, keep in zip(columns, kept):
+        if keep is not None:
+            held[id(column)] = partial(_rejoined, keep)
     for start in range(0, max(map(len, columns), default=0), BLOCK_ROWS):
         blocks = [c[start:start + BLOCK_ROWS] for c in columns]
         texts = [list(map(str, block)) for block in blocks]
-        for keep, block, block_texts in zip(held, blocks, texts):
+        for keep, block, block_texts in zip(kept, blocks, texts):
             if keep is None:
                 continue
             if not all(map(math.isfinite, block)):
@@ -260,3 +274,9 @@ def column_blocks(columns, decimals: dict):
                                for x, text in zip(block, block_texts)]
             keep.append("\n".join(block_texts))
         yield start, texts
+
+
+def _rejoined(blocks: list, inner: str):
+    """Each block of "\\n"-joined item texts, joined by ",\\n" + inner."""
+    separator = ",\n" + inner
+    return (block.replace("\n", separator) for block in blocks)

@@ -27,7 +27,7 @@ from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, cycle, islice, repeat
-from operator import attrgetter
+from operator import attrgetter, ne
 
 from .errors import (
     ColumnNotStochastic,
@@ -230,6 +230,11 @@ class ColumnMatrix(Frozen):
             words = tuple(w + (a,) for w in words for a in range(column.n))
         return d, (0, *accumulate(entries)), entries, words
 
+    @cached_property
+    def digit_counts(self) -> tuple:
+        """(prefix, period): the digit count n of each column, in order."""
+        return tuple(c.n for c in self.prefix), tuple(c.n for c in self.period)
+
     def min_entry(self) -> Fraction:
         return min(c.min_entry for c in self.distinct)
 
@@ -264,7 +269,13 @@ def _joint_horizon(*parts) -> int:
 
 def _check_digit_counts(q: ColumnMatrix, p: ColumnMatrix, upto: int) -> None:
     """Raise `ShapeMismatch` at the first of columns 1..`upto` where q and
-    p differ in digit count."""
+    p differ in digit count.  The matrices' kept `digit_counts` are compared
+    in one pass of small ints; only a mismatch walks the columns, to name
+    the first."""
+    counts = [chain(prefix, cycle(period))
+              for prefix, period in (q.digit_counts, p.digit_counts)]
+    if not any(map(ne, islice(counts[0], max(upto, 0)), counts[1])):
+        return
     for j, qcol, pcol in zip(range(1, upto + 1), q.stream(), p.stream()):
         if qcol.n != pcol.n:
             raise ShapeMismatch(

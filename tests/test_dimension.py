@@ -23,6 +23,7 @@ from dimlab import dimension
 from dimlab.harness import load_scenario, run_scenario
 from dimlab.errors import (
     BudgetExceeded,
+    DegenerateDenominator,
     GridTooCoarse,
     NonUniformColumns,
     PremeasureOrderingViolated,
@@ -415,6 +416,40 @@ class TestBoxCounts:
         with pytest.raises(ValueError, match=r"is not in \(0, 1\)"):
             box_counts(cyls, [Fraction(1, 4), scale])
 
+    def test_two_per_cell_makes_no_bisection(self, monkeypatch):
+        # the full binary rank-8 tiling holds two cylinders in each cell of
+        # 2^-7, which the sweep compares without bisecting; at 2^-6 each
+        # cell holds four, and each cell takes one bisection
+        calls = []
+
+        def bisect_left(*args):
+            calls.append(args)
+            return bisect.bisect_left(*args)
+
+        monkeypatch.setattr(dimension, "bisect_left", bisect_left)
+        cyls = enumerate_cylinders(matrices.full_spec(2), QB, 8)
+        assert [s.count for s in box_counts(cyls, [Fraction(1, 2 ** 7)])] == [
+            2 ** 7]
+        assert not calls
+        assert [s.count for s in box_counts(cyls, [Fraction(1, 2 ** 6)])] == [
+            2 ** 6]
+        assert len(calls) == 2 ** 6
+
+    def test_one_two_and_three_per_cell(self):
+        # cells of 1/4 holding one, two, three and two cylinders, then a
+        # pair whose first ends in its cell and whose second reaches past
+        # it, and the last two sharing the cell that the first reached
+        ends = [(0, 1), (4, 5), (6, 7), (8, 9), (9, 10), (11, 12),
+                (12, 13), (14, 15), (16, 17), (18, 21), (22, 23), (23, 24)]
+        cyls = [Cylinder((), Fraction(a, 16), Fraction(b, 16))
+                for a, b in ends]
+        for delta in (Fraction(1, 4), Fraction(1, 8), Fraction(1, 2)):
+            (smp,) = box_counts(cyls, [delta])
+            assert smp.count == brute_force_cells(cyls, delta)
+            (smp,) = box_counts(dimension.Cylinders(
+                (), 16, [a for a, _ in ends], [b for _, b in ends]), [delta])
+            assert smp.count == brute_force_cells(cyls, delta)
+
     def test_grid_count_equals_cylinder_count_on_full_tiling(self):
         for k in (3, 5, 7):
             cyls = enumerate_cylinders(matrices.full_spec(2), QB, k)
@@ -510,6 +545,123 @@ class TestMoranOracle:
     def test_rejects_non_uniform(self):
         with pytest.raises(NonUniformColumns):
             moran_dim_oracle(matrices.full_spec(2), matrices.mixed_prefix_period(), 6)
+
+
+def fraction_family_dim(spec, matrix, ranks):
+    """`family_dim` by one Fraction product per column: its samples, its
+    estimate, and the column at which a DegenerateDenominator is raised."""
+    samples, count, log_count, length = [], 1, 0.0, Fraction(1)
+    columns = zip(itertools.count(1), spec.stream(), matrix.stream())
+    j = 0
+    for k in sorted(ranks):
+        while j < k:
+            j, allowed, column = next(columns)
+            best = max(column.entries[a] for a in allowed)
+            if best == 0:
+                return j
+            count *= len(allowed)
+            log_count += math.log(len(allowed))
+            length *= best
+        ratio = 0.0 if length == 1 else log_count / -(
+            math.log(length.numerator) - math.log(length.denominator))
+        samples.append((length, count, ratio))
+    return samples, tail_max([ratio for _, _, ratio in samples])
+
+
+def fraction_moran_oracle(spec, matrix, k_max):
+    """`moran_dim_oracle` by one Fraction product per column."""
+    samples, count, num, den, length = [], 1, 0.0, 0.0, Fraction(1)
+    for _, allowed, column in zip(range(k_max), spec.stream(),
+                                  matrix.stream()):
+        entry = column.entries[0]
+        count *= len(allowed)
+        num += math.log(len(allowed))
+        den += -(math.log(entry.numerator) - math.log(entry.denominator))
+        length *= entry
+        samples.append((length, count, num / den))
+    return samples, tail_max([ratio for _, _, ratio in samples])
+
+
+def tail_max(values):
+    return max(values[math.ceil(len(values) / 2) - 1:])
+
+
+@st.composite
+def estimator_systems(draw, uniform):
+    """(spec, matrix, ranks): a prefix and a period of columns drawn from a
+    pool of three, so that columns and allowed sets repeat (both are
+    interned); entries may be 0 unless `uniform`, so that every allowed
+    digit of a column can have length 0.  The ranks are a few sparse ones
+    (repeats included) or every rank up to the last."""
+    pool = []
+    for _ in range(3):
+        n = draw(st.integers(2, 4))
+        if uniform:
+            column = [Fraction(1, n)] * n
+        else:
+            den = draw(st.sampled_from((2, 3, 5, 64)))
+            cuts = sorted(draw(st.lists(st.integers(0, den), min_size=n - 1,
+                                        max_size=n - 1)))
+            ends = [0, *cuts, den]
+            column = [Fraction(b - a, den) for a, b in zip(ends, ends[1:])]
+        pool.append((column, sorted(draw(st.sets(st.integers(0, n - 1),
+                                                  min_size=1)))))
+    prefix = draw(st.lists(st.sampled_from(pool), max_size=6))
+    period = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+    matrix = (QMatrix if uniform else PMatrix)(
+        [c for c, _ in prefix], [c for c, _ in period])
+    spec = MoranSpec([a for _, a in prefix], [a for _, a in period])
+    last = draw(st.integers(1, 40))
+    ranks = draw(st.one_of(
+        st.just(list(range(1, last + 1))),
+        st.lists(st.integers(1, last), min_size=1, max_size=6)))
+    return spec, matrix, ranks
+
+
+def sample_triples(estimate):
+    return [(s.scale, s.count, s.log_ratio) for s in estimate.samples]
+
+
+def same_floats(a, b):
+    """Equal bit for bit."""
+    return list(map(float.hex, a)) == list(map(float.hex, b))
+
+
+class TestEstimatorProperties:
+    """The estimators against one exact Fraction product per column:
+    scales and counts equal, log ratios and the estimate the same floats."""
+
+    @PROPERTY
+    @given(estimator_systems(uniform=False))
+    def test_family_dim(self, system):
+        spec, matrix, ranks = system
+        expected = fraction_family_dim(spec, matrix, ranks)
+        if isinstance(expected, int):
+            with pytest.raises(DegenerateDenominator,
+                               match=f"^all allowed digits at column "
+                                     f"{expected} have zero length$"):
+                family_dim(spec, matrix, ranks)
+            return
+        est = family_dim(spec, matrix, ranks)
+        samples, estimate = expected
+        got = sample_triples(est)
+        assert [s[:2] for s in got] == [s[:2] for s in samples]
+        assert all(type(s[0]) is Fraction for s in got)
+        assert same_floats([s[2] for s in got] + [est.estimate],
+                           [s[2] for s in samples] + [estimate])
+
+    @PROPERTY
+    @given(estimator_systems(uniform=True))
+    def test_moran_dim_oracle(self, system):
+        spec, matrix, ranks = system
+        k_max = max(ranks)
+        est = moran_dim_oracle(spec, matrix, k_max)
+        samples, estimate = fraction_moran_oracle(spec, matrix, k_max)
+        got = sample_triples(est)
+        assert [s[:2] for s in got] == [s[:2] for s in samples]
+        assert all(type(s[0]) is Fraction for s in got)
+        assert same_floats([s[2] for s in got] + [est.estimate],
+                           [s[2] for s in samples] + [estimate])
 
 
 def brute_force_max_disjoint(points, eps, t_max):

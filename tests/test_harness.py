@@ -15,11 +15,13 @@ import pytest
 
 from dimlab import cylinder, expand, qtilde
 from dimlab.cli import main
-from dimlab.dimension import DimensionEstimate
+from dimlab.dimension import DimensionEstimate, ScaleSample
 from dimlab.errors import DigitOutOfRange, SchemaError, ShapeMismatch
-from dimlab.jsontext import BLOCK_ROWS, write_json
+from dimlab.jsontext import BLOCK_ROWS, SAMPLE_ROWS, write_json
 from dimlab.harness import (
     MAX_COLUMNS,
+    Report,
+    _unlimited_int_digits,
     emit_report,
     load_scenario,
     parse_scenario,
@@ -27,7 +29,7 @@ from dimlab.harness import (
 )
 
 import matrices
-from test_report_format import FIXTURES, report_text
+from test_report_format import FIXTURES, dumps, json_float, report_text
 
 # a flagged column with a zero minimum: every B_partial is inf
 INF_CRITERIA = {"kind": "criteria", "k_max": 12,
@@ -373,6 +375,52 @@ class TestEmission:
                 assert written[1].read_bytes() == csv_bytes(header, rows)
             if plot_data:
                 assert written[-1].read_bytes() == series_bytes(lines)
+
+    # one pass writes report.json's sample lists, the <key>_scales.csv rows
+    # and the <key>_logratio.dat lines from the same texts, a block of rows
+    # at a time: one sample, a block, a row past it, two blocks and a row;
+    # scales and counts pass 2**1024 (the running-product decimals), some
+    # scales are whole (no "/den"), and log ratios include nan and ±inf
+    @pytest.mark.parametrize("rows", [1, SAMPLE_ROWS, SAMPLE_ROWS + 1,
+                                      2 * SAMPLE_ROWS + 1])
+    def test_sample_bytes_at_block_edges(self, tmp_path, rows):
+        ratios = (0.5, math.nan, math.inf, -math.inf, -0.0, 1 / 3)
+        samples = tuple(ScaleSample(
+            Fraction(i // 7 + 1) if i % 7 == 3
+            else Fraction(5 ** i, 2 ** (60 * i + 1)),
+            3 ** (39 * i), ratios[i % 6]) for i in range(rows))
+        est = DimensionEstimate(samples, math.nan, "cylinder_family")
+        # the same estimate under two keys, and one of its own
+        results = {"family": est, "oracle": est, "box": DimensionEstimate(
+            samples[:1], 0.25, "dyadic_box")}
+        report = Report(scenario={"kind": "dimension"}, kind="dimension",
+                        results=results, verdicts={}, run_meta={},
+                        failed=False)
+        doc = {"kind": "dimension", "scenario": {"kind": "dimension"},
+               "verdicts": {}, "failed": False, "run_meta": {}, "results": {
+                   key: {"method": value.method,
+                         "estimate": json_float(value.estimate),
+                         "samples": [{"scale": str(smp.scale),
+                                      "count": smp.count,
+                                      "log_ratio": json_float(smp.log_ratio)}
+                                     for smp in value.samples]}
+                   for key, value in results.items()}}
+        tables, series = csv_tables(report), series_lines(report)
+        with _unlimited_int_digits():
+            expected = dumps(doc) + "\n"
+            tables = {name: csv_bytes(*table) for name, table in tables.items()}
+        for fmt, plot_data in product(("json", "csv"), (False, True)):
+            out = tmp_path / f"{fmt}-{plot_data}"
+            written = emit_report(report, out, fmt=fmt, plot_data=plot_data)
+            assert written[0].read_text() == expected
+            assert [p.name for p in written[1:]] == (
+                list(tables) * (fmt == "csv") + list(series) * plot_data)
+            for name, table in tables.items():
+                if fmt == "csv":
+                    assert (out / name).read_bytes() == table
+            for name, lines in series.items():
+                if plot_data:
+                    assert (out / name).read_bytes() == series_bytes(lines)
 
     def test_plot_data(self, fixture_path, tmp_path):
         s = load_scenario(fixture_path("cantor_dimension.json"))

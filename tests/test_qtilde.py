@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dimlab import cylinder, expand
 from dimlab.errors import (
@@ -11,10 +13,11 @@ from dimlab.errors import (
     EmptyPeriod,
     NonPositiveEntry,
     OutOfUnitInterval,
+    ShapeMismatch,
     magnitude,
 )
 from dimlab.dimension import MoranSpec
-from dimlab.qtilde import ProbColumn, QMatrix
+from dimlab.qtilde import PMatrix, ProbColumn, QMatrix, _check_digit_counts
 
 import matrices
 
@@ -252,3 +255,52 @@ def test_spec_stream_is_allowed_by_index():
     horizon = 3 + 3 * 2
     assert list(islice(spec.stream(), horizon)) == list(
         spec.allowed_prefix + spec.allowed_period * 3)
+
+
+def walked_mismatch(q, p, upto):
+    """The text of the ShapeMismatch that a per-column walk over columns
+    1..upto raises, or None."""
+    for j, qcol, pcol in zip(range(1, upto + 1), q.stream(), p.stream()):
+        if qcol.n != pcol.n:
+            return f"column {j}: digit counts differ ({qcol.n} vs {pcol.n})"
+    return None
+
+
+@st.composite
+def shaped_pairs(draw):
+    """(q, p, upto): a prefix and a period of 2-4 digit columns each, drawn
+    from a pool of equal raw columns (so both repeat), with p's counts
+    mostly equal to q's and a mismatch drawn into the prefix or the
+    period of either; upto runs past both prefixes and periods or not."""
+    pool = {n: [Fraction(1, n)] * n for n in (2, 3, 4)}
+
+    def counts():
+        return draw(st.lists(st.integers(2, 4), max_size=5)), draw(
+            st.lists(st.integers(2, 4), min_size=1, max_size=3))
+
+    q_prefix, q_period = counts()
+    if draw(st.booleans()):  # p follows q, but for a few drawn columns
+        p_prefix, p_period = list(q_prefix), list(q_period)
+        for part in (p_prefix, p_period):
+            for i in draw(st.lists(st.integers(0, max(len(part) - 1, 0)),
+                                   max_size=2)):
+                if part:
+                    part[i] = draw(st.integers(2, 4))
+    else:
+        p_prefix, p_period = counts()
+    q = QMatrix([pool[n] for n in q_prefix], [pool[n] for n in q_period])
+    p = PMatrix([pool[n] for n in p_prefix], [pool[n] for n in p_period])
+    return q, p, draw(st.integers(0, 20))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(shaped_pairs())
+def test_digit_count_check_names_the_walked_mismatch(pair):
+    q, p, upto = pair
+    expected = walked_mismatch(q, p, upto)
+    if expected is None:
+        _check_digit_counts(q, p, upto)
+    else:
+        with pytest.raises(ShapeMismatch) as caught:
+            _check_digit_counts(q, p, upto)
+        assert str(caught.value) == expected

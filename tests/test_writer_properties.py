@@ -14,7 +14,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dimlab import harness
@@ -48,7 +48,7 @@ RUNS = st.one_of(st.lists(st.text()), st.lists(st.floats()),
                  st.lists(st.floats(allow_nan=False, allow_infinity=False)),
                  st.lists(st.integers(-HUGE, HUGE)))
 
-# lists of one record type take the writer's record path
+# lists of one record type, each record walked field by field
 # (fields drawn as a pair of one strategy, which hypothesis reprs once)
 RECORDS = st.lists(st.lists(st.one_of(SCALARS, st.just(math.nan)),
                             min_size=2, max_size=2).map(lambda f: Pair(*f)),
@@ -109,13 +109,19 @@ def walk(start, steps):
     return values
 
 
-# starts below the cutoff, past it, and past 4300 digits
-STARTS = st.one_of(st.integers(0, 2 ** 64), st.integers(_DIRECT, 2 * _DIRECT),
+# starts below the cutoff, just below it (so that one factor crosses it,
+# and the Decimal of the int before is built from its text), past it, and
+# past 4300 digits
+STARTS = st.one_of(st.integers(0, 2 ** 64),
+                   st.integers(_DIRECT // _FACTOR, _DIRECT - 1),
+                   st.integers(_DIRECT, 2 * _DIRECT),
                    st.integers(10 ** 4300, 10 ** 4301))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(STARTS, st.lists(STEPS, max_size=40))
+@example(_DIRECT // 3 + 1, [("times", 3), ("times", 7), ("plus", 1),
+                            ("times", 1)])
 def test_running_decimals_is_str(start, steps):
     values = walk(start, steps)
     with harness._unlimited_int_digits():
