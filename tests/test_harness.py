@@ -408,7 +408,8 @@ class TestEmission:
         tables, series = csv_tables(report), series_lines(report)
         with _unlimited_int_digits():
             expected = dumps(doc) + "\n"
-            tables = {name: csv_bytes(*table) for name, table in tables.items()}
+            tables = {name: csv_bytes(*table)
+                      for name, table in tables.items()}
         for fmt, plot_data in product(("json", "csv"), (False, True)):
             out = tmp_path / f"{fmt}-{plot_data}"
             written = emit_report(report, out, fmt=fmt, plot_data=plot_data)
