@@ -26,7 +26,6 @@ from .dimension import (
     enumerate_cylinders,
     family_dim,
     moran_dim_oracle,
-    packing_premeasure,
     premeasure_ordering_check,
 )
 

@@ -137,10 +137,11 @@ def counterexample_spec(q: ColumnMatrix, p: ColumnMatrix, k_max: int,
     flagged = set(members)
     m, r = len(q.prefix), len(q.period)
     prefix_len = m + r * -(-max(k_max - m, 0) // r)
+    every = {id(c): tuple(range(c.n)) for c in q.distinct}  # all digits
     prefix = []
     for j, qcol, pcol in zip(range(1, prefix_len + 1), q.stream(), p.stream()):
         if j in flagged:
             prefix.append((pcol.entries.index(pcol.min_entry),))
         else:
-            prefix.append(tuple(range(qcol.n)))
-    return MoranSpec(tuple(prefix), tuple(tuple(range(c.n)) for c in q.period))
+            prefix.append(every[id(qcol)])
+    return MoranSpec(tuple(prefix), tuple(every[id(c)] for c in q.period))

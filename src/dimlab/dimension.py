@@ -1,17 +1,19 @@
 """Numerical dimension machinery for digit-restricted sets on [0, 1).
 
 Provides cylinder enumeration for Moran-type sets (exact integer endpoints
-over one common denominator, in left-to-right order), exact grid box counts
+over one common denominator, in left-to-right order, read by iteration: a
+`Cylinder` is built only while iterating), exact grid box counts
 (one integer sweep per scale that steps from occupied cell to occupied cell,
 bisecting past the cylinders that start in the same cell), the same counts
 over a cell cover for the dimension runner (`cover_counts`: memory follows
 the cover, and `MAX_CYLINDERS` still bounds the cylinder count), tail-window
 limsup dimension estimates, a family-restricted (cylinder packing)
-estimator, a closed-form oracle for digit-uniform matrices, and both (centered,
-uncentered) finite-scale packing premeasure lower bounds from one schedule.
-The schedule depends only on the points, eps and t_max; alpha enters through
+estimator, a closed-form oracle for digit-uniform matrices, and one function,
+`premeasure_ordering_check`, that returns the pair (centered, uncentered) of
+finite-scale packing premeasure lower bounds from one schedule.  The
+schedule depends only on the points, eps and t_max; alpha enters through
 t_max + 1 weights, and the last schedule is kept, so an alpha ladder at one
-eps builds it once.
+eps builds it once.  Every bad argument of it is a `ValueError`.
 
 Every limsup here, and in `criteria`, is estimated by `tail_window_max`:
 the maximum over the tail half (`WINDOW_FRACTION`) of the partial values.
@@ -33,9 +35,7 @@ from .errors import (
     DigitOutOfRange,
     EmptyPeriod,
     Frozen,
-    GridTooCoarse,
     NonUniformColumns,
-    PremeasureOrderingViolated,
     SchemaError,
     TooFewScales,
     magnitude,
@@ -83,11 +83,10 @@ class MoranSpec(Frozen):
         for j, allowed, column in zip(range(1, upto + 1), self.stream(),
                                       matrix.stream()):
             n = column.n
-            for a in allowed:
-                if not 0 <= a < n:
-                    raise DigitOutOfRange(
-                        f"allowed digit {a} out of range for column {j} (n={n})"
-                    )
+            if allowed[0] < 0 or allowed[-1] >= n:  # a set is a sorted tuple
+                a = next(a for a in allowed if not 0 <= a < n)
+                raise DigitOutOfRange(
+                    f"allowed digit {a} out of range for column {j} (n={n})")
 
     def count(self, rank: int) -> int:
         """prod_{j<=rank} |A_j|: how many words of length `rank`."""
@@ -112,13 +111,13 @@ def tail_window_max(values: Sequence[float]) -> float:
     return max(values[math.ceil(WINDOW_FRACTION * len(values)) - 1:])
 
 
-class Cylinders(Sequence):
+class Cylinders:
     """The rank-k cylinders of a Moran set, held as exact integers.
 
     Cylinder i is [lefts[i], rights[i]) / denominator, lefts ascending.
     Words run over `choices`, the nonzero allowed digits of each column, in
-    product order, which is left-to-right order.  A `Cylinder` is built
-    only when an item is read.
+    product order, which is left-to-right order.  The cylinders are read by
+    iteration, and a `Cylinder` is built only while iterating.
     """
 
     __slots__ = ("choices", "denominator", "lefts", "rights")
@@ -132,19 +131,6 @@ class Cylinders(Sequence):
 
     def __len__(self) -> int:
         return len(self.lefts)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(len(self))[index]]
-        i = range(len(self))[index]
-        word = []
-        rest = i
-        for digits in reversed(self.choices):
-            rest, r = divmod(rest, len(digits))
-            word.append(digits[r])
-        return Cylinder(tuple(reversed(word)),
-                        Fraction(self.lefts[i], self.denominator),
-                        Fraction(self.rights[i], self.denominator))
 
     def __iter__(self):
         d = self.denominator
@@ -435,14 +421,29 @@ def _schedule(eps: Fraction, t_max: int, d: int, pts: tuple) -> tuple:
             tuple([ball[3] for ball in balls]), tuple(starts))
 
 
-def _premeasures(points: Iterable, alpha: float, eps, t_max: int) -> tuple:
-    """(centered, uncentered): `packing_premeasure`'s one schedule, with
-    alpha entering only through the t_max + 1 weights |ball|^alpha."""
+def premeasure_ordering_check(points: Iterable, alpha: float, eps,
+                              t_max: int = 4) -> tuple:
+    """(centered, uncentered): best sums of |ball|^alpha over disjoint open
+    balls at scale <= eps, certified lower bounds of the suprema.
+
+    Diameters are eps/2^t, t = 0..t_max; centers are the given points and,
+    uncentered, also midpoints of consecutive points whose ball meets the
+    set.  One weighted interval schedule, in integers over one denominator,
+    gives both: balls sorted once by right end, one bisection each for the
+    predecessors, and a prefix max per value (the centered one reads only
+    centered balls), so uncentered >= centered by construction.  The
+    floats |ball|^alpha are summed as exact rationals would sum them.  The
+    schedule depends only on (points, eps, t_max) and the last one is
+    kept, so over an alpha ladder at one eps a call after the first
+    recomputes only the t_max + 1 weights and the two prefix maxima.  eps
+    must be positive, t_max an int >= 0, and alpha a finite int or float
+    whose weights fit a float (a bool is neither), or it is a ValueError.
+    """
     eps = to_fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if t_max < 0:
-        raise GridTooCoarse("t_max must be >= 0")
+    if type(t_max) is not int or t_max < 0:
+        raise ValueError(f"t_max must be an int >= 0, not {t_max!r}")
     # the comparison is exact for an int of any size and false for NaN
     if (isinstance(alpha, bool) or not isinstance(alpha, (int, float))
             or not -math.inf < alpha < math.inf):
@@ -468,36 +469,3 @@ def _premeasures(points: Iterable, alpha: float, eps, t_max: int) -> tuple:
         centered.append(c)
         uncentered.append(u)
     return c, u
-
-
-def packing_premeasure(points: Iterable, alpha: float, eps,
-                       mode: str = "centered", t_max: int = 4) -> float:
-    """Best sum of |ball|^alpha over disjoint open balls at scale <= eps.
-
-    Diameters are eps/2^t, t = 0..t_max; centers are the given points and,
-    uncentered, also midpoints of consecutive points whose ball meets the
-    set.  The result, a certified lower bound of the supremum, is one
-    weighted interval schedule for both modes, in integers over one
-    denominator: balls sorted once by right end, one bisection each for the
-    predecessors, and a prefix max per mode (the centered one reads only
-    centered balls), summing the floats |ball|^alpha as exact rationals would.
-    The schedule depends only on (points, eps, t_max) and the last one is
-    reused; alpha enters through the t_max + 1 weights.  An alpha that is
-    not a finite int or float (a bool is not), or whose weights overflow a
-    float, is a ValueError.
-    """
-    if mode not in ("centered", "uncentered"):
-        raise ValueError(f"unknown mode {mode!r}")
-    return _premeasures(points, alpha, eps, t_max)[mode == "uncentered"]
-
-
-def premeasure_ordering_check(points: Iterable, alpha: float, eps,
-                              t_max: int = 4):
-    """Both values, one schedule; uncentered >= centered by construction.
-    Over an alpha ladder at one eps, each call after the first reuses the
-    schedule and only recomputes the weights and the two prefix maxima."""
-    centered, uncentered = _premeasures(points, alpha, eps, t_max)
-    if not uncentered >= centered:
-        raise PremeasureOrderingViolated(f"uncentered premeasure {uncentered} "
-                                         f"is below centered {centered}")
-    return centered, uncentered

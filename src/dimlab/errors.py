@@ -124,14 +124,6 @@ class NonUniformColumns(DimlabError):
     pass
 
 
-class GridTooCoarse(DimlabError):
-    pass
-
-
-class PremeasureOrderingViolated(DimlabError):
-    """The uncentered packing premeasure came out below the centered one."""
-
-
 # --- harness ---
 
 class ParseError(DimlabError):

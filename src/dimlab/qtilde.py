@@ -89,21 +89,25 @@ def _intern(obj, names: tuple, convert, what: str) -> dict:
     of results in order of first position.  Equal list or tuple items are
     converted once, at the first position (`where`: "prefix[3]") holding
     them; the key keeps each value's type, so `True` never passes for a
-    `1` seen before.  Any other item is keyed by identity."""
+    `1` seen before.  Any other item is keyed by identity.  An item that is
+    the very object before it takes that one's value, keyed no second time."""
     table = {}
     for name in names:
         items = getattr(obj, name)
         if not isinstance(items, (list, tuple)):
             raise SchemaError(f"{name} must be a list of {what}")
         converted = []
+        last = object()  # the item before, which no first item is
         for i, item in enumerate(items):
-            key = ((*map(type, item), *item)
-                   if isinstance(item, (list, tuple)) else id(item))
-            try:
-                value = table[key]
-            except (KeyError, TypeError):  # new, or unhashable (a list)
-                # convert raises on a bad item: only good ones are kept
-                value = table[key] = convert(item, f"{name}[{i}]")
+            if item is not last:
+                last = item
+                key = ((*map(type, item), *item)
+                       if isinstance(item, (list, tuple)) else id(item))
+                try:
+                    value = table[key]
+                except (KeyError, TypeError):  # new, or unhashable (a list)
+                    # convert raises on a bad item: only good ones are kept
+                    value = table[key] = convert(item, f"{name}[{i}]")
             converted.append(value)
         object.__setattr__(obj, name, tuple(converted))
     return table

@@ -20,7 +20,6 @@ from dimlab import (
     family_dim,
     moran_dim_oracle,
     mu_cylinder,
-    packing_premeasure,
     pdp_verdict,
     premeasure_ordering_check,
     sparse_column_stats,
@@ -212,7 +211,7 @@ def test_acceptance_8_premeasure_ordering():
                 chosen = [p for p, m in zip(pts, mask) if m]
                 if all(b - a >= d_min for a, b in zip(chosen, chosen[1:])):
                     best = max(best, len(chosen))
-            dp = packing_premeasure(pts, 0, Fraction(1, 8), "centered", t_max)
+            dp = premeasure_ordering_check(pts, 0, Fraction(1, 8), t_max)[0]
             assert dp == best
     report(8, "uncentered >= centered on 100 random + fixture sets; "
               "alpha=0 DP == exhaustive")

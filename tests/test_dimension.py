@@ -15,7 +15,6 @@ from dimlab import (
     enumerate_cylinders,
     family_dim,
     moran_dim_oracle,
-    packing_premeasure,
     premeasure_ordering_check,
 )
 from dimlab.dimension import MAX_CYLINDERS, MoranSpec, cover_counts
@@ -24,9 +23,7 @@ from dimlab.harness import load_scenario, run_scenario
 from dimlab.errors import (
     BudgetExceeded,
     DegenerateDenominator,
-    GridTooCoarse,
     NonUniformColumns,
-    PremeasureOrderingViolated,
     TooFewScales,
 )
 from dimlab.qtilde import Cylinder, PMatrix, QMatrix, cylinder
@@ -41,7 +38,7 @@ LN2_LN3 = math.log(2) / math.log(3)
 
 class TestEnumerate:
     def test_full_binary_tiles(self):
-        cyls = enumerate_cylinders(matrices.full_spec(2), QB, 3)
+        cyls = list(enumerate_cylinders(matrices.full_spec(2), QB, 3))
         assert len(cyls) == 8
         assert cyls[0].left == 0 and cyls[-1].right == 1
         for a, b in zip(cyls, cyls[1:]):
@@ -121,16 +118,6 @@ class TestIntegerKernel:
                 skipped += spec.count(rank) - len(expected)
         # the zero-entry case really drops degenerate cylinders
         assert (skipped > 0) == zeros
-
-    def test_indexing_matches_iteration(self):
-        matrix, spec = random_system(random.Random(59), zeros=True)
-        cyls = enumerate_cylinders(spec, matrix, 5)
-        items = list(cyls)
-        assert [cyls[i] for i in range(len(cyls))] == items
-        assert cyls[-1] == items[-1]
-        assert cyls[1:4] == items[1:4] and cyls[::-2] == items[::-2]
-        with pytest.raises(IndexError):
-            cyls[len(cyls)]
 
     def test_box_counts_match_cell_by_cell(self):
         rng = random.Random(61)
@@ -703,7 +690,8 @@ def brute_force_premeasure(points, alpha, eps, mode, t_max):
 
 def fraction_premeasure(points, alpha, eps, mode, t_max):
     """The packing DP in exact rationals: the same schedule as
-    `packing_premeasure`, with every point, radius and ball end a Fraction."""
+    `premeasure_ordering_check`, with every point, radius and ball end a
+    Fraction."""
     eps = Fraction(eps)
     pts = sorted({Fraction(p) for p in points})
     radii = [eps / 2 ** (t + 1) for t in range(t_max + 1)]
@@ -760,7 +748,8 @@ class TestPackingPremeasureProperties:
         midpoints of one matrix at rank k all have denominators dividing
         2 * D_k."""
         points = data.draw(premeasure_points(eps, t_max))
-        value = packing_premeasure(points, alpha, eps, mode, t_max)
+        value = premeasure_ordering_check(points, alpha, eps,
+                                          t_max)[mode == "uncentered"]
         assert value == fraction_premeasure(points, alpha, eps, mode, t_max)
 
     # a centered ball whose best predecessors include a midpoint ball is
@@ -772,30 +761,31 @@ class TestPackingPremeasureProperties:
            st.integers(0, 5), st.data())
     def test_pair_equals_the_fraction_dp(self, eps, alpha, t_max, data):
         """The one schedule of both modes returns the pair of exact
-        rational DPs run apart, float for float, and each mode's value
-        alone is the matching element of the pair."""
+        rational DPs run apart, float for float, and the uncentered value
+        is never below the centered one."""
         points = data.draw(premeasure_points(eps, t_max))
         pair = premeasure_ordering_check(points, alpha, eps, t_max)
         assert pair == tuple(fraction_premeasure(points, alpha, eps, mode, t_max)
                              for mode in ("centered", "uncentered"))
-        for value, mode in zip(pair, ("centered", "uncentered")):
-            assert packing_premeasure(points, alpha, eps, mode, t_max) == value
+        assert pair[0] <= pair[1]
 
 
 class TestPackingPremeasure:
     def test_single_point(self):
-        assert packing_premeasure([Fraction(0)], 0, Fraction(1, 2)) == 1.0
+        assert premeasure_ordering_check([Fraction(0)], 0,
+                                         Fraction(1, 2))[0] == 1.0
 
     def test_two_points(self):
-        assert packing_premeasure([Fraction(0), Fraction(1)], 0, Fraction(1, 4)) == 2.0
+        assert premeasure_ordering_check([Fraction(0), Fraction(1)], 0,
+                                         Fraction(1, 4))[0] == 2.0
 
     def test_nine_grid_points_alpha_one(self):
         pts = [Fraction(i, 8) for i in range(9)]
-        value = packing_premeasure(pts, 1, Fraction(1, 8), "centered")
+        value = premeasure_ordering_check(pts, 1, Fraction(1, 8))[0]
         assert value == pytest.approx(9 / 8, abs=1e-12)
 
     def test_empty_set(self):
-        assert packing_premeasure([], 1, Fraction(1, 4)) == 0.0
+        assert premeasure_ordering_check([], 1, Fraction(1, 4))[0] == 0.0
 
     def test_alpha_zero_matches_exhaustive(self):
         rng = random.Random(31)
@@ -803,7 +793,7 @@ class TestPackingPremeasure:
             n = rng.randrange(1, 9)
             pts = sorted(rng.sample([Fraction(i, 64) for i in range(65)], n))
             for t_max in (1, 3):
-                dp = packing_premeasure(pts, 0, Fraction(1, 8), "centered", t_max)
+                dp = premeasure_ordering_check(pts, 0, Fraction(1, 8), t_max)[0]
                 assert dp == brute_force_max_disjoint(pts, Fraction(1, 8), t_max)
 
     def test_matches_exhaustive_search(self):
@@ -811,10 +801,10 @@ class TestPackingPremeasure:
         for _ in range(40):
             pts = rng.sample([Fraction(i, 32) for i in range(33)], rng.randrange(1, 5))
             eps = rng.choice([Fraction(1, 4), Fraction(1, 8)])
-            for mode in ("centered", "uncentered"):
-                for alpha in (0.5, 1):
-                    for t_max in (0, 1):
-                        value = packing_premeasure(pts, alpha, eps, mode, t_max)
+            for alpha in (0.5, 1):
+                for t_max in (0, 1):
+                    pair = premeasure_ordering_check(pts, alpha, eps, t_max)
+                    for value, mode in zip(pair, ("centered", "uncentered")):
                         assert value == pytest.approx(brute_force_premeasure(
                             pts, alpha, eps, mode, t_max), rel=1e-12)
 
@@ -829,9 +819,10 @@ class TestPackingPremeasure:
     def test_midpoint_ball_in_a_gap(self, inner, uncentered):
         pts = [Fraction(0), *inner, Fraction(1, 2)]
         eps = Fraction(1, 4)
-        for mode, expected in (("centered", 0.5), ("uncentered", uncentered)):
-            assert packing_premeasure(pts, 1, eps, mode, 0) == expected
-            assert brute_force_premeasure(pts, 1, eps, mode, 0) == expected
+        pair = premeasure_ordering_check(pts, 1, eps, 0)
+        assert pair == (0.5, uncentered)
+        for value, mode in zip(pair, ("centered", "uncentered")):
+            assert brute_force_premeasure(pts, 1, eps, mode, 0) == value
 
     def test_ordering_random_sets(self):
         rng = random.Random(37)
@@ -862,21 +853,20 @@ class TestPackingPremeasure:
         before = dimension._schedule.cache_info()
         with pytest.raises(ValueError, match="alpha"):
             premeasure_ordering_check([0, Fraction(1, 2)], alpha, eps)
-        with pytest.raises(ValueError, match="alpha"):
-            packing_premeasure([0, Fraction(1, 2)], alpha, eps, "uncentered")
         assert dimension._schedule.cache_info() == before  # none read or kept
 
     @pytest.mark.parametrize("eps,t_max,error", [
         (0, 4, ValueError),
         (Fraction(-1, 4), 4, ValueError),
-        (Fraction(1, 4), -1, GridTooCoarse),
+        (Fraction(1, 4), -1, ValueError),
+        (Fraction(1, 4), True, ValueError),  # once passed as t_max = 1
+        (Fraction(1, 4), 1.0, ValueError),  # once a TypeError from <<
+        (Fraction(1, 4), "2", ValueError),  # once a TypeError from <
     ])
     def test_eps_and_t_max_are_checked(self, eps, t_max, error):
         before = dimension._schedule.cache_info()
-        with pytest.raises(error, match="eps" if error is ValueError else "t_max"):
+        with pytest.raises(error, match="t_max" if eps > 0 else "eps"):
             premeasure_ordering_check([0, Fraction(1, 2)], 1, eps, t_max)
-        with pytest.raises(error):
-            packing_premeasure([0, Fraction(1, 2)], 1, eps, "centered", t_max)
         assert dimension._schedule.cache_info() == before
 
     def test_kept_schedule_equals_a_cold_one(self):
@@ -916,11 +906,3 @@ class TestPackingPremeasure:
             assert premeasure_ordering_check(pts, alpha, eps, t_max) == pair
             assert pair == tuple(fraction_premeasure(pts, alpha, eps, mode, t_max)
                                  for mode in ("centered", "uncentered"))
-
-    def test_ordering_violation_raises(self, monkeypatch):
-        # the guard holds by construction, so the schedule is broken on purpose
-        def inverted(points, alpha, eps, t_max):
-            return 0.75, 0.25
-        monkeypatch.setattr(dimension, "_premeasures", inverted)
-        with pytest.raises(PremeasureOrderingViolated, match=r"0\.25.*0\.75"):
-            premeasure_ordering_check([Fraction(1, 2)], 1, Fraction(1, 8))

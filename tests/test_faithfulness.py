@@ -18,7 +18,7 @@ from itertools import islice
 
 import pytest
 
-from dimlab import enumerate_cylinders, family_dim, packing_premeasure
+from dimlab import enumerate_cylinders, family_dim, premeasure_ordering_check
 from dimlab.dimension import MoranSpec
 from dimlab.qtilde import QMatrix
 
@@ -70,10 +70,11 @@ def midpoints(name):
 
 
 def log_premeasures(name, alpha):
-    """ln P(alpha, eps) along the eps ladder, largest eps first."""
+    """ln P(alpha, eps) along the eps ladder, largest eps first: the
+    centered premeasure, the first of the pair."""
     _, _, _, eps, _ = case(name)
-    return [math.log(packing_premeasure(midpoints(name), alpha, e,
-                                        "centered", T_MAX))
+    return [math.log(premeasure_ordering_check(midpoints(name), alpha, e,
+                                               T_MAX)[0])
             for e in eps]
 
 

@@ -182,8 +182,8 @@ def test_enumeration_matches_cylinder(pair, data):
     expected = [w for w in product(*islice(spec.stream(), rank))
                 if cylinder(matrix, w).length > 0]
     assert [c.word for c in cylinders] == expected
-    for i, c in enumerate(cylinders):
-        assert c == cylinder(matrix, c.word) == cylinders[i]
+    for c in cylinders:
+        assert c == cylinder(matrix, c.word)
 
 
 @PROPERTY
