@@ -21,7 +21,6 @@ from .dimension import (
     DimensionEstimate,
     MoranSpec,
     ScaleSample,
-    box_counts,
     dim_estimate,
     enumerate_cylinders,
     family_dim,

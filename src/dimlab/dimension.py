@@ -2,12 +2,12 @@
 
 Provides cylinder enumeration for Moran-type sets (exact integer endpoints
 over one common denominator, in left-to-right order, read by iteration: a
-`Cylinder` is built only while iterating), exact grid box counts
-(one integer sweep per scale that steps from occupied cell to occupied cell,
-bisecting past the cylinders that start in the same cell), the same counts
-over a cell cover for the dimension runner (`cover_counts`: memory follows
-the cover, and `MAX_CYLINDERS` still bounds the cylinder count), tail-window
-limsup dimension estimates, a family-restricted (cylinder packing)
+`Cylinder` is built only while iterating), exact grid box counts of a Moran
+set over a cell cover (`cover_counts`, the one box counter: one integer
+sweep per scale that steps from occupied cell to occupied cell, bisecting
+past the cylinders that start in the same cell; memory follows the cover,
+and `MAX_CYLINDERS` still bounds the cylinder count), tail-window limsup
+dimension estimates, a family-restricted (cylinder packing)
 estimator, a closed-form oracle for digit-uniform matrices, and one function,
 `premeasure_ordering_check`, that returns the pair (centered, uncentered) of
 finite-scale packing premeasure lower bounds from one schedule.  The
@@ -27,7 +27,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain, cycle, islice, product, repeat
+from itertools import chain, cycle, islice, product, repeat
 
 from .errors import (
     BudgetExceeded,
@@ -207,12 +207,16 @@ def _expand(spec: MoranSpec, matrix: ColumnMatrix, rank: int,
 
 def cover_counts(spec: MoranSpec, matrix: ColumnMatrix, rank: int,
                  scales: Iterable[Fraction]) -> list:
-    """`box_counts(enumerate_cylinders(spec, matrix, rank), scales)` from a
-    cover of the set.  Every scale is a whole multiple of g =
-    gcd(numerators) / lcm(denominators), so a cylinder inside one g-cell
-    meets one cell at every scale, as do its nonempty descendants: the
-    expansion stops branching it, and the sweep reads the cover."""
-    scales = _unit_scales(scales)
+    """Exact grid counts: cells [i*delta, (i+1)*delta) meeting the rank-k
+    cylinders, at each scale 0 < delta < 1 (at delta >= 1 the log ratio has
+    no meaning).  Every scale is a whole multiple of g = gcd(numerators) /
+    lcm(denominators), so a cylinder inside one g-cell meets one cell at
+    every scale, as do its nonempty descendants: the expansion stops
+    branching it, and the sweep reads this cover."""
+    scales = [to_fraction(delta) for delta in scales]
+    for delta in scales:
+        if not 0 < delta < 1:
+            raise ValueError(f"scale {delta} is not in (0, 1)")
     grid = None
     if scales:
         grid = Fraction(math.gcd(*(x.numerator for x in scales)),
@@ -221,73 +225,25 @@ def cover_counts(spec: MoranSpec, matrix: ColumnMatrix, rank: int,
     return _sweep(denominator, lefts, rights, scales)
 
 
-def _over_one_denominator(values: Iterable, base: int = 1) -> tuple:
-    """(d, ints): d is the lcm of `base` and the values' denominators, and
-    ints[i] = values[i] * d, exactly, in the given order."""
-    values = [to_fraction(x) for x in values]
-    d = math.lcm(base, *{x.denominator for x in values})
-    return d, [x.numerator * (d // x.denominator) for x in values]
-
-
-def _integer_ends(cylinders: Iterable[Cylinder]) -> tuple:
-    """(D, lefts, reach): the ends as integers over one denominator D, in
-    ascending (left, right) order; reach[i] is the largest right end among
-    the first i + 1."""
-    if isinstance(cylinders, Cylinders):
-        # disjoint and ascending, so each right end is the largest so far
-        return cylinders.denominator, cylinders.lefts, cylinders.rights
-    d, ends = _over_one_denominator(
-        x for c in cylinders for x in (c.left, c.right))
-    pairs = sorted(zip(ends[::2], ends[1::2]))
-    return (d, [left for left, _ in pairs],
-            list(accumulate((right for _, right in pairs), max)))
-
-
-def box_counts(cylinders: Iterable[Cylinder],
-               scales: Iterable[Fraction]) -> list:
-    """Exact grid counts: cells [i*delta, (i+1)*delta) meeting the union,
-    at each scale 0 < delta < 1 (at delta >= 1 the log ratio has no meaning).
-
-    An enumeration's integer ends are used as they are, already in order;
-    other cylinders are put over the lcm of their endpoint denominators and
-    sorted.  With ends L/D and delta = a/b, L lies in cell (L*b) // (D*a).
-    The sweep steps from cell to cell.  A cylinder that reaches past its
-    own cell is one step.  One that ends in its cell is one step together
-    with all later cylinders that start in that cell, found by bisection on
-    the left ends where the cell holds three or more: between them they
-    cover the cell through the cell of the largest right end so far.
-    `cover_counts` runs this sweep over a cell
-    cover, whose memory follows the cover; `MAX_CYLINDERS` is still
-    checked on the cylinder count.
-    """
-    scales = _unit_scales(scales)
-    return _sweep(*_integer_ends(cylinders), scales)
-
-
-def _unit_scales(scales: Iterable) -> list:
-    scales = [to_fraction(delta) for delta in scales]
-    for delta in scales:
-        if not 0 < delta < 1:
-            raise ValueError(f"scale {delta} is not in (0, 1)")
-    return scales
-
-
-def _sweep(denominator: int, lefts: list, reach: list, scales: list) -> list:
-    """`box_counts`' sweep over ascending left ends and their running
-    largest right ends, all over `denominator`."""
+def _sweep(denominator: int, lefts: list, rights: list, scales: list) -> list:
+    """`cover_counts`' sweep over what `_expand` makes: ascending, disjoint
+    [lefts[i], rights[i]) / D of positive length, with ends >= 0.  With
+    delta = a/b, L lies in cell (L*b) // (D*a).  A cylinder that reaches
+    past its cell is one step; one that ends in it is one step with the
+    later ones that start there (found by bisection where the cell holds
+    three or more), which cover it through the last one's right end."""
     n = len(lefts)
     samples = []
     for delta in scales:
         b = delta.denominator
         width = denominator * delta.numerator
-        # left ends ascend, so only cells past the last one counted are new;
-        # `last` starts one cell left of the first, as ends may be negative
+        # left ends ascend, so only cells past the last one counted are new
         count = 0
-        last = lefts[0] * b // width - 1 if lefts else 0
+        last = -1
         i = 0  # the next cylinder to read
         while i < n:
             cell = lefts[i] * b // width
-            hi = -(-reach[i] * b // width) - 1
+            hi = -(-rights[i] * b // width) - 1
             i += 1
             if hi <= cell:
                 # bound: the least left end in a later cell.  The next two
@@ -298,10 +254,7 @@ def _sweep(denominator: int, lefts: list, reach: list, scales: list) -> list:
                     i += 1
                     if i < n and lefts[i] < bound:
                         i = bisect_left(lefts, bound, i + 1)
-                    hi = -(-reach[i - 1] * b // width) - 1
-                # a single point on the cell's left edge still counts it
-                if hi < cell:
-                    hi = cell
+                    hi = -(-rights[i - 1] * b // width) - 1
             lo = cell if cell > last else last + 1
             if hi >= lo:
                 count += hi - lo + 1
@@ -454,10 +407,13 @@ def premeasure_ordering_check(points: Iterable, alpha: float, eps,
     except (OverflowError, ZeroDivisionError):  # 0.0 ** alpha < 0 divides
         raise ValueError(f"|ball|^alpha overflows a float at alpha = "
                          f"{alpha!r}, eps = {eps}") from None
-    d, scaled = _over_one_denominator(points, eps.denominator << (t_max + 1))
-    # sorted, then distinct: the sort is linear on points already in order
+    points = [to_fraction(x) for x in points]
+    d = math.lcm(eps.denominator << (t_max + 1),
+                 *{x.denominator for x in points})
+    # over d, sorted, then distinct: the sort is linear on points in order
+    scaled = sorted(x.numerator * (d // x.denominator) for x in points)
     ts, flags, starts = _schedule(eps, t_max, d,
-                                  tuple(dict.fromkeys(sorted(scaled))))
+                                  tuple(dict.fromkeys(scaled)))
     centered, uncentered = [0.0], [0.0]  # best totals over the first k balls
     c = u = 0.0
     for t, flagged, k in zip(ts, flags, starts):

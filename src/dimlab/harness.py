@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import sys
 import time
 from contextlib import ExitStack, contextmanager
@@ -54,9 +55,12 @@ def parse_scenario(doc: dict) -> Scenario:
     q = _built(QMatrix, doc, "Q")
     p = _built(PMatrix, doc, "P") if "P" in doc else None
     if p is not None:
+        # tails of periods m and n that agree on m + n - gcd(m, n) columns
+        # agree on all (Fine and Wilf); "digit < n" needs the lcm
+        m, n = len(q.period), len(p.period)
         with _field("P"):
-            _check_digit_counts(q, p, _joint_horizon((q.prefix, q.period),
-                                                     (p.prefix, p.period)))
+            _check_digit_counts(q, p, max(len(q.prefix), len(p.prefix))
+                                + m + n - math.gcd(m, n))
     moran = _built(dim.MoranSpec, doc, "moran") if "moran" in doc else None
     if moran is not None:
         with _field("moran"):

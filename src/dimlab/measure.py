@@ -17,7 +17,6 @@ from .qtilde import (
     Cylinder,
     RationalLike,
     _check_digit_counts,
-    _scaled_interval,
     _unit_point,
     _walk,
     cylinder,
@@ -29,9 +28,8 @@ DEFAULT_POINT_MAX_RANK = 200
 
 def mu_cylinder(p: ColumnMatrix, word: Sequence[int]) -> Fraction:
     """Measure of a cylinder: the exact product of chosen column entries,
-    read from the integer recurrence of `cylinder`, which builds no ends."""
-    _, length, denominator = _scaled_interval(p, word)
-    return Fraction(length, denominator)
+    which is the length of its cylinder under p."""
+    return cylinder(p, word).length
 
 
 def f_xi_cylinder(q: ColumnMatrix, p: ColumnMatrix, word: Sequence[int]) -> Cylinder:

@@ -9,13 +9,12 @@ and a `Fraction` is built only when one is returned, so cylinder identities
 
 A point becomes a word only through the digit walk of `locate`, `expand`
 (which keeps only the walk's words, and builds no cylinder ends) and
-`f_xi_point`, and a word an interval through the integer recurrence of
-`cylinder` (`_scaled_interval`, whose length `mu_cylinder` reads without
-the ends), but for `f_xi_point`, which nests its image under P column by
-column as it walks, to stop at the first rank within `tol`.  The walk
-reads the periodic tail through one table per matrix, built on its first
-walk (`ColumnMatrix.block`: m periods as one column over at most
-`BLOCK_WORDS` digit words).  Prefix columns, a period with more words, and
+`f_xi_point`, and a word an interval through the one integer recurrence
+of `cylinder` (`mu_cylinder` is its length), but for `f_xi_point`, which
+nests its image under P column by column as it walks, to stop at the first
+rank within `tol`.  The walk reads the periodic tail through one table per
+matrix, built on its first walk (`ColumnMatrix.block`: m periods as one
+column over at most `BLOCK_WORDS` digit words).  Prefix columns, a period with more words, and
 the columns after the last whole block are walked one column a step.
 """
 
@@ -335,17 +334,12 @@ def _walk(matrix: ColumnMatrix, t: Fraction, rank: int) -> Iterator[tuple]:
 
 
 def cylinder(matrix: ColumnMatrix, word: Sequence[int]) -> Cylinder:
-    """Exact interval of the cylinder addressed by `word` under `matrix`."""
+    """Exact interval of the cylinder addressed by `word` under `matrix`.
+
+    In integers the cylinder is [L/D, (L + Λ)/D).  From L, Λ, D = 0, 1, 1,
+    column j's table (d, C, E) steps L <- L*d + C_a*Λ, Λ <- Λ*E_a and
+    D <- D*d."""
     word = tuple(word)
-    left, length, denominator = _scaled_interval(matrix, word)
-    return Cylinder(word, Fraction(left, denominator),
-                    Fraction(left + length, denominator))
-
-
-def _scaled_interval(matrix: ColumnMatrix, word: Sequence[int]) -> tuple:
-    """(L, Λ, D): the cylinder of `word` under `matrix` is [L/D, (L + Λ)/D)
-    in integers.  From L, Λ, D = 0, 1, 1, column j's table (d, C, E) steps
-    L <- L*d + C_a*Λ, Λ <- Λ*E_a and D <- D*d."""
     left, length, denominator = 0, 1, 1
     for j, (a, column) in enumerate(zip(word, matrix.stream()), start=1):
         d, offsets, entries = column.scaled
@@ -356,7 +350,8 @@ def _scaled_interval(matrix: ColumnMatrix, word: Sequence[int]) -> tuple:
         left = left * d + offsets[a] * length
         length *= entries[a]
         denominator *= d
-    return left, length, denominator
+    return Cylinder(word, Fraction(left, denominator),
+                    Fraction(left + length, denominator))
 
 
 def expand(matrix: ColumnMatrix, x: RationalLike, rank: int) -> tuple:

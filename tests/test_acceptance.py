@@ -11,7 +11,6 @@ import pytest
 
 from dimlab import (
     PMatrix,
-    box_counts,
     cylinder,
     dim_estimate,
     enumerate_cylinders,
@@ -25,7 +24,7 @@ from dimlab import (
     sparse_column_stats,
 )
 from dimlab.criteria import PDP, NOT_PDP_B_POSITIVE
-from dimlab.dimension import MoranSpec
+from dimlab.dimension import MoranSpec, cover_counts
 
 import matrices
 
@@ -95,15 +94,14 @@ def test_acceptance_2_transform_correctness():
 
 def test_acceptance_3_dimension_calibration():
     start = time.perf_counter()
-    cyls = enumerate_cylinders(CANTOR, Q3, 12)
     scales = [Fraction(1, 3 ** k) for k in range(8, 13)]
-    box = dim_estimate(box_counts(cyls, scales)).estimate
+    box = dim_estimate(cover_counts(CANTOR, Q3, 12, scales)).estimate
     fam = family_dim(CANTOR, Q3, range(8, 13)).estimate
     assert abs(box - LN2_LN3) <= 0.02
     assert abs(fam - LN2_LN3) <= 0.02
     full = family_dim(matrices.full_spec(2), QB, range(8, 13)).estimate
-    full_box = dim_estimate(box_counts(
-        enumerate_cylinders(matrices.full_spec(2), QB, 12),
+    full_box = dim_estimate(cover_counts(
+        matrices.full_spec(2), QB, 12,
         [Fraction(1, 2 ** k) for k in range(8, 13)])).estimate
     assert abs(full - 1.0) <= 0.01 and abs(full_box - 1.0) <= 0.01
     elapsed = time.perf_counter() - start
@@ -122,8 +120,8 @@ def test_acceptance_4_faithfulness_surrogate():
     details = []
     for spec, matrix, scales in cases:
         ranks = range(8, 13) if matrix is Q3 else range(5, 10)
-        cyls = enumerate_cylinders(spec, matrix, max(ranks))
-        box = dim_estimate(box_counts(cyls, scales)).estimate
+        box = dim_estimate(cover_counts(spec, matrix, max(ranks),
+                                        scales)).estimate
         fam = family_dim(spec, matrix, ranks).estimate
         assert abs(fam - box) <= 0.03
         assert fam <= box + 0.02  # family estimate never exceeds the box one

@@ -10,7 +10,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dimlab import (
-    box_counts,
     dim_estimate,
     enumerate_cylinders,
     family_dim,
@@ -130,10 +129,7 @@ class TestIntegerKernel:
                     continue
                 scales = [Fraction(1, 2 ** k) for k in (2, 4, 6)]
                 scales += [Fraction(2, 7), Fraction(3, 40)]
-                samples = box_counts(cyls, scales)
-                # the enumeration's integer ends and the generic path agree
-                assert samples == box_counts(list(cyls), scales)
-                for smp in samples:
+                for smp in cover_counts(spec, matrix, rank, scales):
                     assert smp.count == brute_force_cells(cyls, smp.scale)
 
     def test_budget_checked_before_allocation(self):
@@ -180,10 +176,24 @@ class TestIntegerKernel:
         # cover is the enumeration, counted at the counts' peak
         scales = [Fraction(1, 3 ** k) for k in range(8, 13)]
         enumerated = traced_peak(
-            lambda: box_counts(enumerate_cylinders(CANTOR, Q3, 12), scales))
+            lambda: sweep(enumerate_cylinders(CANTOR, Q3, 12), scales))
         covered = traced_peak(lambda: cover_counts(CANTOR, Q3, 12, scales))
         # a flag per rank-11 cylinder would add 2048 pointers, 16 KiB
         assert covered <= enumerated + 4096
+
+
+def sweep(cyls, scales):
+    """`cover_counts`' sweep over every cylinder of an enumeration."""
+    return dimension._sweep(cyls.denominator, cyls.lefts, cyls.rights, scales)
+
+
+def cell_sets(cyls, scales):
+    """Independent of the sweep: at each scale, the number of cells i that
+    some [left, right) meets, i from floor(left/delta) to
+    ceil(right/delta) - 1."""
+    return [len({i for c in cyls for i in range(math.floor(c.left / delta),
+                                                 math.ceil(c.right / delta))})
+            for delta in scales]
 
 
 def traced_peak(call) -> int:
@@ -236,28 +246,6 @@ def small_systems(draw, columns=(1, 3), denominators=(1, 5), ranks=(0, 3)):
     return spec, matrix, draw(st.integers(*ranks))
 
 
-def small_enumerations():
-    """The rank-3..6 cylinders of a `small_systems` draw of 2-4 columns over
-    denominators 2-5, as `TestCoverCounts` draws: at ranks 0-3 most draws
-    are the single cylinder [0, 1) or none."""
-    systems = small_systems(columns=(2, 4), denominators=(2, 5), ranks=(3, 6))
-    return systems.map(lambda system: enumerate_cylinders(*system))
-
-
-@st.composite
-def interval_lists(draw):
-    """1-8 intervals on grids 1/1 .. 1/24, so that many ends fall on cell
-    edges: single points, overlaps, nesting and ends left of 0."""
-    cyls = []
-    for _ in range(draw(st.integers(1, 8))):
-        den = draw(st.sampled_from((1, 2, 3, 4, 6, 8, 12, 24)))
-        left = Fraction(draw(st.integers(-den, 2 * den)), den)
-        width = Fraction(draw(st.one_of(st.just(0), st.integers(1, den))),
-                         den)
-        cyls.append(Cylinder((), left, left + width))
-    return cyls
-
-
 def drawn_scales(draw, cylinders):
     """A scale coarser than 1/2, one from a grid that shares the ends'
     edges, and one finer than the shortest proper cylinder."""
@@ -272,19 +260,15 @@ class TestBoxCountsProperties:
     """The cell-wise sweep against the cell-by-cell oracle."""
 
     @PROPERTY
-    @given(small_enumerations(), st.data())
-    def test_enumeration(self, cyls, data):
+    @given(small_systems(columns=(2, 4), denominators=(2, 5), ranks=(3, 6)),
+           st.data())
+    def test_enumeration(self, system, data):
+        cyls = enumerate_cylinders(*system)
         assume(len(cyls) > 0)
         scales = drawn_scales(data.draw, cyls)
-        samples = box_counts(cyls, scales)
-        assert samples == box_counts(list(cyls), scales)
+        samples = sweep(cyls, scales)
+        assert samples == cover_counts(*system, scales)
         for smp in samples:
-            assert smp.count == brute_force_cells(cyls, smp.scale)
-
-    @PROPERTY
-    @given(interval_lists(), st.data())
-    def test_generic_lists(self, cyls, data):
-        for smp in box_counts(cyls, drawn_scales(data.draw, cyls)):
             assert smp.count == brute_force_cells(cyls, smp.scale)
 
 
@@ -317,7 +301,7 @@ def scale_sets(spec, matrix, rank):
 
 
 class TestCoverCounts:
-    """Counts over the cover against the sweep over every cylinder."""
+    """Counts over the cover against the cells that every cylinder meets."""
 
     @PROPERTY
     @given(small_systems(columns=(2, 4), denominators=(2, 5), ranks=(3, 6)))
@@ -325,9 +309,9 @@ class TestCoverCounts:
         cyls = enumerate_cylinders(*system)
         for scales in scale_sets(*system):
             samples = cover_counts(*system, scales)
-            assert samples == box_counts(cyls, scales)
+            assert [smp.count for smp in samples] == cell_sets(cyls, scales)
         # the unscaled sets have few cells, so each is also checked cell by
-        # cell (at finer scales `box_counts` is, in TestBoxCountsProperties)
+        # cell (at finer scales the sweep is, in TestBoxCountsProperties)
         for scales in NON_NESTING:
             for smp in cover_counts(*system, scales):
                 assert smp.count == (brute_force_cells(cyls, smp.scale)
@@ -360,48 +344,28 @@ class TestCoverCounts:
 
 class TestBoxCounts:
     def test_full_interval(self):
-        unit = [Cylinder((), Fraction(0), Fraction(1))]
+        # rank 0 of the full binary set is the one cylinder [0, 1)
         for n in range(1, 8):
-            (s,) = box_counts(unit, [Fraction(1, 2 ** n)])
+            (s,) = cover_counts(matrices.full_spec(2), QB, 0,
+                                [Fraction(1, 2 ** n)])
             assert s.count == 2 ** n
             assert s.log_ratio == pytest.approx(1.0, abs=1e-12)
 
     def test_cantor_matched_scale(self):
         for k in (4, 6, 8):
-            cyls = enumerate_cylinders(CANTOR, Q3, k)
-            (s,) = box_counts(cyls, [Fraction(1, 3 ** k)])
+            (s,) = cover_counts(CANTOR, Q3, k, [Fraction(1, 3 ** k)])
             assert s.count == 2 ** k
             assert s.log_ratio == pytest.approx(LN2_LN3, abs=1e-12)
-
-    def test_single_point(self):
-        point = [Cylinder((), Fraction(0), Fraction(0))]
-        for scale in (Fraction(1, 4), Fraction(1, 64)):
-            (s,) = box_counts(point, [scale])
-            assert s.count == 1
-            assert s.log_ratio == 0.0
-
-    def test_matches_cell_by_cell_check(self):
-        # overlapping intervals and single points, some left of 0
-        rng = random.Random(41)
-        for _ in range(200):
-            cyls = []
-            for _ in range(rng.randrange(1, 7)):
-                left = Fraction(rng.randrange(-12, 49), 48)
-                width = 0 if rng.random() < 0.3 else Fraction(rng.randrange(1, 25), 48)
-                cyls.append(Cylinder((), left, left + width))
-            scales = [Fraction(1, rng.randrange(2, 20)), Fraction(2, 7)]
-            for smp in box_counts(cyls, scales):
-                assert smp.count == brute_force_cells(cyls, smp.scale)
 
     @pytest.mark.parametrize("scale", [Fraction(0), Fraction(-1, 4),
                                        Fraction(1), Fraction(3, 2)])
     def test_scale_must_lie_in_the_unit_interval(self, scale):
-        # at scale 1 these meet two unit cells, and log 2 / -ln 1 would
-        # divide by zero; at 3/2 the log ratio would be negative
-        cyls = [Cylinder((), Fraction(0), Fraction(3, 2)),
-                Cylinder((), Fraction(0), Fraction(0))]
+        # at scale 1 log N / -ln 1 would divide by zero, and at 3/2 the log
+        # ratio would be negative; each is refused before the enumeration,
+        # whose rank-23 count would exceed the budget
         with pytest.raises(ValueError, match=r"is not in \(0, 1\)"):
-            box_counts(cyls, [Fraction(1, 4), scale])
+            cover_counts(matrices.full_spec(2), QB, 23,
+                         [Fraction(1, 4), scale])
 
     def test_two_per_cell_makes_no_bisection(self, monkeypatch):
         # the full binary rank-8 tiling holds two cylinders in each cell of
@@ -415,11 +379,9 @@ class TestBoxCounts:
 
         monkeypatch.setattr(dimension, "bisect_left", bisect_left)
         cyls = enumerate_cylinders(matrices.full_spec(2), QB, 8)
-        assert [s.count for s in box_counts(cyls, [Fraction(1, 2 ** 7)])] == [
-            2 ** 7]
+        assert [s.count for s in sweep(cyls, [Fraction(1, 2 ** 7)])] == [2 ** 7]
         assert not calls
-        assert [s.count for s in box_counts(cyls, [Fraction(1, 2 ** 6)])] == [
-            2 ** 6]
+        assert [s.count for s in sweep(cyls, [Fraction(1, 2 ** 6)])] == [2 ** 6]
         assert len(calls) == 2 ** 6
 
     def test_one_two_and_three_per_cell(self):
@@ -431,38 +393,39 @@ class TestBoxCounts:
         cyls = [Cylinder((), Fraction(a, 16), Fraction(b, 16))
                 for a, b in ends]
         for delta in (Fraction(1, 4), Fraction(1, 8), Fraction(1, 2)):
-            (smp,) = box_counts(cyls, [delta])
-            assert smp.count == brute_force_cells(cyls, delta)
-            (smp,) = box_counts(dimension.Cylinders(
-                (), 16, [a for a, _ in ends], [b for _, b in ends]), [delta])
+            (smp,) = dimension._sweep(16, [a for a, _ in ends],
+                                      [b for _, b in ends], [delta])
             assert smp.count == brute_force_cells(cyls, delta)
 
     def test_grid_count_equals_cylinder_count_on_full_tiling(self):
         for k in (3, 5, 7):
             cyls = enumerate_cylinders(matrices.full_spec(2), QB, k)
-            (s,) = box_counts(cyls, [Fraction(1, 2 ** k)])
+            (s,) = cover_counts(matrices.full_spec(2), QB, k,
+                                [Fraction(1, 2 ** k)])
             assert s.count == len(cyls)
 
 
 class TestDimEstimate:
     def test_full_interval(self):
-        unit = [Cylinder((), Fraction(0), Fraction(1))]
-        samples = box_counts(unit, [Fraction(1, 2 ** n) for n in range(4, 10)])
+        samples = cover_counts(matrices.full_spec(2), QB, 0,
+                               [Fraction(1, 2 ** n) for n in range(4, 10)])
         assert dim_estimate(samples).estimate == pytest.approx(1.0, abs=1e-12)
 
     def test_cantor(self):
-        cyls = enumerate_cylinders(CANTOR, Q3, 12)
-        samples = box_counts(cyls, [Fraction(1, 3 ** k) for k in range(8, 13)])
+        samples = cover_counts(CANTOR, Q3, 12,
+                               [Fraction(1, 3 ** k) for k in range(8, 13)])
         assert dim_estimate(samples).estimate == pytest.approx(LN2_LN3, abs=0.02)
 
     def test_point_is_zero(self):
-        point = [Cylinder((), Fraction(0), Fraction(0))]
-        samples = box_counts(point, [Fraction(1, 2 ** n) for n in range(2, 8)])
+        # digit 0 in every column is the point 0; at rank 7 it is one
+        # cylinder, inside one cell at every scale
+        samples = cover_counts(MoranSpec([], [(0,)]), QB, 7,
+                               [Fraction(1, 2 ** n) for n in range(2, 8)])
         assert dim_estimate(samples).estimate == 0.0
 
     def test_too_few_scales(self):
-        unit = [Cylinder((), Fraction(0), Fraction(1))]
-        samples = box_counts(unit, [Fraction(1, 4), Fraction(1, 8)])
+        samples = cover_counts(matrices.full_spec(2), QB, 0,
+                               [Fraction(1, 4), Fraction(1, 8)])
         with pytest.raises(TooFewScales):
             dim_estimate(samples)
 

@@ -7,11 +7,14 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
-from itertools import islice, product
+from itertools import chain, cycle, islice, product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dimlab import cylinder, expand, qtilde
 from dimlab.cli import main
@@ -129,6 +132,44 @@ class TestLoading:
                             "P": {"prefix": [["1/2", "1/2"]],
                                   "period": [["1/3", "1/3", "1/3"]]}})
 
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(st.data())
+    def test_p_digit_counts_checked_to_the_lcm_walks_column(self, data):
+        # the parse reads s + m + n - gcd(m, n) columns, not s + lcm(m, n)
+        q_prefix, q_period, p_prefix, p_period = data.draw(count_pairs())
+        expected = None
+        horizon = (max(len(q_prefix), len(p_prefix))
+                   + math.lcm(len(q_period), len(p_period)))
+        q_counts = chain(q_prefix, cycle(q_period))
+        p_counts = chain(p_prefix, cycle(p_period))
+        for j, a, b in zip(range(1, horizon + 1), q_counts, p_counts):
+            if a != b:
+                expected = f"P: column {j}: digit counts differ ({a} vs {b})"
+                break
+        doc = {"kind": "criteria", "Q": counted(q_prefix, q_period),
+               "P": counted(p_prefix, p_period)}
+        if expected is None:
+            parse_scenario(doc)
+        else:
+            with pytest.raises(ShapeMismatch) as caught:
+                parse_scenario(doc)
+            assert str(caught.value) == expected
+
+    def test_coprime_periods_of_four_thousand_parse_fast(self):
+        # a joint period of about 1.6e7 columns, which the lcm walk took
+        # over 0.5 s to read (CPython 3.11, x86-64); the parse reads 8,004
+        doc = {"kind": "criteria", "k_max": 8,
+               "Q": {"prefix": [], "period": [["1/2", "1/2"]] * 4001},
+               "P": {"prefix": [], "period": [["1/3", "2/3"]] * 4003}}
+        start = time.perf_counter()
+        parse_scenario(doc)
+        assert time.perf_counter() - start < 0.1
+        doc["P"]["period"][4002] = ["1/3", "1/3", "1/3"]
+        with pytest.raises(ShapeMismatch, match=r"^P: column 4003: digit "
+                                                r"counts differ \(2 vs 3\)$"):
+            parse_scenario(doc)
+
     def test_unknown_kind(self):
         with pytest.raises(SchemaError):
             parse_scenario({"kind": "frobnicate"})
@@ -139,6 +180,38 @@ class TestLoading:
         assert s.q.min_entry() == Fraction(1, 2)
         column_4 = next(islice(s.p.stream(), 3, None))
         assert column_4.min_entry < Fraction(1, 4)
+
+
+COUNTED = {2: ["1/2", "1/2"], 3: ["1/3", "1/3", "1/3"]}
+
+
+def counted(prefix, period):
+    """A matrix config whose columns have these digit counts."""
+    return {"prefix": [COUNTED[n] for n in prefix],
+            "period": [COUNTED[n] for n in period]}
+
+
+@st.composite
+def count_pairs(draw):
+    """Digit counts (2 or 3) of Q and P: prefixes of 0-3 columns and
+    periods of 1-8.  Half the draws read P's prefix and period off Q's
+    columns, rotated, with at most one count changed, so that many agree
+    far or everywhere."""
+    counts = st.integers(2, 3)
+    q_prefix = draw(st.lists(counts, max_size=3))
+    q_period = draw(st.lists(counts, min_size=1, max_size=8))
+    if not draw(st.booleans()):
+        return (q_prefix, q_period, draw(st.lists(counts, max_size=3)),
+                draw(st.lists(counts, min_size=1, max_size=8)))
+    q_counts = list(islice(chain(q_prefix, cycle(q_period)), 3 + 8 + 8))
+    s = draw(st.integers(0, 3))
+    start = draw(st.integers(s, s + 7))
+    n = draw(st.integers(1, 8))
+    p_period = q_counts[start:start + n]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        p_period[i] = 5 - p_period[i]
+    return q_prefix, q_period, q_counts[:s], p_period
 
 
 def dimension_doc(**fields):
