@@ -13,7 +13,11 @@ estimator, a closed-form oracle for digit-uniform matrices, and one function,
 finite-scale packing premeasure lower bounds from one schedule.  The
 schedule depends only on the points, eps and t_max; alpha enters through
 t_max + 1 weights, and the last schedule is kept, so an alpha ladder at one
-eps builds it once.  Every bad argument of it is a `ValueError`.
+eps builds it once.  It is keyed by the points' exact (numerator,
+denominator) pairs in the order given: the lcm, the scaling, the sort and
+the dedup run only when a schedule is built, and a call that reuses it
+pays for that key, the weights and the two prefix-max chains.  Every bad
+argument of it is a `ValueError`.
 
 Every limsup here, and in `criteria`, is estimated by `tail_window_max`:
 the maximum over the tail half (`WINDOW_FRACTION`) of the partial values.
@@ -40,7 +44,7 @@ from .errors import (
     TooFewScales,
     magnitude,
 )
-from .qtilde import ColumnMatrix, Cylinder, _intern, ln, to_fraction
+from .qtilde import ColumnMatrix, Cylinder, _exact, _intern, ln, to_fraction
 
 MAX_CYLINDERS = 2 ** 22  # the most `enumerate_cylinders` makes
 WINDOW_FRACTION = 0.5
@@ -353,13 +357,20 @@ def moran_dim_oracle(spec: MoranSpec, matrix: ColumnMatrix,
 # --- finite-scale packing premeasure (weighted interval scheduling) ---
 
 @lru_cache(maxsize=1)  # the last one: an alpha ladder at one eps reuses it
-def _schedule(eps: Fraction, t_max: int, d: int, pts: tuple) -> tuple:
-    """(ts, flags, starts) over the balls on the distinct ascending points
-    `pts` / d, in ascending (right, left) order: ball j has diameter
-    eps/2^ts[j], is centered at a point if flags[j] (else at a midpoint),
-    and its predecessors are the first starts[j] balls.  Every ball end is
-    an integer over 2d."""
-    pts = [2 * x for x in pts]
+def _schedule(eps: Fraction, t_max: int, pairs: tuple) -> tuple:
+    """(ts, flags, starts) over the balls on the points given by their
+    exact (numerator, denominator) `pairs`, in ascending (right, left)
+    order: ball j has diameter eps/2^ts[j], is centered at a point if
+    flags[j] (else at a midpoint), and its predecessors are the first
+    starts[j] balls.  The pairs are the key, in the order given, so only a
+    call that builds a schedule pays for the rest: the points go over d,
+    the lcm of their denominators and eps's over 2^(t_max + 1), then are
+    sorted and made distinct, and every ball end is an integer over 2d.  A
+    permuted or repeated point list builds the same schedule anew."""
+    d = math.lcm(eps.denominator << (t_max + 1), *{b for _, b in pairs})
+    # sorted, then distinct: the sort is linear on points in order
+    pts = sorted(a * (d // b) for a, b in pairs)
+    pts = [2 * x for x in dict.fromkeys(pts)]
     mids = [((a + b) // 2, b - a) for a, b in zip(pts, pts[1:])]
     balls = []  # each (radius, kind) class one ascending run, for the sort
     for t in range(t_max + 1):
@@ -387,12 +398,15 @@ def premeasure_ordering_check(points: Iterable, alpha: float, eps,
     centered balls), so uncentered >= centered by construction.  The
     floats |ball|^alpha are summed as exact rationals would sum them.  The
     schedule depends only on (points, eps, t_max) and the last one is
-    kept, so over an alpha ladder at one eps a call after the first
-    recomputes only the t_max + 1 weights and the two prefix maxima.  eps
-    must be positive, t_max an int >= 0, and alpha a finite int or float
-    whose weights fit a float (a bool is neither), or it is a ValueError.
+    kept, keyed by the points' exact (numerator, denominator) pairs in the
+    order given, so over an alpha ladder at one eps a call after the first
+    pays for that key, the t_max + 1 weights and the two prefix maxima.
+    eps must be positive, t_max an int >= 0, alpha a finite int or float
+    whose weights fit a float, and each point and eps an exact rational
+    (an int, a "num/den" string, a Fraction or a finite float; a bool is
+    none of these), or it is a ValueError naming the argument.
     """
-    eps = to_fraction(eps)
+    eps = _exact(eps, "eps", ValueError)
     if eps <= 0:
         raise ValueError("eps must be positive")
     if type(t_max) is not int or t_max < 0:
@@ -407,17 +421,22 @@ def premeasure_ordering_check(points: Iterable, alpha: float, eps,
     except (OverflowError, ZeroDivisionError):  # 0.0 ** alpha < 0 divides
         raise ValueError(f"|ball|^alpha overflows a float at alpha = "
                          f"{alpha!r}, eps = {eps}") from None
-    points = [to_fraction(x) for x in points]
-    d = math.lcm(eps.denominator << (t_max + 1),
-                 *{x.denominator for x in points})
-    # over d, sorted, then distinct: the sort is linear on points in order
-    scaled = sorted(x.numerator * (d // x.denominator) for x in points)
-    ts, flags, starts = _schedule(eps, t_max, d,
-                                  tuple(dict.fromkeys(scaled)))
+    if not isinstance(points, (list, tuple)):
+        if not isinstance(points, Iterable):
+            raise ValueError(f"points is not an iterable: {points!r}")
+        points = list(points)  # read again where a point is bad
+    try:
+        pairs = tuple(map(Fraction.as_integer_ratio,
+                          map(to_fraction, points)))
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        for i, x in enumerate(points):  # the first bad point, named
+            _exact(x, f"points[{i}]", ValueError)
+        raise
+    ts, flags, starts = _schedule(eps, t_max, pairs)
     centered, uncentered = [0.0], [0.0]  # best totals over the first k balls
     c = u = 0.0
-    for t, flagged, k in zip(ts, flags, starts):
-        weight = weights[t]
+    for weight, flagged, k in zip(map(weights.__getitem__, ts), flags,
+                                  starts):
         if (x := weight + uncentered[k]) > u:  # the float max(u, x) returns
             u = x
         if flagged and (x := weight + centered[k]) > c:

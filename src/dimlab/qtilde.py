@@ -71,15 +71,14 @@ def to_fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-def _exact(value, name: str) -> Fraction:
+def _exact(value, name: str, error: type = SchemaError) -> Fraction:
     """A config value as an exact Fraction; anything else (a bool, "1/0",
-    "abc", "1e999999", a non-finite float) is a `SchemaError` naming the
-    field."""
+    "abc", "1e999999", a non-finite float) is an `error` naming the field
+    (a library argument's is a ValueError)."""
     try:
         return to_fraction(value)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-        raise SchemaError(
-            f"{name} is not an exact rational: {value!r}") from None
+        raise error(f"{name} is not an exact rational: {value!r}") from None
 
 
 def _intern(obj, names: tuple, convert, what: str) -> dict:

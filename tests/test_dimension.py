@@ -2,6 +2,7 @@ import bisect
 import itertools
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -832,20 +833,53 @@ class TestPackingPremeasure:
             premeasure_ordering_check([0, Fraction(1, 2)], 1, eps, t_max)
         assert dimension._schedule.cache_info() == before
 
+    @pytest.mark.parametrize("points,eps,name", [
+        ([0, True], Fraction(1, 4), "points[1]"),  # once a TypeError
+        ([None], Fraction(1, 4), "points[0]"),  # once a TypeError
+        ([0, Fraction(1, 2), [1]], Fraction(1, 4), "points[2]"),
+        ([0, math.inf], Fraction(1, 4), "points[1]"),  # once an OverflowError
+        ([math.nan], Fraction(1, 4), "points[0]"),
+        (["1/0"], Fraction(1, 4), "points[0]"),  # once a ZeroDivisionError
+        ((x for x in [0, "abc"]), Fraction(1, 4), "points[1]"),
+        (None, Fraction(1, 4), "points"),  # once a TypeError
+        ([0, Fraction(1, 2)], math.inf, "eps"),  # once an OverflowError
+        ([0, Fraction(1, 2)], True, "eps"),  # once a TypeError
+        ([0, Fraction(1, 2)], "1/0", "eps"),  # once a ZeroDivisionError
+    ], ids=["bool", "None", "list", "inf", "nan", "1/0", "generator",
+            "not-iterable", "eps-inf", "eps-bool", "eps-1/0"])
+    def test_points_and_eps_are_exact_rationals(self, points, eps, name):
+        before = dimension._schedule.cache_info()
+        with pytest.raises(ValueError, match=re.escape(f"{name} is not")):
+            premeasure_ordering_check(points, 1, eps)
+        assert dimension._schedule.cache_info() == before
+
+    def test_equal_values_share_one_schedule(self):
+        """The kept schedule is keyed by exact (numerator, denominator)
+        pairs, so one value however written reads one schedule."""
+        dimension._schedule.cache_clear()
+        pairs = {premeasure_ordering_check([0, x, 1], 1, Fraction(1, 4))
+                 for x in (Fraction(1, 2), "1/2", "2/4", 0.5, "5e-1")}
+        assert len(pairs) == 1
+        info = dimension._schedule.cache_info()
+        assert (info.misses, info.hits) == (1, 4)
+
     def test_kept_schedule_equals_a_cold_one(self):
         """An alpha ladder reuses the last schedule, interleaved with calls
-        on another point set, on the same list mutated in place, and on the
-        same points as str or int: every call equals one made after the
-        schedule is dropped, and the exact rational DP, float for float."""
+        on another point set, on the same list mutated in place, on the
+        same points as str, int, float or a generator, and on them permuted
+        or repeated: every call equals one made after the schedule is
+        dropped, and the exact rational DP, float for float."""
         points = [Fraction(0), Fraction(3, 16), Fraction(1, 4), Fraction(5, 8),
-                  Fraction(1), Fraction(9, 8), Fraction(2)]
+                  Fraction(1), Fraction(9, 8), Fraction(2)]  # all dyadic
         other = [Fraction(k, 7) for k in range(7)]  # as many points
         t_max = 3
         calls = []
         dimension._schedule.cache_clear()
 
-        def call(pts, alpha, eps):
-            pair = premeasure_ordering_check(pts, alpha, eps, t_max)
+        def call(pts, alpha, eps, read=None):
+            """Call on `pts`, or on `read(pts)` where given."""
+            pair = premeasure_ordering_check(read(pts) if read else pts,
+                                             alpha, eps, t_max)
             calls.append((list(pts), alpha, eps, pair))  # the points as now
             assert dimension._schedule.cache_info().currsize <= 1
 
@@ -857,13 +891,20 @@ class TestPackingPremeasure:
                     call([str(x) for x in points], alpha, eps)
                     call([int(x) if x.denominator == 1 else x for x in points],
                          alpha, eps)
+                    call(points, alpha, eps, lambda pts: (x for x in pts))
+                    call([float(x) for x in points], alpha, eps)
                 if i == 3:
+                    call(points[::-1], alpha, eps)
+                    call(points + points[2:5], alpha, eps)
                     points[1] += Fraction(1, 2)  # a new point set, same list
                     call(points, alpha, eps)
-        # per eps, the points, `other`, the points again and the mutated
-        # list each build one schedule, and the other five calls reuse one
+        # per eps, the points, `other`, the points again as str, the
+        # permuted and the repeated points (their pairs, in the order
+        # given, are new keys) and the mutated list each build one
+        # schedule; the other seven calls, the int, generator and float
+        # ones among them, give the kept schedule's pairs and reuse it
         info = dimension._schedule.cache_info()
-        assert (info.misses, info.hits) == (12, 15)
+        assert (info.misses, info.hits) == (18, 21)
         for pts, alpha, eps, pair in calls:
             dimension._schedule.cache_clear()
             assert premeasure_ordering_check(pts, alpha, eps, t_max) == pair
