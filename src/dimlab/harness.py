@@ -9,7 +9,8 @@ import time
 from contextlib import ExitStack, contextmanager
 from functools import partial
 from fractions import Fraction
-from itertools import chain, count
+from itertools import chain, count, cycle
+from operator import lt
 from pathlib import Path
 
 from . import criteria as crit
@@ -179,14 +180,18 @@ def _words(values, q: QMatrix) -> tuple:
     the first word that is not a list of digits in range for q."""
     if not isinstance(values, list):
         raise SchemaError("words must be a list of digit lists")
+    prefix, period = q.digit_counts
     for i, word in enumerate(values):
-        if not (isinstance(word, list) and all(type(a) is int for a in word)):
+        if not (isinstance(word, list) and {*map(type, word)} <= {int}):
             raise SchemaError(f"words[{i}] must be a list of integer digits")
         _columns(f"words[{i}]", len(word))
-        for j, (a, column) in enumerate(zip(word, q.stream()), start=1):
-            if not 0 <= a < column.n:
-                raise SchemaError(f"words[{i}]: digit {a} out of range for "
-                                  f"column {j} (n={column.n})")
+        # one pass over the kept digit counts; only a bad word is walked
+        if min(word, default=0) < 0 or not all(
+                map(lt, word, chain(prefix, cycle(period)))):
+            for j, (a, column) in enumerate(zip(word, q.stream()), start=1):
+                if not 0 <= a < column.n:
+                    raise SchemaError(f"words[{i}]: digit {a} out of range for "
+                                      f"column {j} (n={column.n})")
     return tuple(map(tuple, values))
 
 

@@ -17,10 +17,11 @@ from .qtilde import (
     Cylinder,
     RationalLike,
     _check_digit_counts,
+    _exact,
+    _rank,
     _unit_point,
     _walk,
     cylinder,
-    to_fraction,
 )
 
 DEFAULT_POINT_MAX_RANK = 200
@@ -50,22 +51,36 @@ def f_xi_point(q: ColumnMatrix, p: ColumnMatrix, x: RationalLike,
     no longer than tol (rank at least 1, so tol >= 1 still reports a proper
     cylinder image).  A zero-probability digit collapses the image to an
     exact point.  Returns (lo, hi) as exact rationals; the walk and the
-    tolerance test stay in integers until then.
+    tolerance test stay in integers until then.  A bad tol, x or max_rank
+    is a ValueError naming it.
 
     One loop walks q a step at a time (its tail a `ColumnMatrix.block` at a
-    time) and nests the image under p column by column over each step's
-    digits, raising `ShapeMismatch` at a column whose digit counts differ.
+    time).  Where q and p are aligned (equal prefix lengths and period
+    digit counts: p's block rows are q's), a block nests the image through
+    p's row in one step, and is nested again column by column, from the
+    image before it, only where it reaches tol.  Other steps nest column
+    by column, raising `ShapeMismatch` where digit counts differ.
     """
-    tol = to_fraction(tol)
+    tol = _exact(tol, "tol", ValueError)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if max_rank < 0:
+    if _rank(max_rank, "max_rank") < 0:
         raise ValueError(f"max_rank must be >= 0, got {max_rank}")
     num, den = tol.numerator, tol.denominator
     left, length, denominator = 0, 1, 1
+    block = q.block if (len(q.prefix) == len(p.prefix) and q.digit_counts[1]
+                        == p.digit_counts[1]) else None
+    if block:  # a block is whole periods: the streams' cycles stay put
+        pd, poffsets, pentries, _ = p.block
     qcols, pcols = q.stream(), p.stream()
-    for word, _, _, _ in _walk(q, _unit_point(x), max_rank):
-        for a, qcol, pcol in zip(word, qcols, pcols):
+    for table, i, _, _ in _walk(q, _unit_point(x), max_rank):
+        if table is block:
+            nested, scale = length * pentries[i], denominator * pd
+            if nested * den > num * scale:
+                left = left * pd + poffsets[i] * length
+                length, denominator = nested, scale
+                continue
+        for a, qcol, pcol in zip(table[3][i], qcols, pcols):
             d, offsets, entries = pcol.scaled
             if len(entries) != len(qcol.entries):
                 _check_digit_counts(q, p, max_rank)  # raises at this column

@@ -11,11 +11,12 @@ A point becomes a word only through the digit walk of `locate`, `expand`
 (which keeps only the walk's words, and builds no cylinder ends) and
 `f_xi_point`, and a word an interval through the one integer recurrence
 of `cylinder` (`mu_cylinder` is its length), but for `f_xi_point`, which
-nests its image under P column by column as it walks, to stop at the first
-rank within `tol`.  The walk reads the periodic tail through one table per
-matrix, built on its first walk (`ColumnMatrix.block`: m periods as one
-column over at most `BLOCK_WORDS` digit words).  Prefix columns, a period with more words, and
-the columns after the last whole block are walked one column a step.
+nests its image under P as it walks, to stop at the first rank within
+`tol`.  The walk reads the periodic tail through one table per matrix,
+built on its first walk (`ColumnMatrix.block`: m periods as one column
+over at most `BLOCK_WORDS` digit words), as does `cylinder`.  Prefix
+columns, a period with more words, and the columns after the last whole
+block are read one column a step.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain, cycle, islice, repeat
+from itertools import accumulate, chain, count, cycle, islice, repeat
 from operator import attrgetter, ne
 
 from .errors import (
@@ -233,6 +234,11 @@ class ColumnMatrix(Frozen):
         return d, (0, *accumulate(entries)), entries, words
 
     @cached_property
+    def block_rows(self) -> dict:
+        """{word: row} of `block`, or {}: how `cylinder` reads a block."""
+        return {w: i for i, w in enumerate(self.block[3])} if self.block else {}
+
+    @cached_property
     def digit_counts(self) -> tuple:
         """(prefix, period): the digit count n of each column, in order."""
         return tuple(c.n for c in self.prefix), tuple(c.n for c in self.period)
@@ -302,20 +308,27 @@ class Cylinder(Frozen):
 
 
 def _unit_point(x: RationalLike) -> Fraction:
-    t = to_fraction(x)
+    t = _exact(x, "x", ValueError)
     if not 0 <= t < 1:
         raise OutOfUnitInterval(f"{magnitude(t)} is not in [0, 1)")
     return t
 
 
+def _rank(value, name: str) -> int:
+    """`value` if an int (a bool is none), else a ValueError naming it."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, not {value!r}")
+    return value
+
+
 def _walk(matrix: ColumnMatrix, t: Fraction, rank: int) -> Iterator[tuple]:
-    """(word, r, w, d) at each step over columns 1..`rank`: the digits of t
-    that the step reads, t's place r/w inside the cylinder they pick, and
-    the step's denominator d.
+    """(table, i, r, w) at each step over columns 1..`rank`: the step's
+    table (d, C, E, words), the row i of the digits of t that the step
+    reads (`words[i]`), and t's place r/w inside the cylinder they pick.
 
     The tail is read by its `block` while a whole block fits, every other
-    column on its own.  Walks in integer coordinates: at first r/w = t.
-    With the step's table (d, C, E, words) the word is the last i with
+    column on its own by its `ProbColumn.step`.  Walks in integer
+    coordinates: at first r/w = t.  The row is the last i with
     C_i <= d*r/w; then r <- d*r - C_i*w, w <- w*E_i, with no gcd, which
     after a block are the integers its columns would leave.
     """
@@ -326,31 +339,55 @@ def _walk(matrix: ColumnMatrix, t: Fraction, rank: int) -> Iterator[tuple]:
                   repeat(block, blocks),
                   map(step, islice(cycle(matrix.period), rest)))
     r, w = t.numerator, t.denominator
-    for d, offsets, entries, words in steps:
-        i = bisect_right(offsets, d * r // w) - 1  # r < w, so i < len(words)
-        r, w = d * r - offsets[i] * w, w * entries[i]
-        yield words[i], r, w, d
+    for table in steps:
+        d, offsets, entries, _ = table
+        i = bisect_right(offsets, (dr := d * r) // w) - 1  # i < len(words)
+        r, w = dr - offsets[i] * w, w * entries[i]
+        yield table, i, r, w
 
 
 def cylinder(matrix: ColumnMatrix, word: Sequence[int]) -> Cylinder:
     """Exact interval of the cylinder addressed by `word` under `matrix`.
 
     In integers the cylinder is [L/D, (L + Λ)/D).  From L, Λ, D = 0, 1, 1,
-    column j's table (d, C, E) steps L <- L*d + C_a*Λ, Λ <- Λ*E_a and
-    D <- D*d."""
+    each step's table (d, C, E) and row a (`_steps`) step L <- L*d + C_a*Λ,
+    Λ <- Λ*E_a and D <- D*d."""
     word = tuple(word)
     left, length, denominator = 0, 1, 1
-    for j, (a, column) in enumerate(zip(word, matrix.stream()), start=1):
-        d, offsets, entries = column.scaled
-        if not 0 <= a < len(entries):
-            raise DigitOutOfRange(
-                f"digit {a} out of range for column {j} (n={len(entries)})"
-            )
-        left = left * d + offsets[a] * length
-        length *= entries[a]
+    for d, offset, entry in _steps(matrix, word):
+        left = left * d + offset * length
+        length *= entry
         denominator *= d
     return Cylinder(word, Fraction(left, denominator),
                     Fraction(left + length, denominator))
+
+
+def _steps(matrix: ColumnMatrix, word: tuple) -> Iterator[tuple]:
+    """(d, C_a, E_a) of each step that reads `word`: the prefix, the tail's
+    whole blocks while `block_rows` holds them (not for a digit that is not
+    an int: True would find the row of 1), then the rest column by column."""
+    head, rows = len(matrix.prefix), matrix.block_rows
+    columns, j = matrix.stream(), head
+    yield from _column_steps(word[:head], columns, 0)
+    if rows and {*map(type, word)} <= {int}:
+        d, offsets, entries, words = matrix.block
+        width = len(words[0])
+        # a block is whole periods: it leaves the cycle of `columns` in place
+        while (i := rows.get(word[j:j + width])) is not None:
+            yield d, offsets[i], entries[i]
+            j += width
+    yield from _column_steps(word[j:], columns, j)
+
+
+def _column_steps(digits: tuple, columns: Iterator, before: int):
+    """`_steps` of digits read from column `before` + 1 on."""
+    for j, a, column in zip(count(before + 1), digits, columns):
+        d, offsets, entries = column.scaled
+        if type(a) is not int or not 0 <= a < len(entries):
+            raise DigitOutOfRange(
+                f"digit {a!r} out of range for column {j} (n={len(entries)})"
+            )
+        yield d, offsets[a], entries[a]
 
 
 def expand(matrix: ColumnMatrix, x: RationalLike, rank: int) -> tuple:
@@ -358,8 +395,9 @@ def expand(matrix: ColumnMatrix, x: RationalLike, rank: int) -> tuple:
     (the empty word when rank <= 0): the word of `locate`, read from the
     same walk without building the cylinder's ends."""
     word = []
-    for letters, _, _, _ in _walk(matrix, _unit_point(x), max(rank, 0)):
-        word += letters
+    for table, i, _, _ in _walk(matrix, _unit_point(x),
+                                max(_rank(rank, "rank"), 0)):
+        word += table[3][i]
     return tuple(word)
 
 
@@ -377,9 +415,9 @@ def locate(matrix: ColumnMatrix, x: RationalLike, rank: int) -> Cylinder:
     """
     t = _unit_point(x)
     word, r, w, denominator = [], t.numerator, t.denominator, 1
-    for letters, r, w, d in _walk(matrix, t, max(rank, 0)):
-        word += letters
-        denominator *= d
+    for table, i, r, w in _walk(matrix, t, max(_rank(rank, "rank"), 0)):
+        word += table[3][i]
+        denominator *= table[0]
     p, q = t.numerator, t.denominator
     left = p * denominator - r
     return Cylinder(tuple(word), Fraction(left, q * denominator),

@@ -1,4 +1,6 @@
+import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,9 +10,10 @@ from dimlab import (
     expand,
     f_xi_cylinder,
     f_xi_point,
+    locate,
     mu_cylinder,
 )
-from dimlab.errors import ShapeMismatch, ToleranceNotReached
+from dimlab.errors import DigitOutOfRange, ShapeMismatch, ToleranceNotReached
 from dimlab.qtilde import PMatrix
 
 import matrices
@@ -179,3 +182,48 @@ class TestPointEvaluation:
             img = cylinder(p, expand(q, x, rank))
             assert f_xi_point(q, p, x, tol) == (img.left, img.right)
 
+
+
+class TestRefusals:
+    """Arguments a walk or a word cannot read are refused, naming the
+    argument or the column, and not read as something else."""
+
+    @pytest.mark.parametrize("digit", [True, False, 0.0, 1.0, Fraction(1),
+                                       "0", None])
+    @pytest.mark.parametrize("word, column", [
+        ((), 1),
+        # the second 8-column block of QB and P13, behind a whole one
+        ((0, 1) * 6, 13),
+    ])
+    def test_non_int_digit_names_its_column(self, digit, word, column):
+        # True and 1.0 equal 1 and hash as 1: no block row may take them
+        word = (*word, digit, *(1,) * 8)
+        text = (f"^digit {re.escape(repr(digit))} out of range for column "
+                f"{column} \\(n=2\\)$")
+        for call in (lambda: cylinder(QB, word), lambda: mu_cylinder(P13, word),
+                     lambda: f_xi_cylinder(QB, P13, word)):
+            with pytest.raises(DigitOutOfRange, match=text):
+                call()
+
+    @pytest.mark.parametrize("value", [2.5, True, "3", None])
+    def test_rank_must_be_an_int(self, value):
+        text = f" must be an int, not {re.escape(repr(value))}$"
+        tol = Fraction(1, 100)
+        for call, name in ((lambda: expand(QB, Fraction(1, 3), value), "rank"),
+                           (lambda: locate(QB, Fraction(1, 3), value), "rank"),
+                           (lambda: f_xi_point(QB, P13, Fraction(1, 3), tol,
+                                               value), "max_rank")):
+            with pytest.raises(ValueError, match=f"^{name}{text}"):
+                call()
+
+    @pytest.mark.parametrize("value", ["1/0", math.inf, -math.inf, math.nan,
+                                       True, "abc", None])
+    def test_tol_and_x_must_be_exact_rationals(self, value):
+        text = f" is not an exact rational: {re.escape(repr(value))}$"
+        tol = Fraction(1, 100)
+        for call, name in ((lambda: f_xi_point(QB, P13, value, tol), "x"),
+                           (lambda: f_xi_point(QB, P13, 0, value), "tol"),
+                           (lambda: expand(QB, value, 3), "x"),
+                           (lambda: locate(QB, value, 3), "x")):
+            with pytest.raises(ValueError, match=f"^{name}{text}"):
+                call()

@@ -114,7 +114,9 @@ class TestExpand:
             expand(matrices.uniform_binary(), "2e4300", 2)
 
     def test_bool_point_is_not_a_rational(self):
-        with pytest.raises(TypeError, match="bool"):
+        # a ValueError naming the argument, as for "1/0" or NaN
+        with pytest.raises(ValueError,
+                           match="^x is not an exact rational: False$"):
             expand(matrices.uniform_binary(), False, 3)
 
 

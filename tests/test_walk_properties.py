@@ -6,8 +6,10 @@ factors (6, 10, 15, 30), so a column's lcm is not the product of its entry
 denominators, and P columns may carry zero (and unit) entries.
 
 The walk reads the periodic tail a block of m periods at a time
-(`ColumnMatrix.block`), so ranks just before, at and just after a block
-edge are checked on their own, as is a period too wide to block.
+(`ColumnMatrix.block`), as do `cylinder` and, where Q's and P's blocks line
+up, the image nesting of `f_xi_point`; so ranks and words just before, at
+and just after a block edge are checked on their own, as are P layouts
+whose blocks do not line up with Q's and a period too wide to block.
 """
 
 import json
@@ -22,9 +24,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dimlab import cylinder, enumerate_cylinders, expand, f_xi_point, locate
+from dimlab import (cylinder, enumerate_cylinders, expand, f_xi_cylinder,
+                    f_xi_point, locate, mu_cylinder)
 from dimlab.dimension import MoranSpec
-from dimlab.errors import ToleranceNotReached
+from dimlab.errors import DigitOutOfRange, ToleranceNotReached
 from dimlab.harness import load_scenario, run_scenario
 from dimlab.qtilde import BLOCK_WORDS, PMatrix, QMatrix
 
@@ -83,6 +86,23 @@ def matrices(draw):
              for lo in (0, 1)]
     q = QMatrix(*([draw(column(n, False)) for n in part] for part in shape))
     p = PMatrix(*([draw(column(n, True)) for n in part] for part in shape))
+    return q, p
+
+
+@st.composite
+def layouts(draw):
+    """(Q, P) with P's digit counts equal to Q's column by column: of one
+    shape, with P's prefix one column longer (its period rotated by one
+    column to match), or with P's period doubled.  Only in the first are
+    the blocks of Q and P read over the same columns."""
+    q, p = draw(matrices())
+    layout = draw(st.sampled_from(("same", "longer prefix", "doubled")))
+    if layout == "longer prefix":
+        p = PMatrix([*p.prefix, p.period[0]], [
+            *p.period[1:], draw(column(p.period[0].n, True))])
+    elif layout == "doubled":
+        p = PMatrix(p.prefix, [*p.period, *(draw(column(c.n, True))
+                                            for c in p.period)])
     return q, p
 
 
@@ -146,8 +166,8 @@ def test_p_cylinder_matches_reference(pair, data):
     assert (c.left, c.right) == reference_cylinder(p, word)
 
 
-@PROPERTY
-@given(matrices(), points(), st.data())
+@settings(PROPERTY, max_examples=300)
+@given(layouts(), points(), st.data())
 def test_f_xi_point_is_image_at_first_rank_within_tol(pair, x, data):
     q, p = pair
     max_rank = data.draw(st.integers(0, 48))  # ends inside a block, too
@@ -168,6 +188,86 @@ def test_f_xi_point_is_image_at_first_rank_within_tol(pair, x, data):
             f_xi_point(q, p, x, tol, max_rank)
         return
     assert f_xi_point(q, p, x, tol, max_rank) == images[first - 1]
+
+
+def reference_images(q, p, x, max_rank):
+    """The p-images of x's q-cylinders at ranks 1..`max_rank`."""
+    word = reference_walk(q, x, max_rank)[0]
+    return [reference_cylinder(p, word[:r]) for r in range(1, max_rank + 1)]
+
+
+@PROPERTY
+@given(matrices(), points(), st.data())
+def test_f_xi_point_stops_at_each_column_of_a_block(pair, x, data):
+    """tol exactly the image length at the first, a middle and the last
+    column of the first and second block: the block step that reaches tol
+    is nested again column by column, to the first rank within tol."""
+    q, p = pair
+    head, width = len(q.prefix), len(q.block[3][0])
+    max_rank = head + 2 * width + 1
+    images = reference_images(q, p, x, max_rank)
+    lengths = [right - left for left, right in images]
+    for start in (head, head + width):
+        for rank in (start + 1, start + (width + 1) // 2, start + width):
+            tol = lengths[rank - 1]
+            if tol == 0:
+                continue
+            first = next(r for r, length in enumerate(lengths, start=1)
+                         if length <= tol)
+            assert first <= rank
+            assert f_xi_point(q, p, x, tol, max_rank) == images[first - 1]
+
+
+def test_zero_p_entry_inside_a_block_collapses_the_image():
+    """P's period column with a zero entry is every second column of its
+    8-column blocks: a point whose digit is the zero-length one at the
+    second column of the first or second block maps to a single point,
+    found at that column."""
+    q = QMatrix([["1/5", "4/5"]], [["1/3", "2/3"], ["1/4", "3/4"]])
+    p = PMatrix([["1/2", "1/2"]], [["2/5", "3/5"], ["0", "1"]])
+    assert len(q.block[3][0]) == len(p.block[3][0]) == 8
+    for word in ((1, 1, 0), (0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0)):
+        x = reference_cylinder(q, word)[0] + Fraction(1, 10 ** 9)
+        assert reference_walk(q, x, len(word))[0] == word
+        images = reference_images(q, p, x, 20)
+        first = next(r for r, (left, right) in enumerate(images, start=1)
+                     if left == right)
+        assert first == len(word)
+        assert f_xi_point(q, p, x, Fraction(1, 10 ** 9)) == images[first - 1]
+
+
+@PROPERTY
+@given(matrices(), st.data())
+def test_words_at_block_edges_match_reference(pair, data):
+    """Words ending one column before, at and after the edge of the first
+    and second block: the cylinder under Q and P, the measure and the
+    image."""
+    q, p = pair
+    for rank in block_edges(q):
+        word = data.draw(words(q, rank))
+        image = reference_cylinder(p, word)
+        c = cylinder(q, word)
+        assert (c.left, c.right) == reference_cylinder(q, word)
+        for c in (cylinder(p, word), f_xi_cylinder(q, p, word)):
+            assert (c.left, c.right) == image
+        assert mu_cylinder(p, word) == image[1] - image[0]
+
+
+@PROPERTY
+@given(matrices(), st.booleans(), st.data())
+def test_bad_digit_is_named_at_its_column(pair, use_p, data):
+    """A digit out of range, or not an int (True or 1.0 would find the row
+    of 1), at each column of the prefix and of the first two blocks and
+    after them: the error names that column."""
+    matrix = pair[use_p]
+    rank = len(matrix.prefix) + 2 * len(matrix.block[3][0]) + 1
+    word = data.draw(words(matrix, rank))
+    for j, column in enumerate(islice(matrix.stream(), rank)):
+        bad = data.draw(st.sampled_from((-1, column.n, 10 ** 30, True, 1.0)))
+        with pytest.raises(DigitOutOfRange, match=(
+                rf"^digit {bad!r} out of range for column {j + 1} "
+                rf"\(n={column.n}\)$")):
+            cylinder(matrix, (*word[:j], bad, *word[j + 1:]))
 
 
 @PROPERTY
