@@ -19,8 +19,7 @@ from . import measure
 from . import qtilde
 from .errors import DimlabError, ParseError, Record, SchemaError, magnitude
 from .jsontext import column_blocks, sample_blocks, write_json
-from .qtilde import (PMatrix, QMatrix, _check_digit_counts, _exact,
-                     _joint_horizon)
+from .qtilde import PMatrix, QMatrix, _bad_digit, _check_digit_counts, _exact
 
 # the most columns a config may ask to read (`k_max`, `rank`, `ranks`): a
 # criteria run holds about 0.3 KiB a column, so about 0.3 GiB at the bound
@@ -57,17 +56,19 @@ def parse_scenario(doc: dict) -> Scenario:
     p = _built(PMatrix, doc, "P") if "P" in doc else None
     if p is not None:
         # tails of periods m and n that agree on m + n - gcd(m, n) columns
-        # agree on all (Fine and Wilf); "digit < n" needs the lcm
+        # agree on all (Fine and Wilf)
         m, n = len(q.period), len(p.period)
         with _field("P"):
             _check_digit_counts(q, p, max(len(q.prefix), len(p.prefix))
                                 + m + n - math.gcd(m, n))
     moran = _built(dim.MoranSpec, doc, "moran") if "moran" in doc else None
     if moran is not None:
+        # "digit < n" is not an equality, so Fine and Wilf do not apply: it
+        # is checked until both repeat, the longer prefix + the periods' lcm
         with _field("moran"):
-            moran.validate_against(q, _joint_horizon(
-                (q.prefix, q.period),
-                (moran.allowed_prefix, moran.allowed_period)))
+            moran.validate_against(q, max(
+                len(q.prefix), len(moran.allowed_prefix)) + math.lcm(
+                len(q.period), len(moran.allowed_period)))
     k_max = _integer(doc, "k_max", 400, minimum=1)
     if kind == "counterexample" and "ranks" not in doc and k_max < 4:
         # the default ranks are the squares m*m <= k_max with m >= 2
@@ -176,8 +177,8 @@ def _unit_rationals(values, name: str, zero: bool) -> tuple:
 
 
 def _words(values, q: QMatrix) -> tuple:
-    """A config list of digit words; a `SchemaError` names the field, or
-    the first word that is not a list of digits in range for q."""
+    """A config list of digit words; an error names the field, or the
+    first word that is not a list of integer digits in range for q."""
     if not isinstance(values, list):
         raise SchemaError("words must be a list of digit lists")
     prefix, period = q.digit_counts
@@ -188,10 +189,8 @@ def _words(values, q: QMatrix) -> tuple:
         # one pass over the kept digit counts; only a bad word is walked
         if min(word, default=0) < 0 or not all(
                 map(lt, word, chain(prefix, cycle(period)))):
-            for j, (a, column) in enumerate(zip(word, q.stream()), start=1):
-                if not 0 <= a < column.n:
-                    raise SchemaError(f"words[{i}]: digit {a} out of range for "
-                                      f"column {j} (n={column.n})")
+            with _field(f"words[{i}]"):
+                _bad_digit(q, word)
     return tuple(map(tuple, values))
 
 

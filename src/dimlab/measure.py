@@ -71,7 +71,7 @@ def f_xi_point(q: ColumnMatrix, p: ColumnMatrix, x: RationalLike,
     block = q.block if (len(q.prefix) == len(p.prefix) and q.digit_counts[1]
                         == p.digit_counts[1]) else None
     if block:  # a block is whole periods: the streams' cycles stay put
-        pd, poffsets, pentries, _ = p.block
+        pd, poffsets, pentries = p.block[:3]
     qcols, pcols = q.stream(), p.stream()
     for table, i, _, _ in _walk(q, _unit_point(x), max_rank):
         if table is block:

@@ -12,11 +12,11 @@ A point becomes a word only through the digit walk of `locate`, `expand`
 `f_xi_point`, and a word an interval through the one integer recurrence
 of `cylinder` (`mu_cylinder` is its length), but for `f_xi_point`, which
 nests its image under P as it walks, to stop at the first rank within
-`tol`.  The walk reads the periodic tail through one table per matrix,
-built on its first walk (`ColumnMatrix.block`: m periods as one column
-over at most `BLOCK_WORDS` digit words), as does `cylinder`.  Prefix
-columns, a period with more words, and the columns after the last whole
-block are read one column a step.
+`tol`.  Both read columns 1..k through one stream of step tables
+(`ColumnMatrix.steps`): prefix columns one at a time, then the tail's
+whole `block`s (m periods as one column over at most `BLOCK_WORDS`
+words), then the rest column by column.  A digit that a word cannot
+hold has one error, `_bad_digit`'s, which names its column.
 """
 
 from __future__ import annotations
@@ -154,8 +154,9 @@ class ProbColumn(Frozen):
 
     @cached_property
     def step(self) -> tuple:
-        """`scaled` plus each digit as a one-digit word: one walk step."""
-        return (*self.scaled, tuple((a,) for a in range(self.n)))
+        """`scaled`, its one-digit words and {word: row}: a column's table."""
+        words = tuple((a,) for a in range(self.n))
+        return (*self.scaled, words, dict(zip(words, count())))
 
     @cached_property
     def min_entry(self) -> Fraction:
@@ -210,14 +211,26 @@ class ColumnMatrix(Frozen):
         """Columns 1, 2, ... in order, without end."""
         return chain(self.prefix, cycle(self.period))
 
+    def steps(self, rank: int) -> Iterator[tuple]:
+        """The tables that read columns 1..`rank` in order: each prefix
+        column's `ProbColumn.step`, the tail's `block` while a whole one
+        fits, then each remaining column's step.  A table is (d, C, E,
+        words, rows), with rows[words[i]] == i and words of one width."""
+        block, step = self.block, attrgetter("step")
+        tail = max(rank - len(self.prefix), 0)
+        blocks, rest = divmod(tail, len(block[3][0])) if block else (0, tail)
+        return chain(map(step, islice(self.prefix, rank)),
+                     repeat(block, blocks),
+                     map(step, islice(cycle(self.period), rest)))
+
     @cached_property
     def block(self) -> tuple | None:
         """The period unrolled m >= 1 times, m as large as keeps at most
-        `BLOCK_WORDS` words, as one walk step over its words in left-to-right
+        `BLOCK_WORDS` words, as one table of `steps` over its words in
         order; None when one period has more words, or only one.
 
-        (d_B, C_B, E_B, words): d_B = prod d, E_B = prod E over each word,
-        and C_B their running sum, so C_B(a1, a2) = d2*C1[a1] + E1[a1]*C2[a2].
+        d_B = prod d and E_B = prod E over each word, and C_B their running
+        sum, so C_B(a1, a2) = d2*C1[a1] + E1[a1]*C2[a2].
         """
         size = math.prod(column.n for column in self.period)
         if not 1 < size <= BLOCK_WORDS:
@@ -231,12 +244,8 @@ class ColumnMatrix(Frozen):
             d *= cd
             entries = tuple(e * f for e in entries for f in ce)
             words = tuple(w + (a,) for w in words for a in range(column.n))
-        return d, (0, *accumulate(entries)), entries, words
-
-    @cached_property
-    def block_rows(self) -> dict:
-        """{word: row} of `block`, or {}: how `cylinder` reads a block."""
-        return {w: i for i, w in enumerate(self.block[3])} if self.block else {}
+        return d, (0, *accumulate(entries)), entries, words, dict(
+            zip(words, count()))
 
     @cached_property
     def digit_counts(self) -> tuple:
@@ -265,14 +274,6 @@ class QMatrix(ColumnMatrix):
 
 class PMatrix(ColumnMatrix):
     """Measure matrix: zero (and hence unit) entries are permitted."""
-
-
-def _joint_horizon(*parts) -> int:
-    """How many columns eventually periodic sequences, each given as its
-    (prefix, period), take to repeat together: the longest prefix plus the
-    lcm of the period lengths.  A check over these columns covers all."""
-    return (max(len(prefix) for prefix, _ in parts)
-            + math.lcm(*(len(period) for _, period in parts)))
 
 
 def _check_digit_counts(q: ColumnMatrix, p: ColumnMatrix, upto: int) -> None:
@@ -323,24 +324,16 @@ def _rank(value, name: str) -> int:
 
 def _walk(matrix: ColumnMatrix, t: Fraction, rank: int) -> Iterator[tuple]:
     """(table, i, r, w) at each step over columns 1..`rank`: the step's
-    table (d, C, E, words), the row i of the digits of t that the step
+    table from `ColumnMatrix.steps`, the row i of the digits of t that it
     reads (`words[i]`), and t's place r/w inside the cylinder they pick.
 
-    The tail is read by its `block` while a whole block fits, every other
-    column on its own by its `ProbColumn.step`.  Walks in integer
-    coordinates: at first r/w = t.  The row is the last i with
-    C_i <= d*r/w; then r <- d*r - C_i*w, w <- w*E_i, with no gcd, which
-    after a block are the integers its columns would leave.
+    Walks in integer coordinates: at first r/w = t.  The row is the last i
+    with C_i <= d*r/w; then r <- d*r - C_i*w, w <- w*E_i, with no gcd,
+    which after a block are the integers its columns would leave.
     """
-    block, step = matrix.block, attrgetter("step")
-    tail = max(rank - len(matrix.prefix), 0)
-    blocks, rest = divmod(tail, len(block[3][0])) if block else (0, tail)
-    steps = chain(map(step, islice(matrix.prefix, rank)),
-                  repeat(block, blocks),
-                  map(step, islice(cycle(matrix.period), rest)))
     r, w = t.numerator, t.denominator
-    for table in steps:
-        d, offsets, entries, _ = table
+    for table in matrix.steps(rank):
+        d, offsets, entries, _, _ = table
         i = bisect_right(offsets, (dr := d * r) // w) - 1  # i < len(words)
         r, w = dr - offsets[i] * w, w * entries[i]
         yield table, i, r, w
@@ -349,45 +342,35 @@ def _walk(matrix: ColumnMatrix, t: Fraction, rank: int) -> Iterator[tuple]:
 def cylinder(matrix: ColumnMatrix, word: Sequence[int]) -> Cylinder:
     """Exact interval of the cylinder addressed by `word` under `matrix`.
 
-    In integers the cylinder is [L/D, (L + Λ)/D).  From L, Λ, D = 0, 1, 1,
-    each step's table (d, C, E) and row a (`_steps`) step L <- L*d + C_a*Λ,
-    Λ <- Λ*E_a and D <- D*d."""
+    Each table of `ColumnMatrix.steps` reads its segment of the word as
+    row a = rows[segment].  In integers the cylinder is [L/D, (L + Λ)/D);
+    from L, Λ, D = 0, 1, 1, each step sets L <- L*d + C_a*Λ, Λ <- Λ*E_a
+    and D <- D*d.  A digit that is not an int (True would find the row of
+    1), or a segment that is no row, is `_bad_digit`'s error."""
     word = tuple(word)
-    left, length, denominator = 0, 1, 1
-    for d, offset, entry in _steps(matrix, word):
-        left = left * d + offset * length
-        length *= entry
+    if not {*map(type, word)} <= {int}:
+        _bad_digit(matrix, word)
+    left, length, denominator, j = 0, 1, 1, 0
+    for d, offsets, entries, words, rows in matrix.steps(len(word)):
+        a = rows.get(word[j:j + len(words[0])])
+        if a is None:
+            _bad_digit(matrix, word)
+        j += len(words[0])
+        left = left * d + offsets[a] * length
+        length *= entries[a]
         denominator *= d
     return Cylinder(word, Fraction(left, denominator),
                     Fraction(left + length, denominator))
 
 
-def _steps(matrix: ColumnMatrix, word: tuple) -> Iterator[tuple]:
-    """(d, C_a, E_a) of each step that reads `word`: the prefix, the tail's
-    whole blocks while `block_rows` holds them (not for a digit that is not
-    an int: True would find the row of 1), then the rest column by column."""
-    head, rows = len(matrix.prefix), matrix.block_rows
-    columns, j = matrix.stream(), head
-    yield from _column_steps(word[:head], columns, 0)
-    if rows and {*map(type, word)} <= {int}:
-        d, offsets, entries, words = matrix.block
-        width = len(words[0])
-        # a block is whole periods: it leaves the cycle of `columns` in place
-        while (i := rows.get(word[j:j + width])) is not None:
-            yield d, offsets[i], entries[i]
-            j += width
-    yield from _column_steps(word[j:], columns, j)
-
-
-def _column_steps(digits: tuple, columns: Iterator, before: int):
-    """`_steps` of digits read from column `before` + 1 on."""
-    for j, a, column in zip(count(before + 1), digits, columns):
-        d, offsets, entries = column.scaled
-        if type(a) is not int or not 0 <= a < len(entries):
+def _bad_digit(matrix: ColumnMatrix, word: Sequence) -> None:
+    """Raise `DigitOutOfRange` at the first column of `word` whose digit is
+    not an int in range for that column of `matrix`; the caller knows that
+    one is."""
+    for j, (a, column) in enumerate(zip(word, matrix.stream()), start=1):
+        if type(a) is not int or not 0 <= a < column.n:
             raise DigitOutOfRange(
-                f"digit {a!r} out of range for column {j} (n={len(entries)})"
-            )
-        yield d, offsets[a], entries[a]
+                f"digit {a!r} out of range for column {j} (n={column.n})")
 
 
 def expand(matrix: ColumnMatrix, x: RationalLike, rank: int) -> tuple:

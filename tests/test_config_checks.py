@@ -9,9 +9,9 @@ import pytest
 
 from dimlab.cli import main
 from dimlab.dimension import MoranSpec
-from dimlab.errors import DimlabError, SchemaError
+from dimlab.errors import DigitOutOfRange, DimlabError, SchemaError
 from dimlab.harness import parse_scenario
-from dimlab.qtilde import PMatrix, QMatrix
+from dimlab.qtilde import PMatrix, QMatrix, cylinder
 
 BINARY = {"prefix": [], "period": [["1/2", "1/2"]]}
 FIELD = {QMatrix: "Q", PMatrix: "P"}
@@ -233,6 +233,27 @@ def test_infinite_tolerance_is_allowed(tmp_path, capsys):
     path.write_text(json.dumps(
         config("criteria", tolerances={"verdict_band": float("inf")})))
     assert main(["validate", "--config", str(path)]) == 0
+
+
+# a prefix column of 3 digits and a binary period, read by 8-column blocks
+PREFIX_PERIOD = {"prefix": [["1/3", "1/3", "1/3"]],
+                 "period": [["1/2", "1/2"], ["1/4", "3/4"]]}
+
+
+# column 1 is the prefix, 5 inside the first block, 11 after the last
+@pytest.mark.parametrize("column, n", [(1, 3), (5, 2), (11, 2)])
+def test_word_digit_out_of_range_is_cylinders_error(column, n):
+    """A config word's digit out of range is the `DigitOutOfRange` that
+    `cylinder` raises for that word, under the field that holds it."""
+    word = [0] * 12
+    word[column - 1] = 3
+    with pytest.raises(DigitOutOfRange) as read:
+        cylinder(QMatrix(**PREFIX_PERIOD), word)
+    with pytest.raises(DigitOutOfRange) as parsed:
+        parse_scenario(config("transform", Q=PREFIX_PERIOD, P=PREFIX_PERIOD,
+                              words=[[0], word]))
+    text = f"digit 3 out of range for column {column} (n={n})"
+    assert (str(read.value), str(parsed.value)) == (text, f"words[1]: {text}")
 
 
 # (matrix class, its config object, the error its field must give)

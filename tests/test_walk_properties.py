@@ -13,8 +13,9 @@ whose blocks do not line up with Q's and a period too wide to block.
 """
 
 import json
+import re
 from fractions import Fraction
-from itertools import islice, product
+from itertools import accumulate, islice, product
 from math import prod
 
 import pytest
@@ -254,20 +255,25 @@ def test_words_at_block_edges_match_reference(pair, data):
 
 
 @PROPERTY
-@given(matrices(), st.booleans(), st.data())
-def test_bad_digit_is_named_at_its_column(pair, use_p, data):
+@given(matrices(), st.data())
+def test_bad_digit_is_named_at_its_column(pair, data):
     """A digit out of range, or not an int (True or 1.0 would find the row
     of 1), at each column of the prefix and of the first two blocks and
-    after them: the error names that column."""
-    matrix = pair[use_p]
-    rank = len(matrix.prefix) + 2 * len(matrix.block[3][0]) + 1
-    word = data.draw(words(matrix, rank))
-    for j, column in enumerate(islice(matrix.stream(), rank)):
-        bad = data.draw(st.sampled_from((-1, column.n, 10 ** 30, True, 1.0)))
-        with pytest.raises(DigitOutOfRange, match=(
-                rf"^digit {bad!r} out of range for column {j + 1} "
-                rf"\(n={column.n}\)$")):
-            cylinder(matrix, (*word[:j], bad, *word[j + 1:]))
+    after them: the error of `cylinder` under Q and P, `mu_cylinder` and
+    `f_xi_cylinder` names that column."""
+    q, p = pair
+    rank = len(q.prefix) + 2 * len(q.block[3][0]) + 1
+    word = data.draw(words(q, rank))
+    for j, column in enumerate(islice(q.stream(), rank)):
+        bad = data.draw(st.sampled_from((-1, column.n, 10 ** 30, True, 1.0,
+                                         "0")))
+        w = (*word[:j], bad, *word[j + 1:])
+        for call in (lambda: cylinder(q, w), lambda: cylinder(p, w),
+                     lambda: mu_cylinder(p, w), lambda: f_xi_cylinder(q, p, w)):
+            with pytest.raises(DigitOutOfRange, match=(
+                    rf"^digit {re.escape(repr(bad))} out of range for column "
+                    rf"{j + 1} \(n={column.n}\)$")):
+                call()
 
 
 @PROPERTY
@@ -353,13 +359,54 @@ def test_block_is_the_period_composed_column_by_column(pair, use_p):
     """The block table is m periods composed one column at a time, with m
     as large as keeps at most BLOCK_WORDS words."""
     matrix = pair[use_p]
-    d, offsets, entries, words = matrix.block
+    d, offsets, entries, words = matrix.block[:4]
     width = len(words[0])
     m, rest = divmod(width, len(matrix.period))
     assert m >= 1 and rest == 0
     assert (d, offsets, entries, words) == composed(matrix.period * m)
     assert len(words) <= BLOCK_WORDS < len(words) * prod(
         col.n for col in matrix.period)
+
+
+@st.composite
+def digit_layouts(draw):
+    """A P of equal-entry columns: a prefix of 0-3 columns, and a period
+    of 1-3 columns of 1-4 digits (a block, unless it has one word) or of
+    9-10 columns of 2-4 digits (at least 512 words, too wide for one)."""
+    prefix = draw(st.lists(st.integers(1, 4), max_size=3))
+    period = draw(st.one_of(
+        st.lists(st.integers(1, 4), min_size=1, max_size=3),
+        st.lists(st.integers(2, 4), min_size=9, max_size=10)))
+    return PMatrix(*([[Fraction(1, n)] * n for n in part]
+                     for part in (prefix, period)))
+
+
+@PROPERTY
+@given(digit_layouts())
+def test_steps_read_prefix_then_whole_blocks_then_columns(matrix):
+    """At ranks before, at and after the prefix's end and the first two
+    block edges, `steps` reads each column once: prefix columns by their
+    own step, blocks only after the prefix and only whole, as many as fit,
+    and the rest by their own steps; every table's rows index its words."""
+    head, block = len(matrix.prefix), matrix.block
+    width = len(block[3][0]) if block else len(matrix.period)
+    ranks = {head + k * width + e for k in (0, 1, 2) for e in (-1, 0, 1)}
+    for rank in sorted(ranks - {-1}):
+        tables = list(matrix.steps(rank))
+        widths = [len(words[0]) for _, _, _, words, _ in tables]
+        assert sum(widths) == rank
+        columns = list(islice(matrix.stream(), rank))
+        for table, start in zip(tables, accumulate([0, *widths])):
+            words, rows = table[3:]
+            assert len(rows) == len(words)
+            assert all(rows[w] == i for i, w in enumerate(words))
+            if table is block:
+                assert start >= head and (start - head) % width == 0
+                assert start + width <= rank
+            else:
+                assert table is columns[start].step
+        blocks = max(rank - head, 0) // width if block else 0
+        assert sum(table is block for table in tables) == blocks
 
 
 @PROPERTY
