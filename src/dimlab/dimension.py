@@ -3,10 +3,12 @@
 Provides cylinder enumeration for Moran-type sets (exact integer endpoints
 over one common denominator, in left-to-right order, read by iteration: a
 `Cylinder` is built only while iterating), exact grid box counts of a Moran
-set over a cell cover (`cover_counts`, the one box counter: one integer
-sweep per scale that steps from occupied cell to occupied cell, bisecting
-past the cylinders that start in the same cell; memory follows the cover,
-and `MAX_CYLINDERS` still bounds the cylinder count), tail-window limsup
+set from settled cells and runs (`cover_counts`, the one box counter: a
+cylinder that lies in one cell of the scales' common grid leaves the
+expansion as that cell's index, the other cylinders' ends become
+coalesced runs of grid cells, and each scale is counted in one pass over
+the runs; memory follows the cylinders that cross a cell edge, and
+`MAX_CYLINDERS` still bounds the cylinder count), tail-window limsup
 dimension estimates, a family-restricted (cylinder packing)
 estimator, a closed-form oracle for digit-uniform matrices, and one function,
 `premeasure_ordering_check`, that returns the pair (centered, uncentered) of
@@ -27,11 +29,12 @@ The window is fixed; no function takes it as a parameter.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, cycle, islice, product, repeat
+from operator import eq, floordiv
 
 from .errors import (
     BudgetExceeded,
@@ -61,6 +64,15 @@ def _digit_set(allowed, where: str) -> tuple:
     return tuple(sorted(set(allowed)))
 
 
+def _check_allowed(j: int, allowed: tuple, n: int) -> None:
+    """Name the first digit of the sorted set `allowed` outside 0..n-1,
+    at column j, in a `DigitOutOfRange`."""
+    if allowed[0] < 0 or allowed[-1] >= n:
+        a = next(a for a in allowed if not 0 <= a < n)
+        raise DigitOutOfRange(
+            f"allowed digit {a} out of range for column {j} (n={n})")
+
+
 class MoranSpec(Frozen):
     """Per-column allowed digit subsets: finite prefix + periodic tail.
 
@@ -86,11 +98,31 @@ class MoranSpec(Frozen):
     def validate_against(self, matrix: ColumnMatrix, upto: int) -> None:
         for j, allowed, column in zip(range(1, upto + 1), self.stream(),
                                       matrix.stream()):
-            n = column.n
-            if allowed[0] < 0 or allowed[-1] >= n:  # a set is a sorted tuple
-                a = next(a for a in allowed if not 0 <= a < n)
-                raise DigitOutOfRange(
-                    f"allowed digit {a} out of range for column {j} (n={n})")
+            _check_allowed(j, allowed, column.n)
+
+    def validate_all(self, matrix: ColumnMatrix) -> None:
+        """`validate_against` at every column.  Past s, the longer prefix,
+        column s + 1 + t reads Q's period at (u + t) mod m and the spec's
+        at (v + t) mod n, and by the Chinese remainder theorem each allowed
+        set meets every column of its class mod g = gcd(m, n).  So a set is
+        bad where its largest digit reaches its class's least digit count
+        (or a digit is negative): a valid spec costs O(s + m + n).  The bad
+        sets alone are then stepped together, one spec period a round, in
+        column order, so that the first bad column is the one named."""
+        s = max(len(matrix.prefix), len(self.allowed_prefix))
+        self.validate_against(matrix, s)
+        sizes, sets = matrix.digit_counts[1], self.allowed_period
+        m, n = len(sizes), len(sets)
+        g = math.gcd(m, n)
+        u, v = s - len(matrix.prefix), (s - len(self.allowed_prefix)) % n
+        least = [min(sizes[r::g]) for r in range(g)]
+        bad = [(t, allowed) for t, allowed in enumerate(sets[v:] + sets[:v])
+               if allowed[0] < 0 or allowed[-1] >= least[(u + t) % g]]
+        # within m/g rounds each bad set meets every column of its class
+        for step in range(0, m * n // g, n):
+            for t, allowed in bad:
+                _check_allowed(s + 1 + step + t, allowed,
+                               sizes[(u + step + t) % m])
 
     def count(self, rank: int) -> int:
         """prod_{j<=rank} |A_j|: how many words of length `rank`."""
@@ -153,24 +185,38 @@ def enumerate_cylinders(spec: MoranSpec, matrix: ColumnMatrix,
     Degenerate (zero-length) cylinders are skipped: they contribute single
     points, which are dimension-null.
     """
-    return Cylinders(*_expand(spec, matrix, rank))
+    choices, denominator, lefts, lengths, _ = _expand(spec, matrix, rank)
+    # each length becomes its right end in place, so that the ends never
+    # take three lists at once
+    for i, left in enumerate(lefts):
+        lengths[i] += left
+    return Cylinders(choices, denominator, lefts, lengths)
 
 
-def _expand(spec: MoranSpec, matrix: ColumnMatrix, rank: int,
-            grid: Fraction | None = None) -> tuple:
-    """(choices, D, lefts, rights): `enumerate_cylinders`' loop.  With a
-    grid g, a cylinder inside one cell [i*g, (i+1)*g) stops branching and
-    goes on as itself, so the list stays disjoint and in order.  The test
-    starts at the first column whose shortest cylinder fits in a cell."""
+def _check_budget(spec: MoranSpec, matrix: ColumnMatrix, rank: int) -> None:
+    """The spec and the rank-k count checked before any list is built."""
     spec.validate_against(matrix, rank)
     count = spec.count(rank)
     if count > MAX_CYLINDERS:
         raise BudgetExceeded(f"{magnitude(count)} cylinders at rank {rank} "
                              f"exceed budget {MAX_CYLINDERS}")
+
+
+def _expand(spec: MoranSpec, matrix: ColumnMatrix, rank: int,
+            grid: Fraction | None = None) -> tuple:
+    """(choices, D, lefts, lengths, settled): `enumerate_cylinders`' loop,
+    the ends over D.  With a grid g, a cylinder inside one cell
+    [i*g, (i+1)*g) at a column before `rank` leaves the lists, and only i
+    is kept, in `settled`: it and its nonempty descendants meet that one
+    cell at every scale.  The test starts at the first column whose
+    shortest cylinder fits in a cell; a column that keeps no digit empties
+    the set, settled cells included."""
+    _check_budget(spec, matrix, rank)
     choices = []
     denominator = 1
     lefts, lengths = [0], [1]
-    inside = repeat(False)  # whether each cylinder lies in one cell
+    settled = []
+    scale = 1  # D is denominator * scale
     shortest = 1  # the shortest length, over `denominator`
     columns = zip(spec.stream(), matrix.stream())
     for j, (allowed, column) in enumerate(islice(columns, rank), start=1):
@@ -179,34 +225,37 @@ def _expand(spec: MoranSpec, matrix: ColumnMatrix, rank: int,
         starts = [offsets[a] for a in digits]
         widths = [entries[a] for a in digits]
         shortest *= min(widths, default=0)
-        # a cylinder inside a cell goes on as itself, by the entry
-        # (C, E) = (0, d); none does past a column that keeps no digit
-        starts = (starts, [0] if digits else [])
-        widths = (widths, [d] if digits else [])
         lefts = [left * d + c * length
-                 for left, length, t in zip(lefts, lengths, inside)
-                 for c in starts[t]]
-        lengths = [length * e for length, t in zip(lengths, inside)
-                   for e in widths[t]]
+                 for left, length in zip(lefts, lengths) for c in starts]
+        lengths = [length * e for length in lengths for e in widths]
+        choices.append(tuple(digits))
+        denominator *= d
+        if not digits:
+            settled.clear()
+        elif grid is not None and j < rank and (
+                shortest * grid.denominator <= grid.numerator * denominator):
+            if scale == 1:
+                # from here on the ends are over D*b, where a g-cell of
+                # width a/b is a whole D*a wide
+                scale = grid.denominator
+                lefts = [left * scale for left in lefts]
+                lengths = [length * scale for length in lengths]
+            # [L, L + length) lies in one cell, or stays in place, in order
+            width = denominator * grid.numerator
+            kept = 0
+            for left, length in zip(lefts, lengths):
+                if left % width + length <= width:
+                    settled.append(left // width)
+                else:
+                    lefts[kept], lengths[kept] = left, length
+                    kept += 1
+            del lefts[kept:], lengths[kept:]
         if j == rank - 1:
             # the last column reads these lengths while its two lists grow;
             # equal lengths then share one int, so that they take little
             shared = {}
             lengths = [shared.setdefault(x, x) for x in lengths]
-        choices.append(tuple(digits))
-        denominator *= d
-        if grid is not None and j < rank and (
-                shortest * grid.denominator <= grid.numerator * denominator):
-            # [L, L + length) over D lies in one cell of width W/b, W = D*a
-            b = grid.denominator
-            width = denominator * grid.numerator
-            inside = [left * b % width + length * b <= width
-                      for left, length in zip(lefts, lengths)]
-    # each length becomes its right end in place, so that the ends never
-    # take three lists at once
-    for i, left in enumerate(lefts):
-        lengths[i] += left
-    return tuple(choices), denominator, lefts, lengths
+    return tuple(choices), denominator * scale, lefts, lengths, settled
 
 
 def cover_counts(spec: MoranSpec, matrix: ColumnMatrix, rank: int,
@@ -215,54 +264,59 @@ def cover_counts(spec: MoranSpec, matrix: ColumnMatrix, rank: int,
     cylinders, at each scale 0 < delta < 1 (at delta >= 1 the log ratio has
     no meaning).  Every scale is a whole multiple of g = gcd(numerators) /
     lcm(denominators), so a cylinder inside one g-cell meets one cell at
-    every scale, as do its nonempty descendants: the expansion stops
-    branching it, and the sweep reads this cover."""
+    every scale, as do its nonempty descendants: the expansion settles it
+    as that cell's index, and the counts are read from the settled cells
+    and the runs of g-cells that the other cylinders cover."""
     scales = [to_fraction(delta) for delta in scales]
     for delta in scales:
         if not 0 < delta < 1:
             raise ValueError(f"scale {delta} is not in (0, 1)")
-    grid = None
-    if scales:
-        grid = Fraction(math.gcd(*(x.numerator for x in scales)),
-                        math.lcm(*(x.denominator for x in scales)))
-    _, denominator, lefts, rights = _expand(spec, matrix, rank, grid)
-    return _sweep(denominator, lefts, rights, scales)
+    if not scales:
+        _check_budget(spec, matrix, rank)
+        return []
+    grid = Fraction(math.gcd(*(x.numerator for x in scales)),
+                    math.lcm(*(x.denominator for x in scales)))
+    _, denominator, lefts, lengths, settled = _expand(spec, matrix, rank,
+                                                      grid)
+    return _run_counts(denominator, lefts, lengths, settled, grid, scales)
 
 
-def _sweep(denominator: int, lefts: list, rights: list, scales: list) -> list:
-    """`cover_counts`' sweep over what `_expand` makes: ascending, disjoint
-    [lefts[i], rights[i]) / D of positive length, with ends >= 0.  With
-    delta = a/b, L lies in cell (L*b) // (D*a).  A cylinder that reaches
-    past its cell is one step; one that ends in it is one step with the
-    later ones that start there (found by bisection where the cell holds
-    three or more), which cover it through the last one's right end."""
-    n = len(lefts)
+def _run_counts(denominator: int, lefts: list, lengths: list, settled: list,
+                grid: Fraction, scales: list) -> list:
+    """`cover_counts`' count over what `_expand` leaves: ascending, disjoint
+    [lefts[i], lefts[i] + lengths[i]) / D of positive length, lefts >= 0,
+    and the g-cells `settled`.  The two lists become the runs' first and
+    last g-cells in place, the settled cells join both, and each list is
+    sorted alone: no two runs share two cells, so the i-th least first
+    and last cells bound one run of a chain over the same cells.  Runs that
+    touch are then joined.  At delta = m*g a run meets cells lo // m ..
+    hi // m: a count is the sum of those spans, less one where a run
+    starts where the one before ends."""
+    b = grid.denominator
+    width = denominator * grid.numerator
+    los, his = lefts, lengths  # in place: each run's first and last cell
+    for i, left in enumerate(los):
+        los[i] = left * b // width
+        his[i] = ((left + his[i]) * b - 1) // width
+    los += settled
+    los.sort()
+    his += settled
+    his.sort()
+    last = -1  # the index of the last run written
+    end = -2  # its hi
+    for lo, hi in zip(los, his):
+        if lo > end + 1:
+            last += 1
+            los[last] = lo
+        his[last] = end = hi
+    del los[last + 1:], his[last + 1:]
     samples = []
     for delta in scales:
-        b = delta.denominator
-        width = denominator * delta.numerator
-        # left ends ascend, so only cells past the last one counted are new
-        count = 0
-        last = -1
-        i = 0  # the next cylinder to read
-        while i < n:
-            cell = lefts[i] * b // width
-            hi = -(-rights[i] * b // width) - 1
-            i += 1
-            if hi <= cell:
-                # bound: the least left end in a later cell.  The next two
-                # cylinders are compared first, so that where a cell holds
-                # one or two cylinders no bisection is made.
-                bound = -(-(cell + 1) * width // b)
-                if i < n and lefts[i] < bound:
-                    i += 1
-                    if i < n and lefts[i] < bound:
-                        i = bisect_left(lefts, bound, i + 1)
-                    hi = -(-rights[i - 1] * b // width) - 1
-            lo = cell if cell > last else last + 1
-            if hi >= lo:
-                count += hi - lo + 1
-                last = hi
+        m = repeat(delta.numerator * b // (delta.denominator * grid.numerator))
+        count = (sum(map(floordiv, his, m)) + len(his)
+                 - sum(map(floordiv, los, m))
+                 - sum(map(eq, map(floordiv, islice(los, 1, None), m),
+                           map(floordiv, his, m))))
         if count <= 1:
             log_ratio = 0.0
         else:

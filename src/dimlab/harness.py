@@ -64,11 +64,9 @@ def parse_scenario(doc: dict) -> Scenario:
     moran = _built(dim.MoranSpec, doc, "moran") if "moran" in doc else None
     if moran is not None:
         # "digit < n" is not an equality, so Fine and Wilf do not apply: it
-        # is checked until both repeat, the longer prefix + the periods' lcm
+        # is checked by residue class of the two periods
         with _field("moran"):
-            moran.validate_against(q, max(
-                len(q.prefix), len(moran.allowed_prefix)) + math.lcm(
-                len(q.period), len(moran.allowed_period)))
+            moran.validate_all(q)
     k_max = _integer(doc, "k_max", 400, minimum=1)
     if kind == "counterexample" and "ranks" not in doc and k_max < 4:
         # the default ranks are the squares m*m <= k_max with m >= 2

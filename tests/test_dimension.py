@@ -162,7 +162,8 @@ class TestIntegerKernel:
     def test_cover_peak_is_at_most_half_the_enumeration_peak(self):
         # box_deep's shape: four columns over 17, 19, 17 and 23 that keep
         # 2, 2, 2 and 3 digits, so rank 14 has 55,296 cylinders; about a
-        # third of them reach rank 14 in the cover of the 2^-14 grid
+        # sixth of them reach rank 14 at the 2^-14 grid, and 8,820 earlier
+        # ones settle in one cell each
         q = QMatrix([], [["13/17", "4/17"], ["2/19", "7/19", "10/19"],
                          ["12/17", "5/17"], ["3/23", "5/23", "7/23", "8/23"]])
         spec = MoranSpec([], [(0, 1), (1, 2), (0, 1), (0, 2, 3)])
@@ -173,23 +174,40 @@ class TestIntegerKernel:
 
     def test_cover_tests_no_level_whose_cylinders_exceed_a_cell(self):
         # at the Cantor set's rank-k scale no cylinder of a lower rank fits
-        # in one cell, so no level is tested and no flag list is made: the
-        # cover is the enumeration, counted at the counts' peak
+        # in one cell, so no level is tested and none settles: the cover is
+        # the enumeration, and its ends become runs in place
         scales = [Fraction(1, 3 ** k) for k in range(8, 13)]
-        enumerated = traced_peak(
-            lambda: sweep(enumerate_cylinders(CANTOR, Q3, 12), scales))
+        enumerated = traced_peak(lambda: enumerate_cylinders(CANTOR, Q3, 12))
         covered = traced_peak(lambda: cover_counts(CANTOR, Q3, 12, scales))
-        # a flag per rank-11 cylinder would add 2048 pointers, 16 KiB
+        # a new list of the 4096 runs would add 32 KiB of pointers alone
         assert covered <= enumerated + 4096
 
+    def test_no_scales_returns_before_the_expansion(self):
+        spec = matrices.full_spec(2)
+        assert traced_peak(lambda: cover_counts(spec, QB, 14, [])) < 16 * 1024
+        assert cover_counts(spec, QB, 14, []) == []
+        # the spec and budget checks still run first
+        with pytest.raises(BudgetExceeded):
+            cover_counts(spec, QB, 23, [])
 
-def sweep(cyls, scales):
-    """`cover_counts`' sweep over every cylinder of an enumeration."""
-    return dimension._sweep(cyls.denominator, cyls.lefts, cyls.rights, scales)
+
+def grid_of(scales):
+    """The grid g of `cover_counts`: gcd(numerators) / lcm(denominators)."""
+    return Fraction(math.gcd(*(x.numerator for x in scales)),
+                    math.lcm(*(x.denominator for x in scales)))
+
+
+def run_counts(cyls, scales):
+    """`cover_counts`' count over every cylinder of an enumeration, none
+    settled; on new lists, which the count rewrites."""
+    return dimension._run_counts(
+        cyls.denominator, list(cyls.lefts),
+        [b - a for a, b in zip(cyls.lefts, cyls.rights)], [],
+        grid_of(scales), scales)
 
 
 def cell_sets(cyls, scales):
-    """Independent of the sweep: at each scale, the number of cells i that
+    """Independent of the count: at each scale, the number of cells i that
     some [left, right) meets, i from floor(left/delta) to
     ceil(right/delta) - 1."""
     return [len({i for c in cyls for i in range(math.floor(c.left / delta),
@@ -258,7 +276,7 @@ def drawn_scales(draw, cylinders):
 
 
 class TestBoxCountsProperties:
-    """The cell-wise sweep against the cell-by-cell oracle."""
+    """The run count against the cell-by-cell oracle."""
 
     @PROPERTY
     @given(small_systems(columns=(2, 4), denominators=(2, 5), ranks=(3, 6)),
@@ -267,10 +285,56 @@ class TestBoxCountsProperties:
         cyls = enumerate_cylinders(*system)
         assume(len(cyls) > 0)
         scales = drawn_scales(data.draw, cyls)
-        samples = sweep(cyls, scales)
+        samples = run_counts(cyls, scales)
         assert samples == cover_counts(*system, scales)
         for smp in samples:
             assert smp.count == brute_force_cells(cyls, smp.scale)
+
+
+# multipliers m of the scales m*g: nested ones, then ones that do not nest
+MULTIPLIERS = ((1,), (1, 2, 4, 8), (2, 6, 12), (2, 3), (3, 4, 10), (5, 7))
+
+
+def cells_met(intervals, delta):
+    """Independent of the count: the cells i, from floor(left/delta) to
+    ceil(right/delta) - 1, that some [left, right) meets."""
+    return {i for left, right in intervals
+            for i in range(math.floor(left / delta), math.ceil(right / delta))}
+
+
+class TestRunCounts:
+    """The run count against the set of cells met, on drawn ends."""
+
+    @PROPERTY
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(1, 40)),
+                    max_size=12),
+           st.integers(1, 3), st.integers(50, 1500),
+           st.sampled_from(MULTIPLIERS), st.data())
+    def test_counts_are_the_cells_met(self, steps, a, b, multipliers, data):
+        # ascending, disjoint ends over 512, each a gap (0: touching the
+        # one before) and a length of 1 to 40, against cells of g = a/b,
+        # 0.3 to 31 units wide: a cylinder may share a cell or span many
+        lefts, lengths = [], []
+        end = 0
+        for gap, length in steps:
+            lefts.append(end + gap)
+            lengths.append(length)
+            end += gap + length
+        grid = Fraction(a, b)
+        cells = math.ceil(Fraction(end + 1, 512) / grid)
+        settled = data.draw(st.lists(st.integers(0, cells), max_size=12))
+        scales = [m * grid for m in multipliers]
+        intervals = [(Fraction(left, 512), Fraction(left + length, 512))
+                     for left, length in zip(lefts, lengths)]
+        intervals += [(c * grid, (c + 1) * grid) for c in settled]
+        samples = dimension._run_counts(512, lefts, lengths, list(settled),
+                                        grid, scales)
+        assert [s.count for s in samples] == [
+            len(cells_met(intervals, delta)) for delta in scales]
+        # the lists now hold the runs' first and last cells: ascending and
+        # disjoint, and no two touch
+        assert all(lo <= hi for lo, hi in zip(lefts, lengths))
+        assert all(hi + 1 < lo for hi, lo in zip(lengths, lefts[1:]))
 
 
 # scale sets that do not nest: no scale is a multiple of the finest, so the
@@ -286,12 +350,11 @@ def scale_sets(spec, matrix, rank):
     """Each `NON_NESTING` set as it is, then scaled so that its finest
     scale, or its grid g or 2g or 4g, is the longest cylinder of a rank
     below `rank` (where every scale stays below 1).  Cells are then about
-    as long as the cylinders that the cover may carry, so that a wrong
-    carry changes a count."""
+    as long as the cylinders that the expansion may settle, so that a
+    wrong settle changes a count."""
     for base in NON_NESTING:
         yield base
-        grid = Fraction(math.gcd(*(x.numerator for x in base)),
-                        math.lcm(*(x.denominator for x in base)))
+        grid = grid_of(base)
         for j in range(1, rank):
             longest = max((c.length for c in
                            enumerate_cylinders(spec, matrix, j)), default=0)
@@ -312,7 +375,7 @@ class TestCoverCounts:
             samples = cover_counts(*system, scales)
             assert [smp.count for smp in samples] == cell_sets(cyls, scales)
         # the unscaled sets have few cells, so each is also checked cell by
-        # cell (at finer scales the sweep is, in TestBoxCountsProperties)
+        # cell (at finer scales the count is, in TestBoxCountsProperties)
         for scales in NON_NESTING:
             for smp in cover_counts(*system, scales):
                 assert smp.count == (brute_force_cells(cyls, smp.scale)
@@ -328,6 +391,15 @@ class TestCoverCounts:
         assert [s.count for s in cover_counts(spec, p, 4, scales)] == [0, 0]
         # one column earlier nothing is dropped: eight cells of 1/8
         assert [s.count for s in cover_counts(spec, p, 3, scales)] == [4, 8]
+
+    def test_keeps_a_cylinder_one_unit_past_a_cell_edge(self):
+        # at g = 1/2 the rank-1 cylinder [1/5, 3/5) is [2, 6) over D*b = 10,
+        # where a cell is 5 wide: it reaches one unit into cell 1, so it is
+        # not settled, and its rank-2 child [2/5, 3/5) counts there
+        q = QMatrix([["1/5", "2/5", "2/5"]], [["1/2", "1/2"]])
+        spec = MoranSpec([(1,)], [(0, 1)])
+        assert [s.count for s in cover_counts(spec, q, 2,
+                                              [Fraction(1, 2)])] == [2]
 
     def test_mixed_scales_fixture(self, fixture_path):
         # the CLI smoke run's gcd-grid case: g = 1/540 over four scales
@@ -368,22 +440,18 @@ class TestBoxCounts:
             cover_counts(matrices.full_spec(2), QB, 23,
                          [Fraction(1, 4), scale])
 
-    def test_two_per_cell_makes_no_bisection(self, monkeypatch):
-        # the full binary rank-8 tiling holds two cylinders in each cell of
-        # 2^-7, which the sweep compares without bisecting; at 2^-6 each
-        # cell holds four, and each cell takes one bisection
-        calls = []
-
-        def bisect_left(*args):
-            calls.append(args)
-            return bisect.bisect_left(*args)
-
-        monkeypatch.setattr(dimension, "bisect_left", bisect_left)
+    def test_full_tiling_is_one_run(self):
+        # the 256 cylinders of the full binary rank-8 tiling touch end to
+        # end, so their ends become the one run of g-cells 0..127 at
+        # g = 2^-7, which each scale reads once
         cyls = enumerate_cylinders(matrices.full_spec(2), QB, 8)
-        assert [s.count for s in sweep(cyls, [Fraction(1, 2 ** 7)])] == [2 ** 7]
-        assert not calls
-        assert [s.count for s in sweep(cyls, [Fraction(1, 2 ** 6)])] == [2 ** 6]
-        assert len(calls) == 2 ** 6
+        lefts, lengths = list(cyls.lefts), [1] * len(cyls)
+        assert cyls.denominator == 2 ** 8
+        scales = [Fraction(1, 2 ** 7), Fraction(1, 2 ** 6), Fraction(3, 8)]
+        samples = dimension._run_counts(cyls.denominator, lefts, lengths, [],
+                                        Fraction(1, 2 ** 7), scales)
+        assert (lefts, lengths) == ([0], [2 ** 7 - 1])
+        assert [s.count for s in samples] == [2 ** 7, 2 ** 6, 3]
 
     def test_one_two_and_three_per_cell(self):
         # cells of 1/4 holding one, two, three and two cylinders, then a
@@ -394,8 +462,9 @@ class TestBoxCounts:
         cyls = [Cylinder((), Fraction(a, 16), Fraction(b, 16))
                 for a, b in ends]
         for delta in (Fraction(1, 4), Fraction(1, 8), Fraction(1, 2)):
-            (smp,) = dimension._sweep(16, [a for a, _ in ends],
-                                      [b for _, b in ends], [delta])
+            (smp,) = dimension._run_counts(16, [a for a, _ in ends],
+                                           [b - a for a, b in ends], [],
+                                           delta, [delta])
             assert smp.count == brute_force_cells(cyls, delta)
 
     def test_grid_count_equals_cylinder_count_on_full_tiling(self):

@@ -214,6 +214,27 @@ def count_pairs(draw):
     return q_prefix, q_period, q_counts[:s], p_period
 
 
+def uniform(n):
+    """A column of n equal entries."""
+    return [f"1/{n}"] * n
+
+
+def lcm_walk(q_prefix, q_period, prefix, period):
+    """The error text of the first column, up to the longer prefix plus
+    the periods' lcm, where an allowed digit is not below Q's digit count
+    there; None if there is none."""
+    horizon = (max(len(q_prefix), len(prefix))
+               + math.lcm(len(q_period), len(period)))
+    for j, n, allowed in zip(range(1, horizon + 1),
+                             chain(q_prefix, cycle(q_period)),
+                             chain(prefix, cycle(period))):
+        bad = [a for a in sorted(allowed) if not 0 <= a < n]
+        if bad:
+            return (f"moran: allowed digit {bad[0]} out of range for "
+                    f"column {j} (n={n})")
+    return None
+
+
 def dimension_doc(**fields):
     doc = {"kind": "dimension",
            "Q": {"prefix": [], "period": [["1/2", "1/2"]]},
@@ -249,6 +270,64 @@ class TestParseChecks:
         with pytest.raises(DigitOutOfRange):
             parse_scenario(dimension_doc(
                 Q=q, moran={"allowed_prefix": [], "allowed_period": period}))
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(st.integers(1, 6), st.integers(1, 6), st.data())
+    def test_moran_checked_by_class_as_the_lcm_walk(self, a, b, data):
+        # prefixes of 0-3 columns, periods of 1-6, each order of the two
+        # period lengths; most sets keep digits 0 and 1, valid everywhere,
+        # and most columns have 3 or 4 digits, so that a bad set is often
+        # first met past its first columns
+        counts = st.sampled_from((2, 3, 3, 4, 4, 4))
+        safe = st.sets(st.integers(0, 1), min_size=1)
+        sets = st.one_of(safe, safe, safe,
+                         st.sets(st.integers(0, 2), min_size=1),
+                         st.sets(st.integers(-1, 3), min_size=1, max_size=2))
+        for m, n in ((a, b), (b, a)):
+            q_prefix = data.draw(st.lists(counts, max_size=3))
+            q_period = data.draw(st.lists(counts, min_size=m, max_size=m))
+            prefix = data.draw(st.lists(sets, max_size=3))
+            period = data.draw(st.lists(sets, min_size=n, max_size=n))
+            expected = lcm_walk(q_prefix, q_period, prefix, period)
+            doc = dimension_doc(
+                Q={"prefix": [uniform(k) for k in q_prefix],
+                   "period": [uniform(k) for k in q_period]},
+                moran={"allowed_prefix": [sorted(x) for x in prefix],
+                       "allowed_period": [sorted(x) for x in period]})
+            if expected is None:
+                parse_scenario(doc)
+            else:
+                with pytest.raises(DigitOutOfRange) as caught:
+                    parse_scenario(doc)
+                assert str(caught.value) == expected
+
+    def test_moran_error_names_the_first_bad_column_of_all_sets(self):
+        # sets 1 and 2 of the spec's period are both bad against the binary
+        # column; set 1 first meets one at column 4, set 2 at column 2
+        doc = dimension_doc(
+            Q={"prefix": [], "period": [uniform(3), uniform(2)]},
+            moran={"allowed_prefix": [],
+                   "allowed_period": [[0, 1, 2], [0, 1, 2], [0]]})
+        with pytest.raises(DigitOutOfRange, match=(
+                r"^moran: allowed digit 2 out of range for column 2 "
+                r"\(n=2\)$")):
+            parse_scenario(doc)
+
+    def test_moran_coprime_periods_of_four_thousand_parse_fast(self):
+        # a joint period of about 1.6e7 columns, which the lcm walk took
+        # 2-3 s to read (CPython 3.11, x86-64); each class is read once
+        doc = dimension_doc(
+            Q={"prefix": [], "period": [["1/2", "1/2"]] * 4001},
+            moran={"allowed_prefix": [], "allowed_period": [[0, 1]] * 4003})
+        start = time.perf_counter()
+        parse_scenario(doc)
+        assert time.perf_counter() - start < 0.1
+        doc["moran"]["allowed_period"][4002] = [0, 1, 2]
+        with pytest.raises(DigitOutOfRange, match=(
+                r"^moran: allowed digit 2 out of range for column 4003 "
+                r"\(n=2\)$")):
+            parse_scenario(doc)
 
     @pytest.mark.parametrize("scales,index", [
         (["0"], 0), (["-1/4"], 0), (["1/4", "1/0"], 1), (["1/4", "x"], 1),
