@@ -16,14 +16,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dimlab",
         description="Numeration-system dimension workbench",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in KINDS + ("validate",):
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True)
-        p.add_argument("--out", default="dimlab-out")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--plot-data", action="store_true",
-                       help="also emit two-column series files")
+    parser.add_argument("command", choices=KINDS + ("validate",))
+    parser.add_argument("--config", required=True)
+    parser.add_argument("--out", default="dimlab-out")
+    parser.add_argument("--format", choices=("json", "csv"), default="json")
+    parser.add_argument("--plot-data", action="store_true",
+                        help="also emit two-column series files")
     return parser
 
 

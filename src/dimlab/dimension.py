@@ -96,9 +96,15 @@ class MoranSpec(Frozen):
         return chain(self.allowed_prefix, cycle(self.allowed_period))
 
     def validate_against(self, matrix: ColumnMatrix, upto: int) -> None:
+        """`_check_allowed` at columns 1..upto.  A column whose allowed set
+        and matrix column are the very objects before it (interned sets
+        and columns come in runs) passes as that one did, unchecked."""
+        allowed_before = column_before = None
         for j, allowed, column in zip(range(1, upto + 1), self.stream(),
                                       matrix.stream()):
-            _check_allowed(j, allowed, column.n)
+            if allowed is not allowed_before or column is not column_before:
+                allowed_before, column_before = allowed, column
+                _check_allowed(j, allowed, column.n)
 
     def validate_all(self, matrix: ColumnMatrix) -> None:
         """`validate_against` at every column.  Past s, the longer prefix,
@@ -353,20 +359,25 @@ def family_dim(spec: MoranSpec, matrix: ColumnMatrix,
     log_count = 0.0
     max_len = Fraction(1)
     columns = zip(spec.stream(), matrix.stream())
+    choices_before = col_before = None  # the pair whose factor is `factor`
     j = 1
     for k in ranks:
         num = den = 1  # the entries' product since the last sample
         while j <= k:
             choices, col = next(columns)
-            key = id(choices), id(col)
-            factor = best.get(key)
-            if factor is None:
-                entry = max(col.entries[a] for a in choices)
-                if entry == 0:
-                    raise DegenerateDenominator(
-                        f"all allowed digits at column {j} have zero length")
-                factor = best[key] = (entry.numerator, entry.denominator,
-                                      len(choices), math.log(len(choices)))
+            if choices is not choices_before or col is not col_before:
+                choices_before, col_before = choices, col
+                key = id(choices), id(col)
+                factor = best.get(key)
+                if factor is None:
+                    entry = max(col.entries[a] for a in choices)
+                    if entry == 0:
+                        raise DegenerateDenominator(
+                            f"all allowed digits at column {j} have zero "
+                            "length")
+                    factor = best[key] = (entry.numerator, entry.denominator,
+                                          len(choices),
+                                          math.log(len(choices)))
             num *= factor[0]
             den *= factor[1]
             count *= factor[2]

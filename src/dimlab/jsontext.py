@@ -124,14 +124,16 @@ class _Writer:
     def lists(self, items, indent: str) -> None:
         """A list of lists, each run among them written with its separator
         in one chunk: a config's columns, a spec's digit sets.  An item that
-        is the object before it (a spec's interned digit sets, in runs) is
-        written from the text made for that object."""
+        is the object before it (a spec's interned digit sets, in runs), or
+        equal to it where that one is a list of str (a config's repeated
+        columns), is written from the text made for that one: equal strs
+        have one text, and a str only equals a str."""
         write = self.write
         inner = indent + "  "
         lead = "[\n" + inner
-        last = text = None
+        last = kind = text = None
         for item in items:
-            if item is not last:
+            if item is not last and (kind is not str or item != last):
                 last = item
                 kind = _kind(item)
                 text = (self.run(kind, item, inner) if kind in _RUN_TEXT

@@ -89,7 +89,10 @@ def _intern(obj, names: tuple, convert, what: str) -> dict:
     converted once, at the first position (`where`: "prefix[3]") holding
     them; the key keeps each value's type, so `True` never passes for a
     `1` seen before.  Any other item is keyed by identity.  An item that is
-    the very object before it takes that one's value, keyed no second time."""
+    the very object before it, or equal to it where that one is a list or
+    tuple of `str`, takes that one's value, keyed no second time: a str
+    only equals a str, so the rule keeps `[1]`, `[true]` and `[1.0]` apart
+    too, and a long prefix costs one comparison a repeated column."""
     table = {}
     for name in names:
         items = getattr(obj, name)
@@ -97,11 +100,17 @@ def _intern(obj, names: tuple, convert, what: str) -> dict:
             raise SchemaError(f"{name} must be a list of {what}")
         converted = []
         last = object()  # the item before, which no first item is
+        strs = False  # whether `last` is a list or tuple of str
         for i, item in enumerate(items):
-            if item is not last:
+            if item is not last and not (strs and item == last):
                 last = item
-                key = ((*map(type, item), *item)
-                       if isinstance(item, (list, tuple)) else id(item))
+                if isinstance(item, (list, tuple)):
+                    types = (*map(type, item),)
+                    strs = types.count(str) == len(types)
+                    key = (*types, *item)
+                else:
+                    strs = False
+                    key = id(item)
                 try:
                     value = table[key]
                 except (KeyError, TypeError):  # new, or unhashable (a list)

@@ -291,6 +291,11 @@ MATRIX_DOCS = [
     (QMatrix, {"prefix": [["1/2", "1/2"], ["1"], ["1/2", "1/2"], ["1"]],
                "period": [["1"]]},
      r"Q.prefix\[1\]: geometry entry 1 "),
+    # equal copies in a run, then a bad run: named at its first position
+    (PMatrix, {"prefix": [["1/2", "1/2"], ["1/2", "1/2"], ["1", "0"],
+                          ["1/2", "1/3"], ["1/2", "1/3"]],
+               "period": [["1/2", "1/2"]]},
+     r"P.prefix\[3\]: column sums to 5/6"),
 ]
 
 
