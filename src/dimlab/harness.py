@@ -13,9 +13,6 @@ from itertools import chain, count, cycle
 from operator import lt
 from pathlib import Path
 
-from . import criteria as crit
-from . import dimension as dim
-from . import measure
 from . import qtilde
 from .errors import DimlabError, ParseError, Record, SchemaError, magnitude
 from .jsontext import column_blocks, sample_blocks, write_json
@@ -61,8 +58,10 @@ def parse_scenario(doc: dict) -> Scenario:
         with _field("P"):
             _check_digit_counts(q, p, max(len(q.prefix), len(p.prefix))
                                 + m + n - math.gcd(m, n))
-    moran = _built(dim.MoranSpec, doc, "moran") if "moran" in doc else None
-    if moran is not None:
+    moran = None
+    if "moran" in doc:
+        from .dimension import MoranSpec
+        moran = _built(MoranSpec, doc, "moran")
         # "digit < n" is not an equality, so Fine and Wilf do not apply: it
         # is checked by residue class of the two periods
         with _field("moran"):
@@ -235,6 +234,7 @@ def _run_expand(s: Scenario) -> dict:
 
 
 def _run_transform(s: Scenario) -> dict:
+    from . import measure
     word_rows = []
     for w in s.words:
         src = qtilde.cylinder(s.q, w)
@@ -253,6 +253,7 @@ def _run_transform(s: Scenario) -> dict:
 
 
 def _run_dimension(s: Scenario) -> dict:
+    from . import dimension as dim
     ranks = sorted(s.ranks)
     uniform = s.q.is_digit_uniform()
     family = dim.family_dim(s.moran, s.q, ranks)
@@ -274,11 +275,13 @@ def _run_dimension(s: Scenario) -> dict:
 
 
 def _run_criteria(s: Scenario) -> dict:
+    from . import criteria as crit
     return {"criteria": crit.pdp_verdict(
         s.q, s.p, s.k_max, measure_dim_tol=s.tolerances["verdict_band"])}
 
 
 def _run_preservation(s: Scenario) -> dict:
+    from . import criteria as crit, dimension as dim
     ranks = sorted(s.ranks)
     out = _run_criteria(s)
     out["source_dim"] = source = dim.family_dim(s.moran, s.q, ranks)
@@ -291,6 +294,7 @@ def _run_preservation(s: Scenario) -> dict:
 
 
 def _run_counterexample(s: Scenario) -> dict:
+    from . import criteria as crit, dimension as dim
     k_max = s.k_max
     members, partials, b_estimate = crit.sparse_column_stats(s.q, s.p, k_max)
     spec = crit.counterexample_spec(s.q, s.p, k_max, members)
@@ -387,11 +391,13 @@ def emit_report(report: Report, out_dir, fmt: str = "json",
     # writes their rows as it writes the sample lists
     with _unlimited_int_digits(), ExitStack() as stack:
         held = {}  # each list that two outputs share: its texts' pass
+        # a result can be an estimate only once `dimension` is loaded
+        dim = sys.modules.get(f"{__package__}.dimension")
         estimates = [(out_dir / f"{key}_scales.csv",
                       out_dir / f"{key}_logratio.dat",
                       _write_samples, value.samples)
                      for key, value in report.results.items()
-                     if isinstance(value, dim.DimensionEstimate)]
+                     if dim and isinstance(value, dim.DimensionEstimate)]
         criteria = []  # (CSV path, series path, writer, its data), as above
         if "criteria" in report.results:
             criteria.append((out_dir / "criteria.csv",
@@ -411,10 +417,10 @@ def emit_report(report: Report, out_dir, fmt: str = "json",
             *(table[1] for table in estimates + criteria if wanted[1])]
 
 
-def _write_criteria(report: crit.CriterionReport, held: dict, csv,
-                    series) -> None:
-    """Write criteria.csv and sparse_density.dat (each unless None) block by
-    block, from the texts that `column_blocks` also keeps for report.json."""
+def _write_criteria(report, held: dict, csv, series) -> None:
+    """Write a `criteria.CriterionReport`'s criteria.csv and
+    sparse_density.dat (each unless None) block by block, from the texts
+    that `column_blocks` also keeps for report.json."""
     if csv:
         csv.write("k,h_partial,b_partial,li_ratio,B_partial,in_T\r\n")
     members = set(report.sparse_members)

@@ -258,8 +258,11 @@ class ColumnMatrix(Frozen):
 
     @cached_property
     def digit_counts(self) -> tuple:
-        """(prefix, period): the digit count n of each column, in order."""
-        return tuple(c.n for c in self.prefix), tuple(c.n for c in self.period)
+        """(prefix, period): the digit count n of each column, in order,
+        read by C-level maps, with no `ProbColumn.n` call per column."""
+        entries = attrgetter("entries")
+        return tuple(tuple(map(len, map(entries, columns)))
+                     for columns in (self.prefix, self.period))
 
     def min_entry(self) -> Fraction:
         return min(c.min_entry for c in self.distinct)

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dimlab
 from dimlab import cylinder, expand, qtilde
 from dimlab.cli import main
 from dimlab.dimension import DimensionEstimate, ScaleSample
@@ -779,10 +780,17 @@ class TestCli:
         assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dimlab"
+SUBMODULES = [path.stem for path in sorted(PACKAGE.glob("*.py"))
+              if path.stem != "__init__"]
+# every dimlab module, imported by name
+IMPORT_ALL = "import " + ", ".join(f"dimlab.{name}" for name in SUBMODULES)
+
+
 def modules_loaded(code: str, *flags: str) -> list:
     """The words that `code` prints, run by a fresh interpreter with
     `flags` and the source tree on its path."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
+    src = str(PACKAGE.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, *flags, "-c", code], env=env,
@@ -793,9 +801,9 @@ def modules_loaded(code: str, *flags: str) -> list:
 def test_runtime_imports_only_stdlib():
     # compare against a snapshot: site hooks may preload third-party modules
     added = modules_loaded("import sys; before = set(sys.modules); "
-                           "import dimlab, dimlab.cli, dimlab.harness; "
+                           f"{IMPORT_ALL}; "
                            "print(' '.join(sorted(set(sys.modules) - before)))")
-    assert "dimlab.cli" in added
+    assert {f"dimlab.{name}" for name in SUBMODULES} <= set(added)
     allowed = sys.stdlib_module_names | {"dimlab"}
     assert [name for name in added
             if name.partition(".")[0] not in allowed] == []
@@ -806,9 +814,8 @@ def test_source_imports_only_stdlib():
     # every import statement in the source, also one that importing the
     # package does not run (inside a function, or under a condition)
     allowed = sys.stdlib_module_names | {"dimlab"}
-    package = Path(__file__).resolve().parent.parent / "src" / "dimlab"
-    modules = sorted(package.glob("*.py"))
-    assert package / "__init__.py" in modules
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert PACKAGE / "__init__.py" in modules
     outside = []
     for path in modules:
         for node in ast.walk(ast.parse(path.read_bytes(), str(path))):
@@ -825,9 +832,89 @@ def test_source_imports_only_stdlib():
 
 def test_cli_starts_without_slow_stdlib_modules():
     # without `site` no hook preloads a module, so every module here is
-    # one that starting the CLI loads; `dataclasses` alone brings in
+    # one that a CLI kind may load; `dataclasses` alone brings in
     # `inspect`, `ast`, `dis` and `tokenize`
-    loaded = modules_loaded("import sys, dimlab.cli; "
+    loaded = modules_loaded(f"import sys; {IMPORT_ALL}; "
                             "print(' '.join(sys.modules))", "-S")
-    assert "dimlab.cli" in loaded
+    assert {f"dimlab.{name}" for name in SUBMODULES} <= set(loaded)
     assert {"dataclasses", "inspect", "datetime", "typing"}.isdisjoint(loaded)
+
+
+# the library modules that each CLI kind loads besides the ones every op
+# loads: cli, harness, qtilde, errors and jsontext
+KIND_MODULES = {
+    "expand": (),
+    "transform": ("measure",),
+    "dimension": ("dimension",),
+    "criteria": ("criteria", "dimension"),
+    "preservation": ("criteria", "dimension"),
+    "counterexample": ("criteria", "dimension"),
+}
+
+
+@pytest.mark.parametrize("kind", KIND_MODULES)
+def test_cli_kind_loads_only_its_modules(kind, tmp_path):
+    fixtures = sorted((Path(__file__).parent / "fixtures").glob("*.json"))
+    config = next(path for path in fixtures
+                  if json.loads(path.read_text())["kind"] == kind)
+    argv = [kind, "--config", str(config), "--out", str(tmp_path),
+            "--format", "csv", "--plot-data"]
+    loaded = modules_loaded(
+        f"import contextlib, io, sys, dimlab.cli\n"
+        f"with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    rc = dimlab.cli.main({argv!r})\n"
+        f"print(rc, *(name for name in sys.modules\n"
+        f"            if name.partition('.')[0] == 'dimlab'))")
+    every = ("cli", "harness", "qtilde", "errors", "jsontext")
+    assert loaded[0] == "0"
+    assert sorted(loaded[1:]) == sorted(
+        ["dimlab", *(f"dimlab.{name}" for name in every + KIND_MODULES[kind])])
+
+
+def test_bare_import_loads_no_submodule():
+    assert modules_loaded("import sys, dimlab; print(*(name for name in "
+                          "sys.modules if name.startswith('dimlab')))",
+                          "-S") == ["dimlab"]
+
+
+# the public names of `dimlab`, by the submodule that defines each
+PUBLIC_NAMES = {
+    "qtilde": ["Cylinder", "PMatrix", "ProbColumn", "QMatrix", "cylinder",
+               "expand", "locate"],
+    "measure": ["f_xi_cylinder", "f_xi_point", "mu_cylinder"],
+    "criteria": ["CriterionReport", "counterexample_spec", "pdp_verdict",
+                 "sparse_column_stats"],
+    "dimension": ["DimensionEstimate", "MoranSpec", "ScaleSample",
+                  "dim_estimate", "enumerate_cylinders", "family_dim",
+                  "moran_dim_oracle", "premeasure_ordering_check"],
+}
+
+
+def test_public_names_resolve_after_a_bare_import():
+    names = [name for names in PUBLIC_NAMES.values() for name in names]
+    assert len(names) == 22
+    # each name's defining module, each submodule, the version, then the
+    # names that a star import binds and those that dir() lists
+    code = (f"import json, dimlab\n"
+            f"star = {{}}\n"
+            f"exec('from dimlab import *', star)\n"
+            f"print(json.dumps([\n"
+            f"    {{n: getattr(dimlab, n).__module__ for n in {names!r}}},\n"
+            f"    [getattr(dimlab, m).__name__ for m in {SUBMODULES!r}],\n"
+            f"    dimlab.__version__, sorted(set(star) - {{'__builtins__'}}),\n"
+            f"    dir(dimlab)], separators=(',', ':')))")
+    defined, modules, version, star, listed = json.loads(
+        modules_loaded(code)[0])
+    assert defined == {name: f"dimlab.{module}"
+                       for module, names in PUBLIC_NAMES.items()
+                       for name in names}
+    assert modules == [f"dimlab.{name}" for name in SUBMODULES]
+    assert version == "0.1.0"
+    assert star == sorted(names)
+    assert {*names, *SUBMODULES, "__version__"} <= set(listed)
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        dimlab.no_such_name
+    assert not hasattr(dimlab, "no_such_name")
